@@ -1,7 +1,7 @@
 """Focal-stack depth estimation on a self-contained float64 autodiff core."""
 
-from .cmfa import Cmfa, CmfaConfig, cmfa_forward
-from .cru import Cru, CruConfig, cru_forward, node_count, zero_fuse
+from .cmfa import Cmfa, CmfaConfig
+from .cru import Cru, CruConfig, node_count, zero_fuse
 from .errors import (
     ConfigError,
     DomainError,

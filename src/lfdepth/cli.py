@@ -26,7 +26,7 @@ from .gradcheck import SCOPES, assert_all_pass, check_scope
 from .metrics import aggregate, evaluate
 from .model import LADDER, NetworkConfig
 from .pnm import write_pgm16
-from .synthdata import GenSpec, generate_dataset, load_split, read_scene
+from .synthdata import GenSpec, generate_dataset, load_split, read_scene, split_names
 from .train import (
     ablation_run,
     config_from_dict,
@@ -121,11 +121,7 @@ def _write_train_outputs(out_dir, state) -> None:
     log_doc = {
         "step_losses": state.log.step_losses,
         "epoch_losses": state.log.epoch_losses,
-        "epoch_metrics": [
-            {"epoch": ep, "rms": m.rms, "abs_rel": m.abs_rel, "sq_rel": m.sq_rel,
-             "d1": m.d1, "d2": m.d2, "d3": m.d3}
-            for ep, m in state.log.epoch_metrics
-        ],
+        "epoch_metrics": [{"epoch": ep, **m.as_dict()} for ep, m in state.log.epoch_metrics],
     }
     with open(os.path.join(out_dir, "train_log.json"), "w") as fh:
         json.dump(log_doc, fh, indent=1)
@@ -158,11 +154,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _metrics_doc(m) -> dict:
-    return {"rms": m.rms, "abs_rel": m.abs_rel, "sq_rel": m.sq_rel,
-            "d1": m.d1, "d2": m.d2, "d3": m.d3}
-
-
 def cmd_eval(args) -> int:
     state = load_checkpoint(args.ckpt)
     scenes = _load_scenes(args.data, args.split)
@@ -177,7 +168,7 @@ def cmd_eval(args) -> int:
     per_scene = [evaluate(p, sc.depth[None]) for p, sc in zip(preds, scenes)]
     mean = aggregate(per_scene)
 
-    names = json.load(open(os.path.join(args.data, "manifest.json")))[args.split]
+    names = split_names(args.data, args.split)
     width = max(len(n) for n in names + ["aggregate"])
     print(f"{'scene':<{width}}     rms  abs rel   sq rel       d1       d2       d3")
     for name, m in zip(names, per_scene):
@@ -189,8 +180,8 @@ def cmd_eval(args) -> int:
     if args.json:
         doc = {
             "split": args.split,
-            "scenes": {n: _metrics_doc(m) for n, m in zip(names, per_scene)},
-            "aggregate": _metrics_doc(mean),
+            "scenes": {n: m.as_dict() for n, m in zip(names, per_scene)},
+            "aggregate": mean.as_dict(),
         }
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=1)
@@ -244,7 +235,7 @@ def cmd_ablate(args) -> int:
             fh.write(table + "\n")
         doc = [
             {"name": r.name, "param_count": r.param_count,
-             "metrics": _metrics_doc(r.metrics), "epoch_losses": r.log.epoch_losses}
+             "metrics": r.metrics.as_dict(), "epoch_losses": r.log.epoch_losses}
             for r in results
         ]
         with open(os.path.join(args.out, "results.json"), "w") as fh:

@@ -136,7 +136,3 @@ class Cmfa:
         f2 = self.relation_aggregate(slices, f1, gamma, lam)
         return self.fuse(f2)
 
-
-def cmfa_forward(block: Cmfa, f_focal: Tensor, f_rgb: Tensor,
-                 mode: str = "eval", rng=None) -> Tensor:
-    return block(f_focal, f_rgb, mode, rng)

@@ -211,10 +211,6 @@ class Cru:
         return x + self.fuse(mixed)
 
 
-def cru_forward(block: Cru, x: Tensor) -> Tensor:
-    return block(x)
-
-
 def zero_fuse(block: Cru) -> None:
     """Zero the final fusion conv; the block becomes an exact identity."""
     block.fuse.weight.data[...] = 0.0

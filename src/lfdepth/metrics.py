@@ -22,6 +22,10 @@ class DepthMetrics:
     def row(self) -> tuple[float, ...]:
         return (self.rms, self.abs_rel, self.sq_rel, self.d1, self.d2, self.d3)
 
+    def as_dict(self) -> dict[str, float]:
+        """Field name -> value, in field order (the JSON form of every report)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 COLUMN_NAMES = ("rms", "abs rel", "sq rel", "d1", "d2", "d3")
 

@@ -1,9 +1,11 @@
 """Differentiable neural operators built on the tensor core.
 
-Convolutions are cross-correlations (no kernel flip) computed tap-by-tap:
-each kernel offset contributes one strided slice of the padded input, so
-forward and backward need at most kh*kw (or ks*kh*kw) small matmuls and no
-materialized im2col buffer.  All operators register gradients on the tape.
+Convolutions are cross-correlations (no kernel flip).  ``conv2d`` and
+``conv3d`` only check shapes and resolve padding; both run one N-d core,
+``_conv``, over [N, C, *spatial].  The core computes tap by tap: each kernel
+offset contributes one strided slice of the padded input, so forward and
+backward need one small matmul per kernel offset and no materialized im2col
+buffer.  All operators register gradients on the tape.
 
 Axis conventions: 2-D feature maps are [slices, channels, height, width];
 3-D convolution inputs are [batch, channels, slices, height, width].
@@ -11,6 +13,8 @@ Axis conventions: 2-D feature maps are [slices, channels, height, width];
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,14 +88,88 @@ class Conv2Spec:
     def __post_init__(self):
         if self.dilation < 1 or self.stride < 1:
             raise ShapeError("stride and dilation must be >= 1")
-        if self.padding not in ("same", "valid"):
-            raise ShapeError(f"unknown padding mode {self.padding!r}")
-        if self.padding == "same" and any(k % 2 == 0 for k in self.kernel):
-            raise ShapeError(f"'same' padding needs odd kernel extents, got {self.kernel}")
+        _pads(self.padding, self.kernel, self.dilation)
 
 
 def _out_extent(n: int, k: int, stride: int, dilation: int, pad: int) -> int:
     return (n + 2 * pad - dilation * (k - 1) - 1) // stride + 1
+
+
+def _pads(padding: str, kernel, dilation: int) -> tuple[int, ...]:
+    """Per-axis zero padding: none for 'valid', extent-preserving for 'same'."""
+    if padding == "valid":
+        return (0,) * len(kernel)
+    if padding != "same":
+        raise ShapeError(f"unknown padding mode {padding!r}")
+    if any(k % 2 == 0 for k in kernel):
+        raise ShapeError(f"'same' padding needs odd kernel extents, got {tuple(kernel)}")
+    return tuple(dilation * (k - 1) // 2 for k in kernel)
+
+
+def _conv(
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor | None,
+    stride: int,
+    dilation: int,
+    pads: tuple[int, ...],
+) -> Tensor:
+    """Cross-correlation of [N, C, *spatial] with [C_out, C, *kernel].
+
+    The one tap loop behind conv2d and conv3d: kernel offsets are visited in
+    lexicographic order and each adds one [C_out, C] x [C, L] matmul.
+    """
+    N, C, *spatial = x.shape
+    CO, CI, *kernel = weight.shape
+    if C != CI:
+        raise ShapeError(f"convolution channel mismatch: input {C}, kernel {CI}")
+    out_sp = tuple(
+        _out_extent(n, k, stride, dilation, p) for n, k, p in zip(spatial, kernel, pads)
+    )
+    if min(out_sp) < 1:
+        raise ShapeError(f"convolution of input {x.shape} with kernel {tuple(kernel)} is empty")
+
+    lead = (slice(None), slice(None))
+    xp = np.pad(x.data, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
+    L = math.prod(out_sp)
+    # (weight index, strided window of the padded input) per kernel offset
+    taps = [
+        (
+            lead + offset,
+            lead + tuple(
+                slice(o * dilation, o * dilation + stride * (m - 1) + 1, stride)
+                for o, m in zip(offset, out_sp)
+            ),
+        )
+        for offset in itertools.product(*map(range, kernel))
+    ]
+
+    out = np.zeros((N, CO, L))
+    for widx, window in taps:
+        out += np.matmul(weight.data[widx], xp[window].reshape(N, C, L))
+    if bias is not None:
+        out += bias.data[:, None]
+    out = out.reshape((N, CO) + out_sp)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g):
+        gm = g.reshape(N, CO, L)
+        if bias is not None:
+            _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
+        if weight.requires_grad:
+            dw = np.empty_like(weight.data)
+            for widx, window in taps:
+                pr = xp[window].reshape(N, C, L)
+                dw[widx] = np.matmul(gm, pr.transpose(0, 2, 1)).sum(axis=0)
+            _accum(weight, dw)
+        if x.requires_grad:
+            dxp = np.zeros_like(xp)
+            for widx, window in taps:
+                dxp[window] += np.matmul(weight.data[widx].T, gm).reshape((N, C) + out_sp)
+            _accum(x, dxp[lead + tuple(slice(p, p + n) for p, n in zip(pads, spatial))])
+
+    return _track(out, parents, backward)
 
 
 def conv2d(
@@ -108,65 +186,11 @@ def conv2d(
     'same' padding with stride 1.
     """
     x = as_tensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d expects [S, C, H, W], got {x.shape}")
-    S, C, H, W = x.shape
-    CO, CI, kh, kw = weight.shape
-    if C != CI:
-        raise ShapeError(f"conv2d channel mismatch: input {C}, kernel {CI}")
-    if padding == "same":
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ShapeError("'same' padding needs odd kernel extents")
-        ph, pw = dilation * (kh - 1) // 2, dilation * (kw - 1) // 2
-    else:
-        ph = pw = 0
-    oh = _out_extent(H, kh, stride, dilation, ph)
-    ow = _out_extent(W, kw, stride, dilation, pw)
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"conv2d output would be empty for input {x.shape}")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    L = oh * ow
-
-    def tap(arr, a, b):
-        return arr[
-            :,
-            :,
-            a * dilation : a * dilation + stride * (oh - 1) + 1 : stride,
-            b * dilation : b * dilation + stride * (ow - 1) + 1 : stride,
-        ]
-
-    out = np.zeros((S, CO, L))
-    for a in range(kh):
-        for b in range(kw):
-            out += np.matmul(weight.data[:, :, a, b], tap(xp, a, b).reshape(S, C, L))
-    if bias is not None:
-        out += bias.data[:, None]
-    out = out.reshape(S, CO, oh, ow)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g):
-        gm = g.reshape(S, CO, L)
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3)))
-        if weight.requires_grad:
-            dw = np.empty_like(weight.data)
-            for a in range(kh):
-                for b in range(kw):
-                    pr = tap(xp, a, b).reshape(S, C, L)
-                    dw[:, :, a, b] = np.matmul(gm, pr.transpose(0, 2, 1)).sum(axis=0)
-            _accum(weight, dw)
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for a in range(kh):
-                for b in range(kw):
-                    tap(dxp, a, b)[...] += np.matmul(
-                        weight.data[:, :, a, b].T, gm
-                    ).reshape(S, C, oh, ow)
-            _accum(x, dxp[:, :, ph : ph + H, pw : pw + W])
-
-    return _track(out, parents, backward)
+    if x.ndim != 4 or weight.ndim != 4:
+        raise ShapeError(
+            f"conv2d expects [S, C, H, W] and a 4-D kernel, got {x.shape} and {weight.shape}"
+        )
+    return _conv(x, weight, bias, stride, dilation, _pads(padding, weight.shape[2:], dilation))
 
 
 def conv3d(
@@ -181,66 +205,11 @@ def conv3d(
     axis, 'same' preserves all extents.  Stride and dilation are 1.
     """
     x = as_tensor(x)
-    if x.ndim != 5:
-        raise ShapeError(f"conv3d expects [B, C, S, H, W], got {x.shape}")
-    B, C, S, H, W = x.shape
-    CO, CI, ks, kh, kw = weight.shape
-    if C != CI:
-        raise ShapeError(f"conv3d channel mismatch: input {C}, kernel {CI}")
-    if padding == "same":
-        if any(k % 2 == 0 for k in (ks, kh, kw)):
-            raise ShapeError("'same' padding needs odd kernel extents")
-        ps, ph, pw = (ks - 1) // 2, (kh - 1) // 2, (kw - 1) // 2
-    elif padding == "valid":
-        ps = ph = pw = 0
-    else:
-        raise ShapeError(f"unknown padding mode {padding!r}")
-    os_, oh, ow = S + 2 * ps - ks + 1, H + 2 * ph - kh + 1, W + 2 * pw - kw + 1
-    if os_ < 1 or oh < 1 or ow < 1:
-        raise ShapeError(f"conv3d input {x.shape} smaller than kernel {(ks, kh, kw)}")
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ps, ps), (ph, ph), (pw, pw)))
-    L = os_ * oh * ow
-
-    def tap(arr, c, a, b):
-        return arr[:, :, c : c + os_, a : a + oh, b : b + ow]
-
-    out = np.zeros((B, CO, L))
-    for c in range(ks):
-        for a in range(kh):
-            for b in range(kw):
-                out += np.matmul(
-                    weight.data[:, :, c, a, b], tap(xp, c, a, b).reshape(B, C, L)
-                )
-    if bias is not None:
-        out += bias.data[:, None]
-    out = out.reshape(B, CO, os_, oh, ow)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(g):
-        gm = g.reshape(B, CO, L)
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0, 2, 3, 4)))
-        if weight.requires_grad:
-            dw = np.empty_like(weight.data)
-            for c in range(ks):
-                for a in range(kh):
-                    for b in range(kw):
-                        pr = tap(xp, c, a, b).reshape(B, C, L)
-                        dw[:, :, c, a, b] = np.matmul(gm, pr.transpose(0, 2, 1)).sum(axis=0)
-            _accum(weight, dw)
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for c in range(ks):
-                for a in range(kh):
-                    for b in range(kw):
-                        tap(dxp, c, a, b)[...] += np.matmul(
-                            weight.data[:, :, c, a, b].T, gm
-                        ).reshape(B, C, os_, oh, ow)
-            _accum(x, dxp[:, :, ps : ps + S, ph : ph + H, pw : pw + W])
-
-    return _track(out, parents, backward)
+    if x.ndim != 5 or weight.ndim != 5:
+        raise ShapeError(
+            f"conv3d expects [B, C, S, H, W] and a 5-D kernel, got {x.shape} and {weight.shape}"
+        )
+    return _conv(x, weight, bias, 1, 1, _pads(padding, weight.shape[2:], 1))
 
 
 def fc(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -342,9 +311,7 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     return _track(out, (x,), backward)
 
 
-def concat(xs, axis: int) -> Tensor:
-    """Concatenate tensors along ``axis``; gradients split back."""
-    return concat_tensors(list(xs), axis)
+concat = concat_tensors
 
 
 # -- parameterized layers -----------------------------------------------------

@@ -378,7 +378,8 @@ def generate_dataset(root, count: int, base: GenSpec, train_fraction: float = 0.
     return manifest
 
 
-def load_split(root, split: str) -> list[Scene]:
+def split_names(root, split: str) -> list[str]:
+    """Scene names of one split, read from the dataset's manifest.json."""
     path = os.path.join(root, "manifest.json")
     try:
         with open(path) as fh:
@@ -389,4 +390,8 @@ def load_split(root, split: str) -> list[Scene]:
         raise FormatError(f"{path}: bad JSON at offset {err.pos}") from None
     if split not in manifest:
         raise UsageError(f"manifest has no split {split!r}; available: {list(manifest)}")
-    return [read_scene(os.path.join(root, name)) for name in manifest[split]]
+    return manifest[split]
+
+
+def load_split(root, split: str) -> list[Scene]:
+    return [read_scene(os.path.join(root, name)) for name in split_names(root, split)]

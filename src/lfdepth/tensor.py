@@ -9,31 +9,32 @@ leaves and frees intermediate gradients as it goes.
 The tape is rebuilt on every forward pass (shapes downstream depend on the
 data, e.g. graph node counts follow the spatial size), is single-threaded,
 and tensors with tracking disabled are immutable by convention and safe to
-share across threads.
+share across threads.  ``no_grad`` acts on the calling thread only.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
 
-_GRAD_ENABLED = True
+# Open no_grad contexts in the current thread; the tape records only at depth
+# 0.  A count lets overlapping contexts exit in any order.
+_NO_GRAD_DEPTH: ContextVar[int] = ContextVar("lfdepth_no_grad_depth", default=0)
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the context (inference / metrics)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    _NO_GRAD_DEPTH.set(_NO_GRAD_DEPTH.get() + 1)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _NO_GRAD_DEPTH.set(_NO_GRAD_DEPTH.get() - 1)
 
 
 def _as_array(data) -> np.ndarray:
@@ -177,7 +178,7 @@ class Tensor:
 
 def _track(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _NO_GRAD_DEPTH.get() == 0 and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -263,18 +264,6 @@ def div(a, b) -> Tensor:
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _track(a.data / b.data, (a, b), backward)
-
-
-_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def binary_elementwise(a, b, op: str) -> Tensor:
-    """Dispatch one of the four broadcasting elementwise operations."""
-    try:
-        fn = _BINARY[op]
-    except KeyError:
-        raise UsageError(f"unknown elementwise op {op!r}") from None
-    return fn(a, b)
 
 
 def absolute(a: Tensor) -> Tensor:

@@ -233,20 +233,15 @@ def config_from_dict(doc: dict) -> NetworkConfig:
 
 
 def _metrics_to_doc(pairs) -> list:
-    return [
-        {"epoch": int(ep), **{k: getattr(m, k) for k in
-                              ("rms", "abs_rel", "sq_rel", "d1", "d2", "d3")}}
-        for ep, m in pairs
-    ]
+    return [{"epoch": int(ep), **m.as_dict()} for ep, m in pairs]
 
 
 def _metrics_from_doc(rows) -> list:
-    out = []
-    for row in rows:
-        ep = int(row["epoch"])
-        out.append((ep, DepthMetrics(**{k: float(row[k]) for k in
-                                        ("rms", "abs_rel", "sq_rel", "d1", "d2", "d3")})))
-    return out
+    names = [f.name for f in dataclasses.fields(DepthMetrics)]
+    return [
+        (int(row["epoch"]), DepthMetrics(**{k: float(row[k]) for k in names}))
+        for row in rows
+    ]
 
 
 def save_checkpoint(path, state: TrainState) -> None:
@@ -375,16 +370,3 @@ def format_table(results: list[AblationResult]) -> str:
         lines.append("  ".join(cells))
     lines.insert(1, "-" * len(lines[0]))
     return "\n".join(lines)
-
-
-def moving_average(values, window: int = 5) -> list[float]:
-    if window < 1 or len(values) < window:
-        return []
-    return [
-        float(np.mean(values[i : i + window]))
-        for i in range(len(values) - window + 1)
-    ]
-
-
-def is_monotone_decreasing(values, tolerance: float = 0.0) -> bool:
-    return all(b <= a + tolerance for a, b in zip(values, values[1:]))

@@ -176,3 +176,16 @@ def gaussian_blur_dense(img, sigma):
                         wsum += wgt
             out[:, y, x] = acc / wsum
     return out[0] if single else out
+
+
+def moving_average(values, window: int = 5) -> list[float]:
+    if window < 1 or len(values) < window:
+        return []
+    return [
+        float(np.mean(values[i : i + window]))
+        for i in range(len(values) - window + 1)
+    ]
+
+
+def is_monotone_decreasing(values, tolerance: float = 0.0) -> bool:
+    return all(b <= a + tolerance for a, b in zip(values, values[1:]))

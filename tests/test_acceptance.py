@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from lfdepth.cmfa import Cmfa, CmfaConfig, cmfa_forward
-from lfdepth.cru import Cru, CruConfig, cru_forward, node_count, zero_fuse
+from lfdepth.cmfa import Cmfa, CmfaConfig
+from lfdepth.cru import Cru, CruConfig, node_count, zero_fuse
 from lfdepth.gradcheck import SCOPES, assert_all_pass, check_scope
 from lfdepth.metrics import evaluate
 from lfdepth.model import NetworkConfig
@@ -33,14 +33,12 @@ from lfdepth.tensor import Tensor
 from lfdepth.train import (
     ablation_run,
     format_table,
-    is_monotone_decreasing,
     load_checkpoint,
-    moving_average,
     save_checkpoint,
     train_model,
 )
 
-from oracles import gaussian_blur_dense
+from oracles import gaussian_blur_dense, is_monotone_decreasing, moving_average
 
 GRAD_TOLERANCE = 1e-4          # max relative error, backward vs central FD
 GRAD_BUDGET_SECONDS = 300.0
@@ -101,7 +99,7 @@ def test_criterion_2_identity_reductions():
     block.warmup(6, 6)
     zero_fuse(block)
     x = Tensor(np.random.default_rng(1).standard_normal((2, 4, 6, 6)))
-    y = cru_forward(block, x)
+    y = block(x)
     assert np.max(np.abs(y.data - x.data)) == 0.0
 
     # (b) identity-reduced enhancement + zeroed heads = plain-mean fusion
@@ -121,7 +119,7 @@ def test_criterion_2_identity_reductions():
     rng = np.random.default_rng(3)
     focal = Tensor(rng.standard_normal((5, 4, 6, 6)))
     rgb = Tensor(rng.standard_normal((1, 4, 6, 6)))
-    out = cmfa_forward(fuser, focal, rgb)
+    out = fuser(focal, rgb)
     mean = np.concatenate([focal.data, rgb.data], axis=0).mean(axis=0, keepdims=True)
     want = conv2d(Tensor(np.concatenate([mean, mean], axis=1)),
                   fuser.fuse.weight, fuser.fuse.bias)

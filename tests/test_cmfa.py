@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lfdepth.cmfa import Cmfa, CmfaConfig, cmfa_forward
+from lfdepth.cmfa import Cmfa, CmfaConfig
 from lfdepth.errors import ConfigError, ShapeError, UsageError
 from lfdepth.ops import conv2d
 from lfdepth.params import ModuleParams
@@ -220,7 +220,7 @@ def test_forward_identical_slices_degenerate():
     c = rng.standard_normal((1, 4, 6, 6))
     focal = Tensor(np.repeat(c, 12, axis=0))
     rgb = Tensor(c.copy())
-    out = cmfa_forward(block, focal, rgb)
+    out = block(focal, rgb)
     want = conv2d(
         Tensor(np.concatenate([c, c], axis=1)), block.fuse.weight, block.fuse.bias
     )
@@ -233,7 +233,7 @@ def test_forward_zero_heads_equals_plain_mean_fusion():
     rng = np.random.default_rng(20)
     focal = Tensor(rng.standard_normal((5, 4, 6, 6)))
     rgb = Tensor(rng.standard_normal((1, 4, 6, 6)))
-    out = cmfa_forward(block, focal, rgb)
+    out = block(focal, rgb)
     f2, r2 = block.enhance(focal, rgb)
     m = np.concatenate([f2.data, r2.data], axis=0).mean(axis=0, keepdims=True)
     want = conv2d(
@@ -247,9 +247,9 @@ def test_forward_permutation_invariance_symmetric_config():
     rng = np.random.default_rng(22)
     focal = rng.standard_normal((6, 4, 5, 5))
     rgb = Tensor(rng.standard_normal((1, 4, 5, 5)))
-    base = cmfa_forward(block, Tensor(focal), rgb).data
+    base = block(Tensor(focal), rgb).data
     perm = rng.permutation(6)
-    permuted = cmfa_forward(block, Tensor(focal[perm]), rgb).data
+    permuted = block(Tensor(focal[perm]), rgb).data
     np.testing.assert_allclose(permuted, base, atol=1e-12)
 
 
@@ -261,7 +261,7 @@ def test_forward_gradcheck():
     r = rng.standard_normal((1, 4, 6, 6))
 
     def build():
-        return (cmfa_forward(block, focal, rgb) * Tensor(r)).sum()
+        return (block(focal, rgb) * Tensor(r)).sum()
 
     build().backward()
     tensors = [focal, rgb] + [t for _, t in params.named()]
@@ -278,7 +278,7 @@ def test_gradient_reaches_every_slice():
     rng = np.random.default_rng(26)
     focal = Tensor(rng.standard_normal((6, 4, 5, 5)), requires_grad=True)
     rgb = Tensor(rng.standard_normal((1, 4, 5, 5)), requires_grad=True)
-    cmfa_forward(block, focal, rgb).sum().backward()
+    block(focal, rgb).sum().backward()
     for j in range(6):
         assert np.any(focal.grad[j] != 0.0), f"slice {j} got no gradient"
     assert np.any(rgb.grad != 0.0)

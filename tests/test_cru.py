@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lfdepth.cru import Cru, CruConfig, GraphBranch, cru_forward, node_count, zero_fuse
+from lfdepth.cru import Cru, CruConfig, GraphBranch, node_count, zero_fuse
 from lfdepth.errors import ConfigError, UsageError
 from lfdepth.ops import relu
 from lfdepth.params import ModuleParams
@@ -269,14 +269,14 @@ def test_multi_graph_shape_for_many_slices():
         assert block.multi_graph(x).shape == (s, 4, 6, 6)
 
 
-# -- cru_forward -------------------------------------------------------------------
+# -- full block ---------------------------------------------------------------------
 
 
 def test_cru_zeroed_fusion_is_exact_identity():
     params, block = make_block(channels=4, seed=20)
     zero_fuse(block)
     x = Tensor(np.random.default_rng(21).standard_normal((3, 4, 8, 8)))
-    out = cru_forward(block, x)
+    out = block(x)
     np.testing.assert_array_equal(out.data, x.data)
 
 

@@ -106,6 +106,11 @@ def test_conv2d_even_kernel_same_padding_rejected():
         conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 2, 2))), padding="same")
 
 
+def test_conv2d_unknown_padding_rejected():
+    with pytest.raises(ShapeError):
+        conv2d(Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros((1, 1, 3, 3))), padding="full")
+
+
 # -- conv3d -------------------------------------------------------------------
 
 

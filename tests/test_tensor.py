@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,45 @@ def test_no_grad_blocks_tape():
         y = x * 2.0
     assert y.requires_grad is False
     assert y.is_leaf
+
+
+def test_no_grad_contexts_may_exit_out_of_order():
+    x = Tensor(np.ones(3), requires_grad=True)
+    a, b = no_grad(), no_grad()
+    a.__enter__()
+    b.__enter__()
+    a.__exit__(None, None, None)
+    assert not (x * 2.0).requires_grad  # still inside b
+    b.__exit__(None, None, None)
+    assert (x * 2.0).requires_grad
+
+
+def test_no_grad_in_overlapping_threads_leaves_caller_recording():
+    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
+    untracked = []
+
+    def first():
+        with no_grad():
+            first_in.set()
+            second_in.wait(5.0)
+        first_out.set()
+
+    def second():
+        first_in.wait(5.0)
+        with no_grad():
+            second_in.set()
+            first_out.wait(5.0)
+            untracked.append(not (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad)
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10.0)
+    assert not any(t.is_alive() for t in threads)
+    assert first_out.is_set() and untracked == [True]
+    x = Tensor(np.ones(3), requires_grad=True)
+    assert (x * 2.0).requires_grad
 
 
 def test_interior_grads_freed_after_backward():

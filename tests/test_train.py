@@ -12,19 +12,20 @@ from lfdepth.tensor import Tensor
 from lfdepth.train import (
     AblationResult,
     Adam,
+    _metrics_from_doc,
     ablation_run,
     config_from_dict,
     config_to_dict,
     evaluate_model,
     format_metric,
     format_table,
-    is_monotone_decreasing,
     learning_rate_for,
     load_checkpoint,
-    moving_average,
     save_checkpoint,
     train_model,
 )
+
+from oracles import is_monotone_decreasing, moving_average
 
 
 def tiny_config(**kw):
@@ -301,6 +302,14 @@ def test_format_table_layout():
 
 
 # -- convergence helpers --------------------------------------------------------------
+
+
+def test_metrics_dict_field_order_and_roundtrip():
+    m = DepthMetrics(0.5, 0.25, 0.125, 0.75, 0.875, 1.0)
+    doc = m.as_dict()
+    assert list(doc) == ["rms", "abs_rel", "sq_rel", "d1", "d2", "d3"]
+    assert list(doc.values()) == list(m.row())
+    assert _metrics_from_doc([{"epoch": 3, **doc}]) == [(3, m)]
 
 
 def test_moving_average():
