@@ -2,10 +2,12 @@
 
 Convolutions are cross-correlations (no kernel flip).  ``conv2d`` and
 ``conv3d`` only check shapes and resolve padding; both run one N-d core,
-``_conv``, over [N, C, *spatial].  The core computes tap by tap: each kernel
-offset contributes one strided slice of the padded input, so forward and
-backward need one small matmul per kernel offset and no materialized im2col
-buffer.  All operators register gradients on the tape.
+``_conv``, over [N, C, *spatial].  The core is an im2col GEMM (Chellapilla
+et al. 2006) in blocks of at most ``_BLOCK_BYTES`` of columns: each block is
+copied out of one strided window view of the padded input and multiplied by
+the [C_out, C*K] weight matrix.  Backward rebuilds the columns block by block
+for the weight gradient and adds W^T @ g back into the input gradient once
+per kernel offset.  All operators register gradients on the tape.
 
 Axis conventions: 2-D feature maps are [slices, channels, height, width];
 3-D convolution inputs are [batch, channels, slices, height, width].
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, UsageError
 from .params import ModuleParams
@@ -106,6 +109,10 @@ def _pads(padding: str, kernel, dilation: int) -> tuple[int, ...]:
     return tuple(dilation * (k - 1) // 2 for k in kernel)
 
 
+# Upper bound on the bytes of one block of im2col columns.
+_BLOCK_BYTES = 8 << 20
+
+
 def _conv(
     x: Tensor,
     weight: Tensor,
@@ -116,8 +123,12 @@ def _conv(
 ) -> Tensor:
     """Cross-correlation of [N, C, *spatial] with [C_out, C, *kernel].
 
-    The one tap loop behind conv2d and conv3d: kernel offsets are visited in
-    lexicographic order and each adds one [C_out, C] x [C, L] matmul.
+    The one core behind conv2d and conv3d, an im2col GEMM in bounded blocks.
+    A block is a run of whole items or, when one item's columns exceed
+    _BLOCK_BYTES, a run of rows of the first output axis of one item.  Its
+    columns are copied out of one strided view of the padded input into a
+    [n, C, *kernel, rows, *rest] buffer, so the forward pass is one
+    [C_out, C*K] x [C*K, L] matmul per item of the block.
     """
     N, C, *spatial = x.shape
     CO, CI, *kernel = weight.shape
@@ -129,45 +140,84 @@ def _conv(
     if min(out_sp) < 1:
         raise ShapeError(f"convolution of input {x.shape} with kernel {tuple(kernel)} is empty")
 
-    lead = (slice(None), slice(None))
-    xp = np.pad(x.data, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
-    L = math.prod(out_sp)
-    # (weight index, strided window of the padded input) per kernel offset
-    taps = [
-        (
-            lead + offset,
-            lead + tuple(
-                slice(o * dilation, o * dilation + stride * (m - 1) + 1, stride)
-                for o, m in zip(offset, out_sp)
-            ),
-        )
-        for offset in itertools.product(*map(range, kernel))
-    ]
+    D = len(kernel)
+    CK = C * math.prod(kernel)
+    inner = (slice(None),) * 2 + tuple(slice(p, p + n) for p, n in zip(pads, spatial))
+    xp = x.data
+    if any(pads):
+        xp = np.zeros((N, C) + tuple(n + 2 * p for n, p in zip(spatial, pads)))
+        xp[inner] = x.data
 
-    out = np.zeros((N, CO, L))
-    for widx, window in taps:
-        out += np.matmul(weight.data[widx], xp[window].reshape(N, C, L))
-    if bias is not None:
-        out += bias.data[:, None]
-    out = out.reshape((N, CO) + out_sp)
+    def windows(a, writeable=False):
+        """[N, C, *kernel, *out] view of padded ``a``: the input under each tap."""
+        v = sliding_window_view(
+            a, tuple(dilation * (k - 1) + 1 for k in kernel), tuple(range(2, 2 + D)),
+            writeable=writeable,
+        )[
+            (slice(None),) * 2
+            + tuple(slice(0, stride * (m - 1) + 1, stride) for m in out_sp)
+            + (slice(None, None, dilation),) * D
+        ]
+        return v.transpose((0, 1) + tuple(range(2 + D, 2 + 2 * D)) + tuple(range(2, 2 + D)))
+
+    # blocks as (items, rows of the first output axis): several whole items,
+    # or one item split into runs of rows
+    rows, row_len = out_sp[0], math.prod(out_sp[1:])
+    block_rows = max(1, _BLOCK_BYTES // (8 * CK * row_len))
+    per = max(1, min(N, block_rows // rows))
+    block_rows = min(block_rows, rows)
+    blocks = [
+        (slice(n, n + per), slice(r, r + block_rows))
+        for n in range(0, N, per)
+        for r in range(0, rows, block_rows)
+    ]
+    block_elems = per * CK * block_rows * row_len
+    win = windows(xp)
+
+    def columns(buf, items, rs):
+        """The block's window view, and a same-shaped view of the front of ``buf``."""
+        src = win[(items,) + (slice(None),) * (1 + D) + (rs,)]
+        return src, buf[: src.size].reshape(src.shape)
+
+    w2 = weight.data.reshape(CO, CK)
+    out = np.empty((N, CO) + out_sp)
+    buf = np.empty(block_elems)
+    for items, rs in blocks:
+        src, cols = columns(buf, items, rs)
+        np.copyto(cols, src)
+        # whole items, or rows of one item: a view of ``out`` either way
+        dst = out[items, :, rs].reshape(len(cols), CO, -1)
+        np.matmul(w2, cols.reshape(len(cols), CK, -1), out=dst)
+        if bias is not None:
+            dst += bias.data[:, None]
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
-        gm = g.reshape(N, CO, L)
         if bias is not None:
             _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
-        if weight.requires_grad:
-            dw = np.empty_like(weight.data)
-            for widx, window in taps:
-                pr = xp[window].reshape(N, C, L)
-                dw[widx] = np.matmul(gm, pr.transpose(0, 2, 1)).sum(axis=0)
-            _accum(weight, dw)
-        if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for widx, window in taps:
-                dxp[window] += np.matmul(weight.data[widx].T, gm).reshape((N, C) + out_sp)
-            _accum(x, dxp[lead + tuple(slice(p, p + n) for p, n in zip(pads, spatial))])
+        dw = np.zeros((CO, CK)) if weight.requires_grad else None
+        dxp = np.zeros_like(xp) if x.requires_grad else None
+        if dw is None and dxp is None:
+            return
+        dwin = None if dxp is None else windows(dxp, writeable=True)
+        buf = np.empty(block_elems)
+        for items, rs in blocks:
+            src, cols = columns(buf, items, rs)
+            cols2 = cols.reshape(len(cols), CK, -1)
+            gb = g[items, :, rs].reshape(len(cols), CO, -1)
+            if dw is not None:
+                np.copyto(cols, src)
+                dw += np.matmul(gb, cols2.transpose(0, 2, 1)).sum(axis=0)
+            if dxp is not None:
+                np.matmul(w2.T, gb, out=cols2)
+                # taps of one offset never overlap, so each add is a plain strided add
+                for offset in itertools.product(*map(range, kernel)):
+                    dwin[(items, slice(None)) + offset + (rs,)] += cols[(slice(None),) * 2 + offset]
+        if dw is not None:
+            _accum(weight, dw.reshape(weight.shape))
+        if dxp is not None:
+            _accum(x, dxp[inner])
 
     return _track(out, parents, backward)
 
@@ -354,7 +404,8 @@ class Conv3d:
         out_channels: int,
         kernel: tuple[int, int, int] = (3, 3, 3),
         padding: str = "same",
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
         ks, kh, kw = kernel
         scope = params.child(name)

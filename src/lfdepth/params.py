@@ -13,6 +13,8 @@ Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from typing import BinaryIO, Iterator
 
@@ -143,11 +145,15 @@ def write_container(fh: BinaryIO, entries: dict[str, np.ndarray]) -> None:
 
 
 def read_container(fh: BinaryIO) -> dict[str, np.ndarray]:
+    """Parse a container from a seekable stream; malformed bytes raise FormatError."""
+    start = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(start)
+
     def take(n: int, what: str) -> bytes:
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise FormatError(f"truncated container: {what} at offset {fh.tell() - len(buf)}")
-        return buf
+        if n > end - fh.tell():
+            raise FormatError(f"truncated container: {what} at offset {fh.tell()}")
+        return fh.read(n)
 
     if take(4, "magic") != MAGIC:
         raise FormatError("bad magic: not a parameter container")
@@ -158,16 +164,19 @@ def read_container(fh: BinaryIO) -> dict[str, np.ndarray]:
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = struct.unpack("<H", take(2, "name length"))[0]
-        name = take(name_len, "name").decode("utf-8")
+        offset = fh.tell()
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"parameter name at offset {offset} is not UTF-8") from None
         rank = struct.unpack("<B", take(1, "rank"))[0]
         shape = tuple(
             struct.unpack("<I", take(4, f"extent of {name!r}"))[0] for _ in range(rank)
         )
-        n = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(8 * n, f"data of {name!r}"), dtype="<f8").copy()
+        data = np.frombuffer(take(8 * math.prod(shape), f"data of {name!r}"), dtype="<f8")
         if name in entries:
             raise FormatError(f"duplicate entry {name!r} in container")
-        entries[name] = data.reshape(shape)
+        entries[name] = data.reshape(shape).copy()
     return entries
 
 

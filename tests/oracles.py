@@ -189,3 +189,19 @@ def moving_average(values, window: int = 5) -> list[float]:
 
 def is_monotone_decreasing(values, tolerance: float = 0.0) -> bool:
     return all(b <= a + tolerance for a, b in zip(values, values[1:]))
+
+
+def corrupted(blob: bytes):
+    """Hypothesis strategy: ``blob`` with up to four bits flipped, then cut short."""
+    from hypothesis import strategies as st
+
+    flips = st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 7)), max_size=4)
+
+    def apply(args):
+        flipped, cut = args
+        out = bytearray(blob)
+        for i, bit in flipped:
+            out[i] ^= 1 << bit
+        return bytes(out[:cut])
+
+    return st.tuples(flips, st.integers(0, len(blob))).map(apply)

@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lfdepth import ops
 from lfdepth.errors import ShapeError, UsageError
 from lfdepth.ops import (
     Conv2Spec,
@@ -28,6 +32,12 @@ TOL = 1e-4
 
 def leaf(rng, *shape, scale=1.0):
     return Tensor(scale * rng.standard_normal(shape), requires_grad=True)
+
+
+def block_sizes(channels, kernel, out_shape):
+    """_BLOCK_BYTES for the default blocks, blocks of two items, blocks of two output rows."""
+    row = 8 * channels * math.prod(kernel) * math.prod(out_shape[3:])
+    return ops._BLOCK_BYTES, 2 * row * out_shape[2], 2 * row
 
 
 # -- conv2d -------------------------------------------------------------------
@@ -69,19 +79,23 @@ def test_conv2d_dilated_delta_taps():
         ((1, 2, 7, 6), 2, (5, 3), 1, 1, "same"),
     ],
 )
-def test_conv2d_matches_direct_sum(shape, co, kernel, stride, dilation, padding):
+def test_conv2d_matches_direct_sum(shape, co, kernel, stride, dilation, padding, monkeypatch):
     rng = np.random.default_rng(hash((shape, co, stride)) % 2**32)
     x = rng.standard_normal(shape)
     w = rng.standard_normal((co, shape[1]) + kernel)
     b = rng.standard_normal(co)
-    got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, dilation=dilation, padding=padding)
     want = conv2d_direct(x, w, b, stride=stride, dilation=dilation, padding=padding)
-    assert got.shape == want.shape
-    assert max_rel_err(got.data, want) < 1e-12
+    for block_bytes in block_sizes(shape[1], kernel, want.shape):
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+        got = conv2d(
+            Tensor(x), Tensor(w), Tensor(b), stride=stride, dilation=dilation, padding=padding
+        )
+        assert got.shape == want.shape
+        assert max_rel_err(got.data, want) < 1e-12
 
 
 @pytest.mark.parametrize("stride,dilation,padding", [(1, 1, "same"), (2, 1, "valid"), (1, 2, "same")])
-def test_conv2d_gradcheck(stride, dilation, padding):
+def test_conv2d_gradcheck(stride, dilation, padding, monkeypatch):
     rng = np.random.default_rng(42)
     x = leaf(rng, 2, 2, 6, 6)
     w = leaf(rng, 3, 2, 3, 3, scale=0.5)
@@ -90,10 +104,15 @@ def test_conv2d_gradcheck(stride, dilation, padding):
     def build():
         return conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding).sum()
 
-    build().backward()
     want = fd_gradients(lambda: build().item(), [x, w, b])
-    for t, g in zip([x, w, b], want):
-        assert max_rel_err(t.grad, g) < TOL
+    out_shape = conv2d(x, w, stride=stride, dilation=dilation, padding=padding).shape
+    for block_bytes in block_sizes(2, (3, 3), out_shape):
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+        for t in (x, w, b):
+            t.zero_grad()
+        build().backward()
+        for t, g in zip([x, w, b], want):
+            assert max_rel_err(t.grad, g) < TOL
 
 
 def test_conv2d_channel_mismatch():
@@ -135,19 +154,21 @@ def test_conv3d_uniform_slice_kernel():
     np.testing.assert_allclose(out, [a + b, a + b + c, b + c])
 
 
-def test_conv3d_matches_direct_sum():
+def test_conv3d_matches_direct_sum(monkeypatch):
     rng = np.random.default_rng(9)
     x = rng.standard_normal((1, 2, 4, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3, 3))
     b = rng.standard_normal(3)
     for padding in ("same", "valid"):
-        got = conv3d(Tensor(x), Tensor(w), Tensor(b), padding=padding)
         want = conv3d_direct(x, w, b, padding=padding)
-        assert got.shape == want.shape
-        assert max_rel_err(got.data, want) < 1e-12
+        for block_bytes in block_sizes(2, (3, 3, 3), want.shape):
+            monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+            got = conv3d(Tensor(x), Tensor(w), Tensor(b), padding=padding)
+            assert got.shape == want.shape
+            assert max_rel_err(got.data, want) < 1e-12
 
 
-def test_conv3d_gradcheck():
+def test_conv3d_gradcheck(monkeypatch):
     rng = np.random.default_rng(10)
     x = leaf(rng, 1, 2, 4, 6, 6)
     w = leaf(rng, 2, 2, 3, 3, 3, scale=0.4)
@@ -156,10 +177,30 @@ def test_conv3d_gradcheck():
     def build():
         return conv3d(x, w, b).sum()
 
-    build().backward()
     want = fd_gradients(lambda: build().item(), [x, w, b])
-    for t, g in zip([x, w, b], want):
-        assert max_rel_err(t.grad, g) < TOL
+    for block_bytes in block_sizes(2, (3, 3, 3), (1, 2, 4, 6, 6)):
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+        for t in (x, w, b):
+            t.zero_grad()
+        build().backward()
+        for t, g in zip([x, w, b], want):
+            assert max_rel_err(t.grad, g) < TOL
+
+
+def test_conv_holds_only_padded_input_and_output():
+    # the backward closure must not keep the im2col block buffer alive
+    rng = np.random.default_rng(11)
+    x = leaf(rng, 4, 8, 32, 32)
+    w = leaf(rng, 8, 8, 3, 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, w)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    padded = 4 * 8 * 34 * 34 * 8
+    assert held <= padded + out.data.nbytes + 16384
 
 
 def test_conv3d_valid_needs_enough_slices():
@@ -355,6 +396,11 @@ def test_conv2d_layer_registers_params():
     assert names["probe.weight"].shape == (8, 3, 3, 3)
     out = layer(Tensor(np.zeros((2, 3, 6, 6))))
     assert out.shape == (2, 8, 6, 6)
+
+
+def test_conv3d_layer_needs_rng():
+    with pytest.raises(TypeError):
+        Conv3d(ModuleParams(), "c", 2, 2)
 
 
 def test_conv3d_layer_roundtrip_shape():

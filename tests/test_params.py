@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from lfdepth.errors import FormatError, UsageError
 from lfdepth.params import (
@@ -12,6 +13,8 @@ from lfdepth.params import (
     save_params,
     write_container,
 )
+
+from oracles import corrupted
 
 
 def small_tree():
@@ -140,6 +143,45 @@ def test_container_rejects_wrong_version():
     blob = bytearray(buf.getvalue())
     blob[len(MAGIC)] = 9
     with pytest.raises(FormatError):
+        read_container(io.BytesIO(bytes(blob)))
+
+
+def container_blob() -> bytes:
+    buf = io.BytesIO()
+    write_container(buf, {"conv.weight": np.arange(6.0).reshape(2, 3), "b": np.array(0.5)})
+    return buf.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(corrupted(container_blob()))
+def test_corrupt_container_raises_only_format_error(blob):
+    try:
+        read_container(io.BytesIO(blob))
+    except FormatError:
+        pass
+
+
+def test_container_rejects_extent_larger_than_stream():
+    class Recording(io.BytesIO):
+        largest = 0
+
+        def read(self, n=-1):
+            self.largest = max(self.largest, n)
+            return super().read(n)
+
+    blob = bytearray(container_blob())
+    extent = 12 + 2 + len("conv.weight") + 1
+    blob[extent : extent + 4] = b"\xff\xff\xff\x7f"
+    stream = Recording(bytes(blob))
+    with pytest.raises(FormatError, match="offset"):
+        read_container(stream)
+    assert stream.largest <= len(blob)
+
+
+def test_container_rejects_non_utf8_name():
+    blob = bytearray(container_blob())
+    blob[12 + 2] = 0xFF
+    with pytest.raises(FormatError, match="UTF-8"):
         read_container(io.BytesIO(bytes(blob)))
 
 

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfdepth.errors import ConfigError, FormatError, UsageError
 from lfdepth.pnm import read_pgm16, read_ppm, write_pgm16, write_ppm
@@ -22,7 +24,7 @@ from lfdepth.synthdata import (
     write_scene,
 )
 
-from oracles import gaussian_blur_dense
+from oracles import corrupted, gaussian_blur_dense
 
 
 def small_spec(**kw):
@@ -252,6 +254,29 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"P3\n2 2\n255\n" + bytes(12))
     with pytest.raises(FormatError):
         read_ppm(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "image.pnm"
+
+
+@pytest.mark.parametrize(
+    "reader,blob",
+    [
+        (read_ppm, b"P6\n3 2\n255\n" + bytes(range(18))),
+        (read_pgm16, b"P5\n# depth\n2 2\n65535\n" + bytes(range(8))),
+    ],
+    ids=["ppm", "pgm16"],
+)
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupt_pnm_raises_only_format_error(fuzz_path, reader, blob, data):
+    fuzz_path.write_bytes(data.draw(corrupted(blob)))
+    try:
+        reader(fuzz_path)
+    except FormatError:
+        pass
 
 
 # -- scene round trip ------------------------------------------------------------------
