@@ -11,6 +11,11 @@ using a square window of per-pixel radius ceil(3*sigma), renormalized over
 the taps that land inside the image.  Pixels exactly in focus copy through
 untouched.  Focus depths sit at the midpoints of S equal depth bins.
 
+The renderer visits each window offset once and gathers by plain slicing,
+clipped to the bounding box of the pixels whose window reaches that offset
+and to the image border, so a tap costs the area it can touch rather than
+the whole image.
+
 On disk a scene is a directory: rgb.ppm (P6), focal_00.ppm .. focal_{S-1}.ppm,
 depth.pgm (P5, 16-bit big-endian, round(depth*65535)), and meta.json.  A
 dataset is a directory of such scene folders plus manifest.json naming the
@@ -48,8 +53,8 @@ class GenSpec:
             raise ConfigError(f"scene size must be divisible by 16, got {self.height}x{self.width}")
         if self.slices < 2:
             raise ConfigError(f"need at least 2 slices, got {self.slices}")
-        if self.blur_gain < 0:
-            raise ConfigError(f"blur gain must be >= 0, got {self.blur_gain}")
+        if not (math.isfinite(self.blur_gain) and self.blur_gain >= 0):
+            raise ConfigError(f"blur gain must be finite and >= 0, got {self.blur_gain}")
         if self.depth_style not in DEPTH_STYLES:
             raise ConfigError(f"depth style must be one of {DEPTH_STYLES}, got {self.depth_style!r}")
         if self.texture_style not in TEXTURE_STYLES:
@@ -150,13 +155,26 @@ def _upsample_nn_smooth(coarse: np.ndarray, h: int, w: int) -> np.ndarray:
 def defocus_blur(img: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Spatially varying Gaussian gather over square per-pixel windows.
 
-    ``img`` is [C,H,W]; ``sigma`` is [H,W] of non-negative widths.  Window
-    radius is ceil(3*sigma) per pixel; weights renormalize over in-bounds
-    taps; sigma == 0 pixels copy through exactly.
+    ``img`` is a finite [C,H,W]; ``sigma`` is [H,W] of finite, non-negative
+    widths.  Window radius is ceil(3*sigma) per pixel; weights renormalize
+    over in-bounds taps; sigma == 0 pixels copy through exactly.
+
+    Tap offset (dy, dx) lies on ring max(|dy|, |dx|) and reaches only the
+    pixels whose radius is at least that ring.  It works on the bounding box
+    of those pixels, clipped so that the shifted box stays inside the image:
+    the source is a plain slice, and box pixels with a smaller window get
+    weight 0.  Pixels outside the box would only have received +0.0, and
+    taps accumulate in a fixed (dy, dx) order, so the result equals a
+    full-image gather bit for bit.  Radii are capped at the image size,
+    beyond which no tap lands inside.
     """
+    if img.ndim != 3:
+        raise UsageError(f"image must be [C,H,W], got shape {img.shape}")
     c, h, w = img.shape
     if sigma.shape != (h, w):
         raise UsageError(f"sigma {sigma.shape} does not match image {img.shape}")
+    if not (np.all(np.isfinite(img)) and np.all(np.isfinite(sigma))):
+        raise UsageError("image and sigma must be finite")
     if np.any(sigma < 0):
         raise UsageError("sigma must be non-negative")
     active = sigma > 0.0
@@ -164,28 +182,41 @@ def defocus_blur(img: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return img.copy()
 
     radius = np.zeros((h, w), dtype=np.int64)
-    radius[active] = np.ceil(3.0 * sigma[active]).astype(np.int64)
+    radius[active] = np.ceil(np.minimum(3.0 * sigma[active], max(h, w))).astype(np.int64)
     rmax = int(radius.max())
 
+    # sigma is clipped so that sigma**2 neither underflows to 0 (the centre
+    # tap would be exp(-0 * inf) = nan) nor overflows.  The weights do not
+    # change: below 1e-150 all but the centre tap still get exp(-huge) = 0,
+    # above 1e150 every tap still gets exp(-tiny) = 1.
     inv_two_s2 = np.zeros((h, w))
-    inv_two_s2[active] = 1.0 / (2.0 * sigma[active] ** 2)
+    inv_two_s2[active] = 1.0 / (2.0 * np.clip(sigma[active], 1e-150, 1e150) ** 2)
+
+    # rows [y0, y1) and columns [x0, x1) of the pixels a ring-r tap reaches
+    ring_boxes = []
+    for ring in range(rmax + 1):
+        reach = radius >= ring
+        rows = np.flatnonzero(reach.any(axis=1))
+        cols = np.flatnonzero(reach.any(axis=0))
+        ring_boxes.append((rows[0], rows[-1] + 1, cols[0], cols[-1] + 1))
 
     num = np.zeros((c, h, w))
     den = np.zeros((h, w))
-    ys, xs = np.mgrid[0:h, 0:w]
     for dy in range(-rmax, rmax + 1):
         for dx in range(-rmax, rmax + 1):
-            inside = (np.abs(dy) <= radius) & (np.abs(dx) <= radius)
-            sy, sx = ys + dy, xs + dx
-            inside &= (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
-            if not np.any(inside):
+            ring = max(abs(dy), abs(dx))
+            by0, by1, bx0, bx1 = ring_boxes[ring]
+            y0, y1 = max(by0, -dy), min(by1, h - dy)
+            x0, x1 = max(bx0, -dx), min(bx1, w - dx)
+            if y0 >= y1 or x0 >= x1:
                 continue
             wgt = np.where(
-                inside, np.exp(-(dy * dy + dx * dx) * inv_two_s2), 0.0
+                radius[y0:y1, x0:x1] >= ring,
+                np.exp(-(dy * dy + dx * dx) * inv_two_s2[y0:y1, x0:x1]),
+                0.0,
             )
-            syc, sxc = np.clip(sy, 0, h - 1), np.clip(sx, 0, w - 1)
-            num += wgt[None] * img[:, syc, sxc]
-            den += wgt
+            num[:, y0:y1, x0:x1] += wgt[None] * img[:, y0 + dy : y1 + dy, x0 + dx : x1 + dx]
+            den[y0:y1, x0:x1] += wgt
 
     out = img.copy()
     out[:, active] = num[:, active] / den[active]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, UsageError
+from .errors import FormatError, NumericalCheckError, UsageError
 from .metrics import DepthMetrics, aggregate, evaluate
 from .model import DepthNet, NetworkConfig, ladder_config, prediction_loss
 from .params import load_params, save_params
@@ -30,7 +30,8 @@ class Adam:
 
     First and second moments are kept per parameter path and created on the
     first step, so a freshly built optimizer serializes to just the step
-    counter.
+    counter.  A step whose gradients are not all finite raises
+    NumericalCheckError before it changes any moment or weight.
     """
 
     def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -42,13 +43,15 @@ class Adam:
         self.v: dict[str, np.ndarray] = {}
 
     def step(self, params, lr: float) -> None:
+        graded = [(path, t) for path, t in params.tensors() if t.grad is not None]
+        for path, t in graded:
+            if not np.all(np.isfinite(t.grad)):
+                raise NumericalCheckError(f"non-finite gradient for parameter {path!r}")
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
-        for path, t in params.tensors():
+        for path, t in graded:
             g = t.grad
-            if g is None:
-                continue
             m = self.m.get(path)
             v = self.v.get(path)
             if m is None:
@@ -158,7 +161,8 @@ def train_model(
     taken from it); otherwise builds a new model from ``seed``.  Stops after
     ``until_epoch`` epochs total (default: the config's epoch cap) or
     ``max_steps`` optimizer steps, whichever comes first.  ``eval_every``
-    controls how often epoch metrics are computed (0 disables).
+    controls how often epoch metrics are computed (0 disables).  A
+    non-finite loss raises NumericalCheckError before its backward pass.
     """
     if not scenes:
         raise UsageError("training needs at least one scene")
@@ -188,10 +192,13 @@ def train_model(
             rgb, focal, gt = _scene_tensors(scene)
             out = state.model(rgb, focal, mode="train", rng=state.rng)
             loss = prediction_loss(out, gt, config.loss_weights)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                step = len(state.log.step_losses) + 1
+                raise NumericalCheckError(f"non-finite loss {value} at step {step}")
             state.model.params.zero_grad()
             loss.backward()
             state.optimizer.step(state.model.params, lr)
-            value = float(loss.data)
             state.log.step_losses.append(value)
             epoch_loss_sum += value
             steps_this_epoch += 1

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from lfdepth.errors import UsageError
+
 
 def fd_gradients(loss_fn, tensors, step=1e-5):
     """Central finite differences of ``loss_fn()`` w.r.t. each tensor.
@@ -176,6 +178,50 @@ def gaussian_blur_dense(img, sigma):
                         wsum += wgt
             out[:, y, x] = acc / wsum
     return out[0] if single else out
+
+
+def defocus_blur_gather(img, sigma):
+    """Full-image tap loop: every window offset gathers the whole image.
+
+    The renderer ``synthdata.defocus_blur`` had this body before it moved to
+    clipped slice gathers; it must still agree bit for bit.
+    """
+    c, h, w = img.shape
+    if sigma.shape != (h, w):
+        raise UsageError(f"sigma {sigma.shape} does not match image {img.shape}")
+    if np.any(sigma < 0):
+        raise UsageError("sigma must be non-negative")
+    active = sigma > 0.0
+    if not np.any(active):
+        return img.copy()
+
+    radius = np.zeros((h, w), dtype=np.int64)
+    radius[active] = np.ceil(3.0 * sigma[active]).astype(np.int64)
+    rmax = int(radius.max())
+
+    inv_two_s2 = np.zeros((h, w))
+    inv_two_s2[active] = 1.0 / (2.0 * sigma[active] ** 2)
+
+    num = np.zeros((c, h, w))
+    den = np.zeros((h, w))
+    ys, xs = np.mgrid[0:h, 0:w]
+    for dy in range(-rmax, rmax + 1):
+        for dx in range(-rmax, rmax + 1):
+            inside = (np.abs(dy) <= radius) & (np.abs(dx) <= radius)
+            sy, sx = ys + dy, xs + dx
+            inside &= (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
+            if not np.any(inside):
+                continue
+            wgt = np.where(
+                inside, np.exp(-(dy * dy + dx * dx) * inv_two_s2), 0.0
+            )
+            syc, sxc = np.clip(sy, 0, h - 1), np.clip(sx, 0, w - 1)
+            num += wgt[None] * img[:, syc, sxc]
+            den += wgt
+
+    out = img.copy()
+    out[:, active] = num[:, active] / den[active]
+    return out
 
 
 def moving_average(values, window: int = 5) -> list[float]:

@@ -96,6 +96,26 @@ def test_train_eval_infer_pipeline(tmp_path, capsys):
     assert depth.dtype == np.uint16
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_train_non_finite_step_exits_3(tmp_path, capsys):
+    """A learning rate of 1e300 throws the weights so far in the first step
+    that the second step's numbers are no longer finite."""
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "network": {"height": 16, "width": 16, "slices": 2, "stage_channels": [2, 4, 4, 4, 4],
+                    "decoder_channels": 4, "epochs": 1, "learning_rate": 1e300},
+        "seed": 1, "augment": False, "eval_every": 0,
+    }))
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "checkpoint.lfdp").exists()
+
+
 def test_train_resume_from_checkpoint(tmp_path):
     data = tmp_path / "ds"
     make_dataset(data)

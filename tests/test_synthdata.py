@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lfdepth.errors import ConfigError, FormatError, UsageError
 from lfdepth.pnm import read_pgm16, read_ppm, write_pgm16, write_ppm
@@ -24,7 +25,7 @@ from lfdepth.synthdata import (
     write_scene,
 )
 
-from oracles import corrupted, gaussian_blur_dense
+from oracles import corrupted, defocus_blur_gather, gaussian_blur_dense
 
 
 def small_spec(**kw):
@@ -59,6 +60,12 @@ def test_genspec_validation():
         small_spec(texture_style="plaid")
 
 
+@pytest.mark.parametrize("gain", [float("nan"), float("inf")])
+def test_genspec_rejects_non_finite_blur_gain(gain):
+    with pytest.raises(ConfigError):
+        small_spec(blur_gain=gain)
+
+
 # -- defocus rendering -------------------------------------------------------------
 
 
@@ -80,6 +87,17 @@ def test_mixed_sigma_keeps_zero_pixels_exact():
     assert np.any(out[:, ~still] != img[:, ~still])
 
 
+def test_varying_sigma_matches_dense_oracle():
+    """A ramp with a step edge: every pixel has its own window and weights."""
+    rng = np.random.default_rng(3)
+    img = rng.uniform(0, 1, (3, 12, 14))
+    ramp = np.linspace(0.0, 2.2, 14)[None, :].repeat(12, axis=0)
+    field = np.where(np.arange(12)[:, None] < 5, ramp, 2.6 - ramp)
+    got = defocus_blur(img, field)
+    want = gaussian_blur_dense(img, field)
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_uniform_sigma_matches_dense_oracle():
     """Constant sigma makes the gather a plain truncated Gaussian blur."""
     rng = np.random.default_rng(2)
@@ -97,6 +115,85 @@ def test_defocus_rejects_bad_sigma():
         defocus_blur(img, np.zeros((4, 5)))
     with pytest.raises(UsageError):
         defocus_blur(img, np.full((4, 4), -0.1))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_defocus_rejects_non_finite_sigma(bad):
+    sigma = np.full((4, 4), 0.5)
+    sigma[1, 2] = bad
+    with pytest.raises(UsageError):
+        defocus_blur(np.zeros((3, 4, 4)), sigma)
+
+
+def test_defocus_rejects_non_finite_image():
+    img = np.zeros((3, 4, 4))
+    img[0, 1, 1] = np.nan
+    with pytest.raises(UsageError):
+        defocus_blur(img, np.full((4, 4), 0.5))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 3, 4, 4)])
+def test_defocus_rejects_image_that_is_not_chw(shape):
+    with pytest.raises(UsageError):
+        defocus_blur(np.zeros(shape), np.zeros((4, 4)))
+
+
+def test_defocus_caps_huge_windows_at_image_size():
+    """A window wider than the image covers all of it with weight ~1."""
+    img = np.random.default_rng(4).uniform(0, 1, (3, 6, 9))
+    out = defocus_blur(img, np.full((6, 9), 1e100))
+    want = np.broadcast_to(img.mean(axis=(1, 2))[:, None, None], img.shape)
+    np.testing.assert_allclose(out, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("tiny", [5e-324, 1e-200])
+def test_defocus_tiny_sigma_copies_through(tiny):
+    img = np.random.default_rng(6).uniform(-1, 1, (3, 5, 5))
+    out = defocus_blur(img, np.full((5, 5), tiny))
+    assert out.tobytes() == img.tobytes()
+
+
+def _gather_cases():
+    rng = np.random.default_rng(5)
+    for style in DEPTH_STYLES:
+        scene_spec = small_spec(depth_style=style, texture_style="noise", seed=7)
+        depth = generate_scene(scene_spec).depth[0]
+        img = rng.uniform(0, 1, (3, 16, 16))
+        for d in focus_depths(3):
+            yield f"{style}-{d:.3f}", img, scene_spec.blur_gain * np.abs(depth - d)
+    yield "non-square", rng.uniform(0, 1, (3, 12, 20)), rng.uniform(0, 1.5, (12, 20))
+    wide = rng.uniform(0, 1.0, (7, 5))
+    wide[3, 2] = 4.0                       # radius 12, beyond both extents
+    yield "rmax-beyond-image", rng.uniform(0, 1, (2, 7, 5)), wide
+    single = np.zeros((9, 10))
+    single[4, 7] = 1.2
+    yield "single-pixel", rng.uniform(0, 1, (3, 9, 10)), single
+    yield "all-zero", rng.uniform(0, 1, (3, 6, 6)), np.zeros((6, 6))
+
+
+def test_defocus_equals_full_image_gather_bitwise():
+    for name, img, sigma in _gather_cases():
+        got = defocus_blur(img, sigma)
+        assert got.tobytes() == defocus_blur_gather(img, sigma).tobytes(), name
+
+
+@st.composite
+def blur_fields(draw):
+    c = draw(st.integers(1, 3))
+    h, w = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    img = draw(hnp.arrays(np.float64, (c, h, w), elements=st.floats(-2.0, 2.0)))
+    # below ~1e-154 sigma**2 underflows and the old loop returns nan
+    sigma = draw(hnp.arrays(
+        np.float64, (h, w), elements=st.one_of(st.just(0.0), st.floats(1e-100, 3.0)),
+    ))
+    return img, sigma
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(blur_fields())
+def test_defocus_equals_full_image_gather_on_random_fields(field):
+    img, sigma = field
+    assert defocus_blur(img, sigma).tobytes() == defocus_blur_gather(img, sigma).tobytes()
 
 
 def test_constant_blur_preserves_constant_image():

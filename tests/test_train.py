@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lfdepth.errors import FormatError, UsageError
+from lfdepth.errors import FormatError, NumericalCheckError, UsageError
 from lfdepth.metrics import DepthMetrics
 from lfdepth.model import NetworkConfig
 from lfdepth.params import ModuleParams
@@ -19,6 +19,7 @@ from lfdepth.train import (
     evaluate_model,
     format_metric,
     format_table,
+    init_state,
     learning_rate_for,
     load_checkpoint,
     save_checkpoint,
@@ -91,6 +92,59 @@ def test_adam_skips_missing_gradients():
     assert np.all(a.data != 1.0)
     np.testing.assert_array_equal(b.data, np.ones(3))
     assert "b" not in opt.m
+
+
+def test_adam_rejects_non_finite_gradient_without_changing_state():
+    params = ModuleParams()
+    a = params.add("a", np.ones(3))
+    b = params.child("blk").add("b", np.ones(2))
+    opt = Adam()
+    a.grad, b.grad = np.ones(3), np.ones(2)
+    opt.step(params, 0.1)
+    before = {
+        "data": [a.data.copy(), b.data.copy()],
+        "m": {k: v.copy() for k, v in opt.m.items()},
+        "v": {k: v.copy() for k, v in opt.v.items()},
+    }
+    a.grad, b.grad = np.ones(3), np.array([1.0, np.nan])
+    with pytest.raises(NumericalCheckError, match="blk.b"):
+        opt.step(params, 0.1)
+    assert opt.step_count == 1
+    np.testing.assert_array_equal(a.data, before["data"][0])
+    np.testing.assert_array_equal(b.data, before["data"][1])
+    for key in ("m", "v"):
+        moments = getattr(opt, key)
+        assert moments.keys() == before[key].keys()
+        for path, arr in moments.items():
+            np.testing.assert_array_equal(arr, before[key][path])
+
+
+def test_train_model_stops_on_non_finite_gradient_before_adam():
+    """A NaN input pixel that the forward pass drops still poisons the
+    gradients; the step raises instead of updating the weights."""
+    scene = tiny_scene()
+    scene.rgb[:, 3, 4] = np.nan
+    state = init_state(tiny_config(), 0)
+    before = {p: t.data.copy() for p, t in state.model.params.tensors()}
+    with pytest.raises(NumericalCheckError, match="non-finite gradient for parameter"):
+        train_model([scene], state=state, eval_every=0, augment_data=False)
+    assert state.optimizer.step_count == 0 and not state.optimizer.m
+    for path, t in state.model.params.tensors():
+        np.testing.assert_array_equal(t.data, before[path])
+
+
+def test_train_model_stops_on_non_finite_loss_before_backward():
+    scene = tiny_scene()
+    scene.depth[0, 3, 4] = np.nan
+    state = init_state(tiny_config(), 0)
+    before = {p: t.data.copy() for p, t in state.model.params.tensors()}
+    with pytest.raises(NumericalCheckError, match="non-finite loss .* step 1"):
+        train_model([scene], state=state, eval_every=0, augment_data=False)
+    assert state.optimizer.step_count == 0
+    assert state.log.step_losses == []
+    for path, t in state.model.params.tensors():
+        assert t.grad is None, path
+        np.testing.assert_array_equal(t.data, before[path])
 
 
 def test_adam_state_round_trip():
