@@ -16,9 +16,7 @@ from .metrics import DepthMetrics, aggregate, evaluate
 from .model import (
     LADDER,
     DepthNet,
-    DepthPrediction,
     NetworkConfig,
-    depth_loss,
     ladder_config,
     loss_terms,
     prediction_loss,

@@ -16,7 +16,8 @@ of per-slice scalar attention:
 and a final 3x3 conv maps the 2*C1 channels of F_f2 back to C1.  Both
 normalized sums are convex combinations, so every element of F_f1 and F_f2
 stays inside the elementwise min/max envelope of its inputs; zeroing the
-attention heads turns both into plain means.
+attention heads turns both into plain means.  In training mode both heads
+drop pooled features at the fixed rate DROPOUT_RATE = 0.5.
 """
 
 from __future__ import annotations
@@ -39,18 +40,17 @@ from .ops import (
 from .params import ModuleParams
 from .tensor import Tensor, broadcast_to, reduce, reshape, transpose
 
+DROPOUT_RATE = 0.5                       # on the pooled features of both attention heads
+
 
 @dataclass(frozen=True)
 class CmfaConfig:
     channels: int                        # C1, per-slice feature channels
-    dropout_rate: float = 0.5
     comp_kernel: tuple[int, int, int] = (3, 3, 3)  # focal->rgb 3-D conv kernel
 
     def __post_init__(self):
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
         if any(k % 2 == 0 for k in self.comp_kernel):
             raise ConfigError(f"complement kernel extents must be odd, got {self.comp_kernel}")
 
@@ -97,7 +97,7 @@ class Cmfa:
         if mode == "train":
             if rng is None:
                 raise UsageError("train mode needs an rng for dropout")
-            pooled = dropout(pooled, self.config.dropout_rate, "train", rng)
+            pooled = dropout(pooled, DROPOUT_RATE, "train", rng)
         elif mode != "eval":
             raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
         return reshape(sigmoid(linear(pooled)), (feats.shape[0],))

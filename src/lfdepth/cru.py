@@ -5,10 +5,16 @@ things happen in parallel:
 
   * the identity short-connection,
   * a cross-channel 1x1 conv followed by three dilated 3x3 convs
-    (rates 3, 5, 7 by default) whose outputs concatenate and fuse back to C,
-  * three graph branches that project pixels onto N_i nodes
+    (rates DILATION_RATES = 3, 5, 7) whose outputs concatenate and fuse
+    back to C,
+  * GRAPH_BRANCHES = 3 graph branches that project pixels onto N_i nodes
     (N_i = floor(W*H / (4 * 2^(i-1))), at least 1), mix node features as
-    M = (V - A V) W with dense trainable A and W, and re-project.
+    M = (V - A V) W with dense trainable A and W over max(1, C // 4)
+    channels, and re-project; their sum with the input passes through a
+    trailing 3x3 conv.
+
+The configuration only chooses the channel count and which of the two
+learned branches is built; everything else above is fixed.
 
 Dilated-pyramid convs carry ReLU; the graph branches and both fusion convs
 are linear so that zeroing the last fusion conv collapses the whole block to
@@ -19,33 +25,33 @@ then live in the parameter tree like any other entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .ops import Conv2Spec, Conv2d, concat, conv2d, kaiming_normal, relu
+from .ops import Conv2Spec, Conv2d, concat, kaiming_normal, relu
 from .params import ModuleParams
 from .tensor import Tensor, matmul, reshape, transpose
 
 
-def node_count(w: int, h: int, i: int, base: int = 4) -> int:
-    """Nodes for graph branch i at spatial size (h, w): floor(w*h/(base*2^(i-1))), >= 1."""
+DILATION_RATES = (3, 5, 7)
+GRAPH_BRANCHES = 3
+NODE_DIVISOR_BASE = 4
+
+
+def node_count(w: int, h: int, i: int) -> int:
+    """Nodes for graph branch i at spatial size (h, w): floor(w*h/(4*2^(i-1))), >= 1."""
     if i < 1:
         raise UsageError(f"branch index must be >= 1, got {i}")
     if w < 1 or h < 1:
         raise UsageError(f"spatial extents must be >= 1, got {w}x{h}")
-    return max(1, (w * h) // (base * 2 ** (i - 1)))
+    return max(1, (w * h) // (NODE_DIVISOR_BASE * 2 ** (i - 1)))
 
 
 @dataclass(frozen=True)
 class CruConfig:
     channels: int
-    dilation_rates: tuple[int, ...] = (3, 5, 7)
-    graph_branches: int = 3
-    node_divisor_base: int = 4
-    reduced_channels: int = 0      # 0 means channels // 4, clamped to >= 1
-    final_graph_conv: bool = True  # trailing 3x3 conv after X + sum(Y_i)
     use_dilated: bool = True       # ablation switches for the two learned branches
     use_graph: bool = True
 
@@ -54,16 +60,12 @@ class CruConfig:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if self.use_dilated and self.channels % 2:
             raise ConfigError(f"dilated branch needs even channels, got {self.channels}")
-        if any(r < 1 for r in self.dilation_rates):
-            raise ConfigError(f"dilation rates must be positive, got {self.dilation_rates}")
-        if self.graph_branches < 1:
-            raise ConfigError("need at least one graph branch")
         if not (self.use_dilated or self.use_graph):
             raise ConfigError("at least one of the dilated/graph branches must be enabled")
 
     @property
     def branch_channels(self) -> int:
-        return self.reduced_channels if self.reduced_channels else max(1, self.channels // 4)
+        return max(1, self.channels // 4)
 
 
 class GraphBranch:
@@ -89,7 +91,7 @@ class GraphBranch:
         self._lazy: dict[tuple[int, int], tuple[Conv2d, Tensor]] = {}
 
     def nodes(self, h: int, w: int) -> int:
-        return node_count(w, h, self.index, self.config.node_divisor_base)
+        return node_count(w, h, self.index)
 
     def build(self, h: int, w: int) -> tuple[Conv2d, Tensor]:
         """Materialize phi and the node-mixing matrix for one spatial size."""
@@ -157,23 +159,19 @@ class Cru:
             self.cross = Conv2d(md, "cross", Conv2Spec(C, C, (1, 1)), rng)
             self.dilated = [
                 Conv2d(md, f"rate{r}", Conv2Spec(C, half, (3, 3), dilation=r), rng)
-                for r in config.dilation_rates
+                for r in DILATION_RATES
             ]
             self.md_fuse = Conv2d(
-                md, "fuse", Conv2Spec(half * len(config.dilation_rates), C, (1, 1)), rng
+                md, "fuse", Conv2Spec(half * len(DILATION_RATES), C, (1, 1)), rng
             )
 
         if config.use_graph:
             mg = scope.child("mg")
             self.branches = [
                 GraphBranch(mg, f"branch{i}", config, i, rng)
-                for i in range(1, config.graph_branches + 1)
+                for i in range(1, GRAPH_BRANCHES + 1)
             ]
-            self.trail = (
-                Conv2d(mg, "trail", Conv2Spec(C, C, (3, 3)), rng)
-                if config.final_graph_conv
-                else None
-            )
+            self.trail = Conv2d(mg, "trail", Conv2Spec(C, C, (3, 3)), rng)
 
         width = C * (int(config.use_dilated) + int(config.use_graph))
         self.fuse = Conv2d(scope, "fuse", Conv2Spec(width, C, (1, 1)), rng)
@@ -191,9 +189,7 @@ class Cru:
         out = x
         for branch in self.branches:
             out = out + branch(x)
-        if self.trail is not None:
-            out = self.trail(out)
-        return out
+        return self.trail(out)
 
     def warmup(self, h: int, w: int) -> None:
         """Materialize all lazily built parameters for one spatial size."""

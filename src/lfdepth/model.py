@@ -4,9 +4,9 @@ An RGB image [1,3,H,W] and a focal stack [S,3,H,W] each pass through their
 own five-stage backbone (two 3x3 convs + ReLU per stage, 2x2 max pooling
 between stages).  Side outputs are taken from stages 3, 4, 5 at strides
 4, 8, 16.  Each side output goes through a context block (the full
-reasoning block, one of its single branches, or a plain 6-conv stack,
-depending on the configuration), the two streams are fused per stage, and
-a top-down decoder produces the depth map:
+reasoning block, one of its single branches, or a plain stack of
+PLAIN_STACK_DEPTH convs, depending on the configuration), the two streams
+are fused per stage, and a top-down decoder produces the one depth map:
 
     P5 = conv(F5)
     P4 = conv(concat(up2(P5), F4))
@@ -15,6 +15,8 @@ a top-down decoder produces the depth map:
 
 The loss combines an L1 term, a forward-difference gradient term, and a
 surface-normal cosine term, all computed in normalized [0,1] depth space.
+Training runs one scene per step; there is no batching and no
+deep-supervision head.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .tensor import Tensor, narrow, reshape, sqrt
 
 SIDE_STAGES = (2, 3, 4)          # stage indices (0-based) that emit side outputs
 SIDE_STRIDES = (4, 8, 16)
+PLAIN_STACK_DEPTH = 6            # convs in the context fallback when use_cru is off
 
 
 @dataclass(frozen=True)
@@ -55,15 +58,11 @@ class NetworkConfig:
     use_cru_md: bool = True      # branch switches, meaningful when use_cru
     use_cru_mg: bool = True
     use_cmfa: bool = True
-    plain_stack_depth: int = 6   # context fallback when use_cru is off
-    dropout_rate: float = 0.5
-    deep_supervision: bool = False
     loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     learning_rate: float = 1e-4
     lr_drop: float = 3e-5
     lr_drop_epoch: int = 40
     epochs: int = 50
-    batch_size: int = 1
 
     def __post_init__(self):
         if not (self.use_rgb_stream or self.use_focal_stream):
@@ -80,22 +79,12 @@ class NetworkConfig:
             raise ConfigError(f"need three non-negative loss weights, got {self.loss_weights}")
         if self.use_cru and not (self.use_cru_md or self.use_cru_mg):
             raise ConfigError("use_cru needs at least one of use_cru_md / use_cru_mg")
-        if self.batch_size != 1:
-            raise ConfigError("only batch size 1 is supported")
         if self.epochs < 1 or self.learning_rate <= 0 or self.lr_drop <= 0:
             raise ConfigError("bad optimizer settings")
-        if self.plain_stack_depth < 1:
-            raise ConfigError("plain stack needs at least one layer")
 
     def stage_size(self, stage: int) -> tuple[int, int]:
         stride = SIDE_STRIDES[SIDE_STAGES.index(stage)]
         return self.height // stride, self.width // stride
-
-
-@dataclass
-class DepthPrediction:
-    depth: Tensor                      # [1,1,H,W], values in (0,1)
-    aux: tuple[Tensor, ...] = ()       # optional deep-supervision heads
 
 
 class Backbone:
@@ -123,13 +112,13 @@ class Backbone:
 
 
 class PlainStack:
-    """The no-reasoning fallback: depth x [3x3 conv + ReLU], channel-preserving."""
+    """The no-reasoning fallback: PLAIN_STACK_DEPTH x [3x3 conv + ReLU], channel-preserving."""
 
-    def __init__(self, params: ModuleParams, name: str, channels: int, depth: int, rng):
+    def __init__(self, params: ModuleParams, name: str, channels: int, rng):
         scope = params.child(name)
         self.convs = [
             Conv2d(scope, f"layer{i + 1}", Conv2Spec(channels, channels, (3, 3)), rng)
-            for i in range(depth)
+            for i in range(PLAIN_STACK_DEPTH)
         ]
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -204,7 +193,6 @@ class DepthNet:
                         self.params.child("plain").child(stream),
                         name,
                         channels,
-                        cc.plain_stack_depth,
                         rng,
                     )
                 self.context[stream].append(block)
@@ -219,7 +207,7 @@ class DepthNet:
                     Cmfa(
                         self.params.child("cmfa"),
                         name,
-                        CmfaConfig(channels, dropout_rate=cc.dropout_rate),
+                        CmfaConfig(channels),
                         rng,
                     )
                 )
@@ -239,12 +227,6 @@ class DepthNet:
         self.p4_conv = Conv2d(dec, "p4", Conv2Spec(d + c4, d, (3, 3)), rng)
         self.p3_conv = Conv2d(dec, "p3", Conv2Spec(d + c3, d, (3, 3)), rng)
         self.head = Conv2d(dec, "head", Conv2Spec(d, 1, (1, 1)), rng)
-        if cc.deep_supervision:
-            self.aux_heads = [
-                Conv2d(dec, f"aux{i}", Conv2Spec(d, 1, (1, 1)), rng) for i in (4, 5)
-            ]
-        else:
-            self.aux_heads = []
 
     # -- forward -----------------------------------------------------------
 
@@ -254,7 +236,8 @@ class DepthNet:
         return [block(f) for block, f in zip(self.context[stream], feats)]
 
     def __call__(self, rgb: Tensor | None, focal: Tensor | None,
-                 mode: str = "eval", rng=None) -> DepthPrediction:
+                 mode: str = "eval", rng=None) -> Tensor:
+        """Depth map [1,1,H,W] with values in (0,1)."""
         cc = self.config
         if cc.use_rgb_stream and rgb is None:
             raise UsageError("configuration uses the rgb stream but none was given")
@@ -286,15 +269,7 @@ class DepthNet:
         p5 = relu(self.p5_conv(f5))
         p4 = relu(self.p4_conv(concat([upsample_bilinear(p5, 2), f4], axis=1)))
         p3 = relu(self.p3_conv(concat([upsample_bilinear(p4, 2), f3], axis=1)))
-        depth = upsample_bilinear(sigmoid(self.head(p3)), 4)
-
-        aux = ()
-        if self.aux_heads:
-            aux = (
-                upsample_bilinear(sigmoid(self.aux_heads[0](p4)), 8),
-                upsample_bilinear(sigmoid(self.aux_heads[1](p5)), 16),
-            )
-        return DepthPrediction(depth=depth, aux=aux)
+        return upsample_bilinear(sigmoid(self.head(p3)), 4)
 
 
 # -- loss --------------------------------------------------------------------
@@ -342,19 +317,11 @@ def loss_terms(pred: Tensor, gt: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     return l1, grad, normal
 
 
-def depth_loss(pred: Tensor, gt: Tensor,
-               weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> Tensor:
+def prediction_loss(pred: Tensor, gt: Tensor,
+                    weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> Tensor:
+    """Weighted sum of the three loss terms."""
     l1, grad, normal = loss_terms(pred, gt)
     return weights[0] * l1 + weights[1] * grad + weights[2] * normal
-
-
-def prediction_loss(out: DepthPrediction, gt: Tensor,
-                    weights=(1.0, 1.0, 1.0), aux_weight: float = 0.5) -> Tensor:
-    """Main loss plus optional deep-supervision terms."""
-    total = depth_loss(out.depth, gt, weights)
-    for aux in out.aux:
-        total = total + aux_weight * depth_loss(aux, gt, weights)
-    return total
 
 
 # -- ablation ladder -----------------------------------------------------------

@@ -100,19 +100,16 @@ class ModuleParams:
     def state(self) -> dict[str, np.ndarray]:
         return {path: t.data for path, t in self.tensors()}
 
-    def load_state(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
-        """Assign arrays by path; in strict mode the key sets must match."""
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Assign arrays by path; the key sets must match."""
         own = dict(self.tensors())
-        if strict:
-            missing = sorted(set(own) - set(state))
-            extra = sorted(set(state) - set(own))
-            if missing or extra:
-                raise FormatError(
-                    f"parameter set mismatch: missing {missing[:4]}, unexpected {extra[:4]}"
-                )
+        missing = sorted(set(own) - set(state))
+        extra = sorted(set(state) - set(own))
+        if missing or extra:
+            raise FormatError(
+                f"parameter set mismatch: missing {missing[:4]}, unexpected {extra[:4]}"
+            )
         for path, arr in state.items():
-            if path not in own:
-                continue
             t = own[path]
             if arr.shape != t.shape:
                 raise FormatError(f"shape mismatch for {path!r}: {arr.shape} vs {t.shape}")

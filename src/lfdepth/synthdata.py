@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .pnm import read_pgm16, read_ppm, write_pgm16, write_ppm
 
 DEPTH_STYLES = ("planes", "slanted", "blobs")
 TEXTURE_STYLES = ("checker", "noise", "stripes")
+TRAIN_FRACTION = 0.8            # share of a generated dataset in the train split
 
 
 @dataclass(frozen=True)
@@ -381,11 +382,13 @@ def _to_u8(img: np.ndarray) -> np.ndarray:
 # -- dataset ---------------------------------------------------------------------
 
 
-def generate_dataset(root, count: int, base: GenSpec, train_fraction: float = 0.8) -> dict:
+def generate_dataset(root, count: int, base: GenSpec) -> dict:
     """Write ``count`` scenes under ``root`` with a train/test manifest.
 
     Scene i uses seed base.seed + i and cycles through depth/texture styles
-    so both splits cover every combination.
+    so both splits cover every combination.  The first
+    round(TRAIN_FRACTION * count) scenes, but at least one and at most
+    count - 1, form the train split.
     """
     if count < 2:
         raise UsageError(f"need at least 2 scenes for a split, got {count}")
@@ -401,7 +404,7 @@ def generate_dataset(root, count: int, base: GenSpec, train_fraction: float = 0.
         name = f"scene_{i:04d}"
         write_scene(generate_scene(spec), os.path.join(root, name))
         names.append(name)
-    cut = max(1, int(round(count * train_fraction)))
+    cut = max(1, int(round(count * TRAIN_FRACTION)))
     cut = min(cut, count - 1)
     manifest = {"train": names[:cut], "test": names[cut:]}
     with open(os.path.join(root, "manifest.json"), "w") as fh:

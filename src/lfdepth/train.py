@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cmfa import DROPOUT_RATE
 from .errors import FormatError, NumericalCheckError, UsageError
-from .metrics import DepthMetrics, aggregate, evaluate
-from .model import DepthNet, NetworkConfig, ladder_config, prediction_loss
+from .metrics import COLUMN_NAMES, DepthMetrics, aggregate, evaluate
+from .model import PLAIN_STACK_DEPTH, DepthNet, NetworkConfig, ladder_config, prediction_loss
 from .params import load_params, save_params
 from .synthdata import Scene, augment
 from .tensor import Tensor, no_grad
@@ -130,15 +130,14 @@ def predict_scene(model: DepthNet, scene: Scene) -> np.ndarray:
     """Depth map [1,1,H,W] for one scene, reference semantics, no tape."""
     rgb, focal, _ = _scene_tensors(scene)
     with no_grad():
-        out = model(rgb, focal, mode="eval")
-    return out.depth.data
+        return model(rgb, focal, mode="eval").data
 
 
-def evaluate_model(model: DepthNet, scenes: list[Scene], eps: float = 1e-3):
+def evaluate_model(model: DepthNet, scenes: list[Scene]):
     """Per-scene metrics and their unweighted mean."""
     if not scenes:
         raise UsageError("cannot evaluate on an empty scene list")
-    per_scene = [evaluate(predict_scene(model, sc), sc.depth[None], eps) for sc in scenes]
+    per_scene = [evaluate(predict_scene(model, sc), sc.depth[None]) for sc in scenes]
     return per_scene, aggregate(per_scene)
 
 
@@ -190,8 +189,8 @@ def train_model(
             if augment_data:
                 scene = augment(scene, state.rng)
             rgb, focal, gt = _scene_tensors(scene)
-            out = state.model(rgb, focal, mode="train", rng=state.rng)
-            loss = prediction_loss(out, gt, config.loss_weights)
+            pred = state.model(rgb, focal, mode="train", rng=state.rng)
+            loss = prediction_loss(pred, gt, config.loss_weights)
             value = float(loss.data)
             if not np.isfinite(value):
                 step = len(state.log.step_losses) + 1
@@ -226,8 +225,26 @@ def config_to_dict(config: NetworkConfig) -> dict:
     return dataclasses.asdict(config)
 
 
+# Keys that configs written by earlier versions carry, each at the one value
+# the network runs at; they load at that value and are dropped.
+_RETIRED_KEYS = {
+    "batch_size": 1,
+    "deep_supervision": False,
+    "plain_stack_depth": PLAIN_STACK_DEPTH,
+    "dropout_rate": DROPOUT_RATE,
+}
+
+
 def config_from_dict(doc: dict) -> NetworkConfig:
     fields_by_name = {f.name: f for f in dataclasses.fields(NetworkConfig)}
+    doc = dict(doc)
+    for name, fixed in _RETIRED_KEYS.items():
+        if name in doc:
+            value = doc.pop(name)
+            if type(value) is not type(fixed) or value != fixed:
+                raise FormatError(
+                    f"config key {name!r} is retired and only accepts {fixed!r}, got {value!r}"
+                )
     unknown = sorted(set(doc) - set(fields_by_name))
     if unknown:
         raise FormatError(f"unknown config keys: {unknown}")
@@ -239,7 +256,8 @@ def config_from_dict(doc: dict) -> NetworkConfig:
     return NetworkConfig(**kwargs)
 
 
-def _metrics_to_doc(pairs) -> list:
+def metrics_to_doc(pairs) -> list:
+    """(epoch, DepthMetrics) pairs as JSON rows, epoch first."""
     return [{"epoch": int(ep), **m.as_dict()} for ep, m in pairs]
 
 
@@ -263,7 +281,7 @@ def save_checkpoint(path, state: TrainState) -> None:
         "config": config_to_dict(state.config),
         "epoch": state.epoch,
         "rng_state": state.rng.bit_generator.state,
-        "metrics": _metrics_to_doc(state.log.epoch_metrics),
+        "metrics": metrics_to_doc(state.log.epoch_metrics),
         "step_losses": state.log.step_losses,
         "epoch_losses": state.log.epoch_losses,
     }
@@ -292,7 +310,7 @@ def load_checkpoint(path) -> TrainState:
     adam_entries = {k: v for k, v in entries.items() if k.startswith("adam.")}
 
     model = DepthNet(config, np.random.default_rng(0))  # init overwritten below
-    model.params.load_state(param_entries, strict=True)
+    model.params.load_state(param_entries)
     optimizer = Adam()
     optimizer.load_state_entries(adam_entries)
 
@@ -331,10 +349,14 @@ def ablation_run(
     augment_data: bool = True,
     verbose: bool = False,
 ) -> list[AblationResult]:
-    """Train each named variant with a shared seed and schedule."""
+    """Train each named variant with a shared seed and schedule.
+
+    Every name is resolved before the first variant trains, so an unknown
+    name raises UsageError without any training.
+    """
+    configs = [ladder_config(base_config, name) for name in names]
     results = []
-    for name in names:
-        config = ladder_config(base_config, name)
+    for name, config in zip(names, configs):
         if verbose:
             print(f"== {name} ==")
         state = train_model(
@@ -363,7 +385,7 @@ def format_metric(value: float) -> str:
 
 
 def format_table(results: list[AblationResult]) -> str:
-    header = ["model", "rms", "abs rel", "sq rel", "d1", "d2", "d3"]
+    header = ["model", *COLUMN_NAMES]
     rows = [
         [r.name] + [format_metric(v) for v in r.metrics.row()]
         for r in results

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,28 @@ def test_train_eval_infer_pipeline(tmp_path, capsys):
     assert depth.dtype == np.uint16
 
 
+def test_eval_header_labels_end_at_their_columns(tmp_path, capsys):
+    data = tmp_path / "ds"
+    make_dataset(data, scenes=4)
+    config = write_run_config(tmp_path / "run.json")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--ckpt", str(out / "checkpoint.lfdp")]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+
+    def right_edges(line):
+        # cells are separated by two or more spaces; "abs rel" is one cell
+        return [m.end() for m in re.finditer(r"\S+(?: \S+)*", line)]
+
+    assert header.startswith("scene")
+    assert len(rows) == 2                      # one test scene plus the aggregate
+    for row in rows:
+        assert right_edges(row)[1:] == right_edges(header)[1:]
+        assert len(right_edges(row)) == len(right_edges(header)) == 7
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_train_non_finite_step_exits_3(tmp_path, capsys):
     """A learning rate of 1e300 throws the weights so far in the first step
@@ -163,6 +186,39 @@ def test_train_rejects_unknown_network_key(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 1
     assert "width_px" in capsys.readouterr().err
+
+
+def write_network_keys(path, **keys):
+    doc = json.loads(path.read_text())
+    doc["network"].update(keys)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_train_accepts_retired_network_keys_at_their_values(tmp_path):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_network_keys(write_run_config(tmp_path / "run.json"), batch_size=1,
+                                deep_supervision=False, plain_stack_depth=6, dropout_rate=0.5)
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", 2),
+    ("deep_supervision", True),
+    ("plain_stack_depth", 5),
+    ("dropout_rate", 0.3),
+])
+def test_train_rejects_retired_network_key_at_another_value(tmp_path, capsys, key, value):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_network_keys(write_run_config(tmp_path / "run.json"), **{key: value})
+    code = main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_bad_json_config_is_a_format_error(tmp_path):

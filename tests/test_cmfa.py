@@ -288,6 +288,4 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         CmfaConfig(0)
     with pytest.raises(ConfigError):
-        CmfaConfig(4, dropout_rate=1.0)
-    with pytest.raises(ConfigError):
         CmfaConfig(4, comp_kernel=(2, 3, 3))

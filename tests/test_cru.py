@@ -239,15 +239,6 @@ def test_multi_graph_identity_reduction():
     np.testing.assert_array_equal(out.data, x.data)
 
 
-def test_multi_graph_identity_without_trailing_conv():
-    params, block = make_block(channels=4, seed=14, final_graph_conv=False)
-    assert block.trail is None
-    x = Tensor(np.random.default_rng(15).standard_normal((1, 4, 4, 4)))
-    block.warmup(4, 4)
-    zero_all(params)
-    np.testing.assert_array_equal(block.multi_graph(x).data, x.data)
-
-
 def test_multi_graph_gradcheck():
     params, block = make_block(channels=4, seed=16)
     x = Tensor(np.random.default_rng(17).standard_normal((2, 4, 4, 4)), requires_grad=True)

@@ -9,7 +9,6 @@ from lfdepth.model import (
     Backbone,
     DepthNet,
     NetworkConfig,
-    depth_loss,
     ladder_config,
     loss_terms,
     prediction_loss,
@@ -69,8 +68,6 @@ def test_config_rejects_bad_channels_and_weights():
         small_config(stage_channels=(4, 8, 8, 8, 0))
     with pytest.raises(ConfigError):
         small_config(loss_weights=(1.0, -0.5, 1.0))
-    with pytest.raises(ConfigError):
-        small_config(batch_size=2)
     with pytest.raises(ConfigError):
         small_config(slices=0)
 
@@ -146,18 +143,17 @@ def test_forward_shape_and_range():
     model = DepthNet(cfg, np.random.default_rng(0))
     rgb, focal, _ = scene_inputs(cfg)
     out = model(rgb, focal)
-    assert out.depth.shape == (1, 1, 32, 32)
-    assert out.aux == ()
-    assert out.depth.data.min() > 0.0
-    assert out.depth.data.max() < 1.0
+    assert out.shape == (1, 1, 32, 32)
+    assert out.data.min() > 0.0
+    assert out.data.max() < 1.0
 
 
 def test_forward_is_deterministic_in_eval():
     cfg = small_config()
     model = DepthNet(cfg, np.random.default_rng(1))
     rgb, focal, _ = scene_inputs(cfg, seed=2)
-    a = model(rgb, focal).depth.data
-    b = model(rgb, focal).depth.data
+    a = model(rgb, focal).data
+    b = model(rgb, focal).data
     np.testing.assert_array_equal(a, b)
 
 
@@ -170,7 +166,7 @@ def test_same_seed_builds_identical_models():
     for k in s1:
         np.testing.assert_array_equal(s1[k], s2[k])
     rgb, focal, _ = scene_inputs(cfg, seed=3)
-    np.testing.assert_array_equal(m1(rgb, focal).depth.data, m2(rgb, focal).depth.data)
+    np.testing.assert_array_equal(m1(rgb, focal).data, m2(rgb, focal).data)
 
 
 def test_forward_rejects_wrong_shapes():
@@ -200,23 +196,7 @@ def test_train_mode_needs_rng():
     with pytest.raises(UsageError):
         model(rgb, focal, mode="train")
     out = model(rgb, focal, mode="train", rng=np.random.default_rng(4))
-    assert out.depth.shape == (1, 1, 32, 32)
-
-
-def test_deep_supervision_aux_outputs():
-    cfg = small_config(deep_supervision=True)
-    model = DepthNet(cfg, np.random.default_rng(0))
-    rgb, focal, gt = scene_inputs(cfg)
-    out = model(rgb, focal)
-    assert len(out.aux) == 2
-    for aux in out.aux:
-        assert aux.shape == (1, 1, 32, 32)
-        assert 0.0 < aux.data.min() and aux.data.max() < 1.0
-    total = prediction_loss(out, gt)
-    expect = depth_loss(out.depth, gt).data
-    for aux in out.aux:
-        expect = expect + 0.5 * depth_loss(aux, gt).data
-    np.testing.assert_allclose(total.data, expect, rtol=0, atol=0)
+    assert out.shape == (1, 1, 32, 32)
 
 
 # -- stream / ladder variants -----------------------------------------------------
@@ -231,8 +211,8 @@ def test_every_ladder_rung_runs_forward(name):
         rgb if cfg.use_rgb_stream else None,
         focal if cfg.use_focal_stream else None,
     )
-    assert out.depth.shape == (1, 1, 32, 32)
-    assert 0.0 < out.depth.data.min() and out.depth.data.max() < 1.0
+    assert out.shape == (1, 1, 32, 32)
+    assert 0.0 < out.data.min() and out.data.max() < 1.0
 
 
 def test_ladder_rejects_unknown_name():
@@ -286,7 +266,7 @@ def test_loss_zero_on_equal_maps():
     assert l1.data == 0.0
     assert grad.data == 0.0
     assert normal.data == 0.0
-    assert depth_loss(x, Tensor(x.data.copy())).data == 0.0
+    assert prediction_loss(x, Tensor(x.data.copy())).data == 0.0
 
 
 def test_loss_constant_offset_is_pure_l1():
@@ -317,7 +297,7 @@ def test_loss_weights_are_linear():
     p = Tensor(rng.uniform(0, 1, (1, 1, 4, 4)))
     g = Tensor(rng.uniform(0, 1, (1, 1, 4, 4)))
     l1, grad, normal = loss_terms(p, g)
-    got = depth_loss(p, g, (2.0, 3.0, 5.0)).data
+    got = prediction_loss(p, g, (2.0, 3.0, 5.0)).data
     np.testing.assert_allclose(got, 2 * l1.data + 3 * grad.data + 5 * normal.data, rtol=1e-12)
 
 

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from lfdepth.model import NetworkConfig
 from lfdepth.params import ModuleParams
 from lfdepth.synthdata import GenSpec, generate_scene
 from lfdepth.tensor import Tensor
+import lfdepth.train as train_module
 from lfdepth.train import (
     AblationResult,
     Adam,
@@ -301,12 +303,62 @@ def test_load_checkpoint_errors(tmp_path):
         load_checkpoint(tmp_path / "broken.lfdp")
 
 
+# Configs written before these settings became constants carry them at
+# the one value the network runs at.
+RETIRED_KEYS = {"batch_size": 1, "deep_supervision": False,
+                "plain_stack_depth": 6, "dropout_rate": 0.5}
+
+
+def add_to_sidecar(path, **keys):
+    sidecar = str(path) + ".json"
+    with open(sidecar) as fh:
+        doc = json.load(fh)
+    doc["config"].update(keys)
+    with open(sidecar, "w") as fh:
+        json.dump(doc, fh)
+
+
+def test_sidecar_with_retired_keys_resumes_bitwise(tmp_path):
+    scenes = [tiny_scene(0), tiny_scene(1)]
+    half = train_model(scenes, tiny_config(), seed=9, until_epoch=2, eval_every=0)
+    path = tmp_path / "half.lfdp"
+    save_checkpoint(path, half)
+    current = train_model(scenes, state=load_checkpoint(path), until_epoch=4, eval_every=0)
+
+    add_to_sidecar(path, **RETIRED_KEYS)
+    loaded = load_checkpoint(path)
+    assert loaded.config == half.config
+    older = train_model(scenes, state=loaded, until_epoch=4, eval_every=0)
+
+    assert older.log.step_losses == current.log.step_losses
+    sa, sb = current.model.params.state(), older.model.params.state()
+    assert sa.keys() == sb.keys()
+    for k in sa:
+        np.testing.assert_array_equal(sa[k], sb[k])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", 2),
+    ("deep_supervision", True),
+    ("plain_stack_depth", 5),
+    ("dropout_rate", 0.3),
+    ("batch_size", True),
+    ("deep_supervision", 0),
+    ("plain_stack_depth", 6.0),
+])
+def test_sidecar_with_retired_key_at_another_value_is_a_format_error(tmp_path, key, value):
+    path = tmp_path / "ckpt.lfdp"
+    save_checkpoint(path, init_state(tiny_config(), 0))
+    add_to_sidecar(path, **{key: value})
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert key in str(err.value)
+
+
 def test_config_dict_round_trip():
     cfg = tiny_config(loss_weights=(2.0, 0.5, 1.0))
     doc = config_to_dict(cfg)
     assert config_from_dict(doc) == cfg
-    import json
-
     assert config_from_dict(json.loads(json.dumps(doc))) == cfg
     with pytest.raises(FormatError) as err:
         config_from_dict({**doc, "warmup_epochs": 3})
@@ -327,6 +379,16 @@ def test_ablation_run_covers_names():
         assert r.param_count > 0
         assert len(r.log.epoch_losses) == 1
         assert np.isfinite(r.metrics.rms)
+
+
+def test_ablation_run_checks_every_name_before_training(monkeypatch):
+    def train_model(*args, **kwargs):
+        raise AssertionError("a rung trained before every name was checked")
+
+    monkeypatch.setattr(train_module, "train_model", train_model)
+    with pytest.raises(UsageError) as err:
+        ablation_run([tiny_scene(0)], ["Baseline", "Extra"], tiny_config(), until_epoch=1)
+    assert "Extra" in str(err.value)
 
 
 def test_format_metric_drops_leading_zero():
