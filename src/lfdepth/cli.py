@@ -23,6 +23,7 @@ from .errors import (
     UsageError,
 )
 from .gradcheck import SCOPES, assert_all_pass, check_scope
+from .jsonio import read_fields, read_json
 from .metrics import COLUMN_NAMES, aggregate, evaluate
 from .model import NetworkConfig
 from .pnm import write_pgm16
@@ -53,40 +54,24 @@ def worker_count() -> int:
 
 # -- run configuration ------------------------------------------------------------
 
-_RUN_KEYS = {"network", "seed", "augment", "eval_every"}
+_RUN_KINDS = {"network": dict, "seed": int, "augment": bool, "eval_every": int}
+_RUN_DEFAULTS = {"network": {}, "seed": 0, "augment": True, "eval_every": 1}
 
 
 def load_run_config(path) -> dict:
     """Validated {network, seed, augment, eval_every} document."""
+    doc = read_json(path)
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as err:
-        raise FormatError(f"{path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise FormatError(f"{path}: bad JSON at offset {err.pos}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    unknown = sorted(set(doc) - _RUN_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
-    network_doc = doc.get("network", {})
-    if not isinstance(network_doc, dict):
-        raise ConfigError(f"{path}: 'network' must be an object")
-    try:
-        network = config_from_dict(network_doc)
+        doc = read_fields(doc, _RUN_KINDS, _RUN_DEFAULTS)
+        network = config_from_dict(doc["network"])
     except FormatError as err:
         raise ConfigError(f"{path}: {err}") from None
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"{path}: 'seed' must be an integer")
-    augment = doc.get("augment", True)
-    if not isinstance(augment, bool):
-        raise ConfigError(f"{path}: 'augment' must be a boolean")
-    eval_every = doc.get("eval_every", 1)
-    if not isinstance(eval_every, int) or isinstance(eval_every, bool) or eval_every < 0:
+    unknown = sorted(set(doc) - set(_RUN_KINDS))
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
+    if doc["eval_every"] < 0:
         raise ConfigError(f"{path}: 'eval_every' must be a non-negative integer")
-    return {"network": network, "seed": seed, "augment": augment, "eval_every": eval_every}
+    return {**doc, "network": network}
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -5,9 +5,10 @@ Convolutions are cross-correlations (no kernel flip).  ``conv2d`` and
 ``_conv``, over [N, C, *spatial].  The core is an im2col GEMM (Chellapilla
 et al. 2006) in blocks of at most ``_BLOCK_BYTES`` of columns: each block is
 copied out of one strided window view of the padded input and multiplied by
-the [C_out, C*K] weight matrix.  Backward rebuilds the columns block by block
-for the weight gradient and adds W^T @ g back into the input gradient once
-per kernel offset.  All operators register gradients on the tape.
+the [C_out, C*K] weight matrix.  Backward runs on the same blocks: the weight
+gradient multiplies g by the columns, and the input gradient is the forward
+GEMM over the stride-spread, padded g with the flipped kernel (Dumoulin &
+Visin 2016, section 4).  All operators register gradients on the tape.
 
 Axis conventions: 2-D feature maps are [slices, channels, height, width];
 3-D convolution inputs are [batch, channels, slices, height, width].
@@ -15,7 +16,6 @@ Axis conventions: 2-D feature maps are [slices, channels, height, width];
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,23 +79,17 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator) -> Tens
 
 @dataclass(frozen=True)
 class Conv2Spec:
-    """Static description of a 2-D convolution layer."""
+    """Static description of a 2-D convolution layer: stride 1, 'same' zero padding."""
 
     in_channels: int
     out_channels: int
     kernel: tuple[int, int] = (3, 3)
-    stride: int = 1
     dilation: int = 1
-    padding: str = "same"
 
     def __post_init__(self):
-        if self.dilation < 1 or self.stride < 1:
-            raise ShapeError("stride and dilation must be >= 1")
-        _pads(self.padding, self.kernel, self.dilation)
-
-
-def _out_extent(n: int, k: int, stride: int, dilation: int, pad: int) -> int:
-    return (n + 2 * pad - dilation * (k - 1) - 1) // stride + 1
+        if self.dilation < 1:
+            raise ShapeError("dilation must be >= 1")
+        _pads("same", self.kernel, self.dilation)
 
 
 def _pads(padding: str, kernel, dilation: int) -> tuple[int, ...]:
@@ -113,6 +107,66 @@ def _pads(padding: str, kernel, dilation: int) -> tuple[int, ...]:
 _BLOCK_BYTES = 8 << 20
 
 
+def _pad(a: np.ndarray, pads) -> np.ndarray:
+    """``a`` [N, C, *spatial] zero-padded by ``pads`` on both sides of each spatial axis."""
+    if not any(pads):
+        return a
+    out = np.zeros(a.shape[:2] + tuple(n + 2 * p for n, p in zip(a.shape[2:], pads)))
+    out[(slice(None),) * 2 + tuple(slice(p, p + n) for p, n in zip(pads, a.shape[2:]))] = a
+    return out
+
+
+def _columns(xp: np.ndarray, kernel, stride: int, dilation: int, out_sp):
+    """Yield (items, rows, cols): the im2col columns of padded ``xp`` in blocks.
+
+    A block is a run of whole items or, when one item's columns exceed
+    _BLOCK_BYTES, a run of rows of the first output axis of one item.
+    ``cols`` is [n, C, *kernel, rows, *rest], the input under each tap,
+    copied into one reused buffer: it is valid until the next block is drawn.
+    """
+    N, C = xp.shape[:2]
+    D = len(kernel)
+    CK = C * math.prod(kernel)
+    win = sliding_window_view(
+        xp, tuple(dilation * (k - 1) + 1 for k in kernel), tuple(range(2, 2 + D))
+    )[
+        (slice(None),) * 2
+        + tuple(slice(0, stride * (m - 1) + 1, stride) for m in out_sp)
+        + (slice(None, None, dilation),) * D
+    ].transpose((0, 1) + tuple(range(2 + D, 2 + 2 * D)) + tuple(range(2, 2 + D)))
+
+    rows, row_len = out_sp[0], math.prod(out_sp[1:])
+    block_rows = max(1, _BLOCK_BYTES // (8 * CK * row_len))
+    per = max(1, min(N, block_rows // rows))
+    block_rows = min(block_rows, rows)
+    buf = np.empty(per * CK * block_rows * row_len)
+    for n in range(0, N, per):
+        for r in range(0, rows, block_rows):
+            items, rs = slice(n, n + per), slice(r, r + block_rows)
+            src = win[(items,) + (slice(None),) * (1 + D) + (rs,)]
+            cols = buf[: src.size].reshape(src.shape)
+            np.copyto(cols, src)
+            yield items, rs, cols
+
+
+def _correlate(xp: np.ndarray, w: np.ndarray, bias, stride: int, dilation: int, out_sp):
+    """Cross-correlation of padded ``xp`` [N, C, *] with ``w`` [C_out, C, *kernel].
+
+    One [C_out, C*K] x [C*K, L] matmul per item of each block, written
+    straight into the output, plus ``bias`` unless it is None.
+    """
+    CO = w.shape[0]
+    w2 = w.reshape(CO, -1)
+    out = np.empty((xp.shape[0], CO) + tuple(out_sp))
+    for items, rs, cols in _columns(xp, w.shape[2:], stride, dilation, out_sp):
+        # whole items, or rows of one item: a view of ``out`` either way
+        dst = out[items, :, rs].reshape(len(cols), CO, -1)
+        np.matmul(w2, cols.reshape(len(cols), w2.shape[1], -1), out=dst)
+        if bias is not None:
+            dst += bias[:, None]
+    return out
+
+
 def _conv(
     x: Tensor,
     weight: Tensor,
@@ -123,101 +177,45 @@ def _conv(
 ) -> Tensor:
     """Cross-correlation of [N, C, *spatial] with [C_out, C, *kernel].
 
-    The one core behind conv2d and conv3d, an im2col GEMM in bounded blocks.
-    A block is a run of whole items or, when one item's columns exceed
-    _BLOCK_BYTES, a run of rows of the first output axis of one item.  Its
-    columns are copied out of one strided view of the padded input into a
-    [n, C, *kernel, rows, *rest] buffer, so the forward pass is one
-    [C_out, C*K] x [C*K, L] matmul per item of the block.
+    The one core behind conv2d and conv3d; forward and backward share the
+    im2col blocks of ``_columns``.  The weight gradient sums g @ cols^T over
+    the blocks of the padded input.  The input gradient is the transpose of
+    the convolution: ``_correlate`` of g, spread by the stride and padded by
+    dilation*(k-1) - pad, with the kernel flipped and its channel axes swapped.
     """
     N, C, *spatial = x.shape
     CO, CI, *kernel = weight.shape
     if C != CI:
         raise ShapeError(f"convolution channel mismatch: input {C}, kernel {CI}")
-    out_sp = tuple(
-        _out_extent(n, k, stride, dilation, p) for n, k, p in zip(spatial, kernel, pads)
-    )
+    # positions where a window may start; the output takes every stride-th one
+    starts = tuple(n + 2 * p - dilation * (k - 1) for n, k, p in zip(spatial, kernel, pads))
+    out_sp = tuple((s - 1) // stride + 1 for s in starts)
     if min(out_sp) < 1:
         raise ShapeError(f"convolution of input {x.shape} with kernel {tuple(kernel)} is empty")
 
     D = len(kernel)
-    CK = C * math.prod(kernel)
-    inner = (slice(None),) * 2 + tuple(slice(p, p + n) for p, n in zip(pads, spatial))
-    xp = x.data
-    if any(pads):
-        xp = np.zeros((N, C) + tuple(n + 2 * p for n, p in zip(spatial, pads)))
-        xp[inner] = x.data
-
-    def windows(a, writeable=False):
-        """[N, C, *kernel, *out] view of padded ``a``: the input under each tap."""
-        v = sliding_window_view(
-            a, tuple(dilation * (k - 1) + 1 for k in kernel), tuple(range(2, 2 + D)),
-            writeable=writeable,
-        )[
-            (slice(None),) * 2
-            + tuple(slice(0, stride * (m - 1) + 1, stride) for m in out_sp)
-            + (slice(None, None, dilation),) * D
-        ]
-        return v.transpose((0, 1) + tuple(range(2 + D, 2 + 2 * D)) + tuple(range(2, 2 + D)))
-
-    # blocks as (items, rows of the first output axis): several whole items,
-    # or one item split into runs of rows
-    rows, row_len = out_sp[0], math.prod(out_sp[1:])
-    block_rows = max(1, _BLOCK_BYTES // (8 * CK * row_len))
-    per = max(1, min(N, block_rows // rows))
-    block_rows = min(block_rows, rows)
-    blocks = [
-        (slice(n, n + per), slice(r, r + block_rows))
-        for n in range(0, N, per)
-        for r in range(0, rows, block_rows)
-    ]
-    block_elems = per * CK * block_rows * row_len
-    win = windows(xp)
-
-    def columns(buf, items, rs):
-        """The block's window view, and a same-shaped view of the front of ``buf``."""
-        src = win[(items,) + (slice(None),) * (1 + D) + (rs,)]
-        return src, buf[: src.size].reshape(src.shape)
-
-    w2 = weight.data.reshape(CO, CK)
-    out = np.empty((N, CO) + out_sp)
-    buf = np.empty(block_elems)
-    for items, rs in blocks:
-        src, cols = columns(buf, items, rs)
-        np.copyto(cols, src)
-        # whole items, or rows of one item: a view of ``out`` either way
-        dst = out[items, :, rs].reshape(len(cols), CO, -1)
-        np.matmul(w2, cols.reshape(len(cols), CK, -1), out=dst)
-        if bias is not None:
-            dst += bias.data[:, None]
-
+    xp = _pad(x.data, pads)
+    out = _correlate(xp, weight.data, None if bias is None else bias.data, stride, dilation, out_sp)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
         if bias is not None:
             _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
-        dw = np.zeros((CO, CK)) if weight.requires_grad else None
-        dxp = np.zeros_like(xp) if x.requires_grad else None
-        if dw is None and dxp is None:
-            return
-        dwin = None if dxp is None else windows(dxp, writeable=True)
-        buf = np.empty(block_elems)
-        for items, rs in blocks:
-            src, cols = columns(buf, items, rs)
-            cols2 = cols.reshape(len(cols), CK, -1)
-            gb = g[items, :, rs].reshape(len(cols), CO, -1)
-            if dw is not None:
-                np.copyto(cols, src)
-                dw += np.matmul(gb, cols2.transpose(0, 2, 1)).sum(axis=0)
-            if dxp is not None:
-                np.matmul(w2.T, gb, out=cols2)
-                # taps of one offset never overlap, so each add is a plain strided add
-                for offset in itertools.product(*map(range, kernel)):
-                    dwin[(items, slice(None)) + offset + (rs,)] += cols[(slice(None),) * 2 + offset]
-        if dw is not None:
+        if weight.requires_grad:
+            CK = C * math.prod(kernel)
+            dw = np.zeros((CO, CK))
+            for items, rs, cols in _columns(xp, kernel, stride, dilation, out_sp):
+                gb = g[items, :, rs].reshape(len(cols), CO, -1)
+                dw += np.matmul(gb, cols.reshape(len(cols), CK, -1).transpose(0, 2, 1)).sum(axis=0)
             _accum(weight, dw.reshape(weight.shape))
-        if dxp is not None:
-            _accum(x, dxp[inner])
+        if x.requires_grad:
+            if starts != out_sp:
+                spread = np.zeros((N, CO) + starts)
+                spread[(slice(None),) * 2 + (slice(None, None, stride),) * D] = g
+                g = spread
+            back = tuple(dilation * (k - 1) - p for k, p in zip(kernel, pads))
+            flipped = np.flip(weight.data, tuple(range(2, 2 + D))).swapaxes(0, 1)
+            _accum(x, _correlate(_pad(g, back), flipped, None, 1, dilation, spatial))
 
     return _track(out, parents, backward)
 
@@ -385,14 +383,7 @@ class Conv2d:
         self.spec = spec
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(
-            x,
-            self.weight,
-            self.bias,
-            stride=self.spec.stride,
-            dilation=self.spec.dilation,
-            padding=self.spec.padding,
-        )
+        return conv2d(x, self.weight, self.bias, dilation=self.spec.dilation)
 
 
 class Conv3d:
@@ -403,7 +394,6 @@ class Conv3d:
         in_channels: int,
         out_channels: int,
         kernel: tuple[int, int, int] = (3, 3, 3),
-        padding: str = "same",
         *,
         rng: np.random.Generator,
     ):
@@ -414,10 +404,9 @@ class Conv3d:
             "weight", kaiming_normal(rng, (out_channels, in_channels, ks, kh, kw), fan_in)
         )
         self.bias = scope.add("bias", np.zeros(out_channels))
-        self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv3d(x, self.weight, self.bias, padding=self.padding)
+        return conv3d(x, self.weight, self.bias)
 
 
 class Linear:

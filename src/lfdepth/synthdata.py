@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, FormatError, UsageError
+from .jsonio import read_fields, read_json
 from .pnm import read_pgm16, read_ppm, write_pgm16, write_ppm
 
 DEPTH_STYLES = ("planes", "slanted", "blobs")
@@ -349,18 +350,13 @@ def write_scene(scene: Scene, dirpath) -> None:
 
 def read_scene(dirpath) -> Scene:
     meta_path = os.path.join(dirpath, "meta.json")
+    meta = read_json(meta_path)
     try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except OSError as err:
+        meta = read_fields(meta, {"slices": int, "focus_depths": tuple[float, ...]}, {})
+    except FormatError as err:
         raise FormatError(f"{meta_path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise FormatError(f"{meta_path}: bad JSON at offset {err.pos}") from None
-    try:
-        slices = int(meta["slices"])
-        ds = np.asarray([float(v) for v in meta["focus_depths"]])
-    except (KeyError, TypeError, ValueError) as err:
-        raise FormatError(f"{meta_path}: bad metadata ({err})") from None
+    slices = meta["slices"]
+    ds = np.asarray(meta["focus_depths"], dtype=np.float64)
     if len(ds) != slices or np.any(np.diff(ds) <= 0):
         raise FormatError(f"{meta_path}: focus depths must be strictly increasing, one per slice")
 
@@ -414,14 +410,7 @@ def generate_dataset(root, count: int, base: GenSpec) -> dict:
 
 def split_names(root, split: str) -> list[str]:
     """Scene names of one split, read from the dataset's manifest.json."""
-    path = os.path.join(root, "manifest.json")
-    try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except OSError as err:
-        raise FormatError(f"{path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise FormatError(f"{path}: bad JSON at offset {err.pos}") from None
+    manifest = read_json(os.path.join(root, "manifest.json"))
     if split not in manifest:
         raise UsageError(f"manifest has no split {split!r}; available: {list(manifest)}")
     return manifest[split]

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cmfa import DROPOUT_RATE
-from .errors import FormatError, NumericalCheckError, UsageError
+from .errors import ConfigError, FormatError, NumericalCheckError, UsageError
+from .jsonio import read_fields, read_json
 from .metrics import COLUMN_NAMES, DepthMetrics, aggregate, evaluate
 from .model import PLAIN_STACK_DEPTH, DepthNet, NetworkConfig, ladder_config, prediction_loss
 from .params import load_params, save_params
@@ -235,9 +237,10 @@ _RETIRED_KEYS = {
 }
 
 
-def config_from_dict(doc: dict) -> NetworkConfig:
-    fields_by_name = {f.name: f for f in dataclasses.fields(NetworkConfig)}
-    doc = dict(doc)
+def config_from_dict(doc) -> NetworkConfig:
+    """NetworkConfig from its JSON object; a malformed document is a FormatError."""
+    kinds = typing.get_type_hints(NetworkConfig)
+    doc = read_fields(doc, kinds, config_to_dict(NetworkConfig()))
     for name, fixed in _RETIRED_KEYS.items():
         if name in doc:
             value = doc.pop(name)
@@ -245,15 +248,13 @@ def config_from_dict(doc: dict) -> NetworkConfig:
                 raise FormatError(
                     f"config key {name!r} is retired and only accepts {fixed!r}, got {value!r}"
                 )
-    unknown = sorted(set(doc) - set(fields_by_name))
+    unknown = sorted(set(doc) - set(kinds))
     if unknown:
         raise FormatError(f"unknown config keys: {unknown}")
-    kwargs = {}
-    for name, value in doc.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[name] = value
-    return NetworkConfig(**kwargs)
+    try:
+        return NetworkConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+    except ConfigError as err:
+        raise FormatError(str(err)) from None
 
 
 def metrics_to_doc(pairs) -> list:
@@ -263,10 +264,8 @@ def metrics_to_doc(pairs) -> list:
 
 def _metrics_from_doc(rows) -> list:
     names = [f.name for f in dataclasses.fields(DepthMetrics)]
-    return [
-        (int(row["epoch"]), DepthMetrics(**{k: float(row[k]) for k in names}))
-        for row in rows
-    ]
+    rows = [read_fields(row, dict.fromkeys(names, float) | {"epoch": int}, {}) for row in rows]
+    return [(row["epoch"], DepthMetrics(**{k: float(row[k]) for k in names})) for row in rows]
 
 
 def save_checkpoint(path, state: TrainState) -> None:
@@ -289,21 +288,26 @@ def save_checkpoint(path, state: TrainState) -> None:
         json.dump(sidecar, fh)
 
 
+_SIDECAR_KINDS = {"config": dict, "epoch": int, "rng_state": dict, "metrics": list,
+                  "step_losses": tuple[float, ...], "epoch_losses": tuple[float, ...]}
+
+
 def load_checkpoint(path) -> TrainState:
     sidecar_path = str(path) + ".json"
+    sidecar = read_json(sidecar_path)
+    rng = np.random.default_rng(0)
     try:
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
-    except OSError as err:
-        raise FormatError(f"{sidecar_path}: {err}") from None
-    except json.JSONDecodeError as err:
-        raise FormatError(f"{sidecar_path}: bad JSON at offset {err.pos}") from None
-    try:
+        sidecar = read_fields(
+            sidecar, _SIDECAR_KINDS, {"metrics": [], "step_losses": [], "epoch_losses": []}
+        )
         config = config_from_dict(sidecar["config"])
-        epoch = int(sidecar["epoch"])
-        rng_state = sidecar["rng_state"]
-    except KeyError as err:
-        raise FormatError(f"{sidecar_path}: missing field {err}") from None
+        epoch_metrics = _metrics_from_doc(sidecar["metrics"])
+        try:
+            rng.bit_generator.state = sidecar["rng_state"]
+        except (KeyError, TypeError, ValueError) as err:
+            raise FormatError(f"bad rng_state ({err})") from None
+    except FormatError as err:
+        raise FormatError(f"{sidecar_path}: {err}") from None
 
     entries = load_params(path)
     param_entries = {k: v for k, v in entries.items() if not k.startswith("adam.")}
@@ -314,16 +318,13 @@ def load_checkpoint(path) -> TrainState:
     optimizer = Adam()
     optimizer.load_state_entries(adam_entries)
 
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = rng_state
-
     log = TrainLog(
-        step_losses=[float(v) for v in sidecar.get("step_losses", [])],
-        epoch_losses=[float(v) for v in sidecar.get("epoch_losses", [])],
-        epoch_metrics=_metrics_from_doc(sidecar.get("metrics", [])),
+        step_losses=[float(v) for v in sidecar["step_losses"]],
+        epoch_losses=[float(v) for v in sidecar["epoch_losses"]],
+        epoch_metrics=epoch_metrics,
     )
     return TrainState(model=model, optimizer=optimizer, rng=rng,
-                      epoch=epoch, log=log, config=config)
+                      epoch=sidecar["epoch"], log=log, config=config)
 
 
 # -- ablation harness -----------------------------------------------------------

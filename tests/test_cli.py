@@ -221,6 +221,22 @@ def test_train_rejects_retired_network_key_at_another_value(tmp_path, capsys, ke
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("network", [
+    5,
+    {"height": "16"},
+    {"stage_channels": 5},
+    {"loss_weights": [1, 1, "a"]},
+    {"use_cru": 1},
+], ids=["not-an-object", "height", "stage_channels", "loss_weights", "use_cru"])
+def test_run_config_with_mistyped_network_is_a_config_error(tmp_path, network):
+    config = write_run_config(tmp_path / "run.json")
+    doc = json.loads(config.read_text())
+    doc["network"] = network if not isinstance(network, dict) else {**doc["network"], **network}
+    config.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError):
+        cli.load_run_config(config)
+
+
 def test_train_bad_json_config_is_a_format_error(tmp_path):
     data = tmp_path / "ds"
     make_dataset(data)

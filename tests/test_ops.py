@@ -40,6 +40,21 @@ def block_sizes(channels, kernel, out_shape):
     return ops._BLOCK_BYTES, 2 * row * out_shape[2], 2 * row
 
 
+def adjoint_gaps(conv, x, w, b, g):
+    """Relative gaps of <x, dx> and <w, dw> from <conv(x, w, b) - b, g>.
+
+    A convolution is bilinear in (x, w), so both inner products equal that
+    one exactly up to rounding; this pins the input gradient's kernel flip,
+    back-padding and stride spread, not only its agreement with finite
+    differences.
+    """
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = conv(xt, wt, bt)
+    (out * Tensor(g)).sum().backward()
+    want = np.vdot(out.data, g) - np.vdot(b, bt.grad)
+    return [abs(np.vdot(t.data, t.grad) - want) / abs(want) for t in (xt, wt)]
+
+
 # -- conv2d -------------------------------------------------------------------
 
 
@@ -85,16 +100,30 @@ def test_conv2d_matches_direct_sum(shape, co, kernel, stride, dilation, padding,
     w = rng.standard_normal((co, shape[1]) + kernel)
     b = rng.standard_normal(co)
     want = conv2d_direct(x, w, b, stride=stride, dilation=dilation, padding=padding)
+    g = rng.standard_normal(want.shape)
+
+    def conv(x, w, b):
+        return conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding)
+
     for block_bytes in block_sizes(shape[1], kernel, want.shape):
         monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
-        got = conv2d(
-            Tensor(x), Tensor(w), Tensor(b), stride=stride, dilation=dilation, padding=padding
-        )
+        got = conv(Tensor(x), Tensor(w), Tensor(b))
         assert got.shape == want.shape
         assert max_rel_err(got.data, want) < 1e-12
+        assert max(adjoint_gaps(conv, x, w, b, g)) < 1e-12
 
 
-@pytest.mark.parametrize("stride,dilation,padding", [(1, 1, "same"), (2, 1, "valid"), (1, 2, "same")])
+@pytest.mark.parametrize(
+    "stride,dilation,padding",
+    [
+        (1, 1, "same"),
+        (2, 1, "valid"),
+        (1, 2, "same"),
+        (2, 1, "same"),
+        (2, 2, "same"),
+        (3, 1, "valid"),
+    ],
+)
 def test_conv2d_gradcheck(stride, dilation, padding, monkeypatch):
     rng = np.random.default_rng(42)
     x = leaf(rng, 2, 2, 6, 6)
@@ -161,24 +190,31 @@ def test_conv3d_matches_direct_sum(monkeypatch):
     b = rng.standard_normal(3)
     for padding in ("same", "valid"):
         want = conv3d_direct(x, w, b, padding=padding)
+        g = rng.standard_normal(want.shape)
+
+        def conv(x, w, b):
+            return conv3d(x, w, b, padding=padding)
+
         for block_bytes in block_sizes(2, (3, 3, 3), want.shape):
             monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
-            got = conv3d(Tensor(x), Tensor(w), Tensor(b), padding=padding)
+            got = conv(Tensor(x), Tensor(w), Tensor(b))
             assert got.shape == want.shape
             assert max_rel_err(got.data, want) < 1e-12
+            assert max(adjoint_gaps(conv, x, w, b, g)) < 1e-12
 
 
-def test_conv3d_gradcheck(monkeypatch):
+@pytest.mark.parametrize("padding", ["same", "valid"])
+def test_conv3d_gradcheck(padding, monkeypatch):
     rng = np.random.default_rng(10)
     x = leaf(rng, 1, 2, 4, 6, 6)
     w = leaf(rng, 2, 2, 3, 3, 3, scale=0.4)
     b = leaf(rng, 2)
 
     def build():
-        return conv3d(x, w, b).sum()
+        return conv3d(x, w, b, padding=padding).sum()
 
     want = fd_gradients(lambda: build().item(), [x, w, b])
-    for block_bytes in block_sizes(2, (3, 3, 3), (1, 2, 4, 6, 6)):
+    for block_bytes in block_sizes(2, (3, 3, 3), conv3d(x, w, padding=padding).shape):
         monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
         for t in (x, w, b):
             t.zero_grad()
@@ -420,8 +456,6 @@ def test_linear_layer():
 
 def test_conv2spec_validation():
     with pytest.raises(ShapeError):
-        Conv2Spec(1, 1, (2, 2), padding="same")
+        Conv2Spec(1, 1, (2, 2))
     with pytest.raises(ShapeError):
         Conv2Spec(1, 1, (3, 3), dilation=0)
-    with pytest.raises(ShapeError):
-        Conv2Spec(1, 1, (3, 3), padding="reflect")

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lfdepth.errors import FormatError, NumericalCheckError, UsageError
 from lfdepth.metrics import DepthMetrics
@@ -353,6 +355,69 @@ def test_sidecar_with_retired_key_at_another_value_is_a_format_error(tmp_path, k
     with pytest.raises(FormatError) as err:
         load_checkpoint(path)
     assert key in str(err.value)
+
+
+# (path into the sidecar, bad value); the empty path replaces the whole document
+MALFORMED_SIDECARS = [
+    ((), []),
+    (("config",), 5),
+    (("epoch",), "x"),
+    (("rng_state",), 5),
+    (("step_losses",), 5),
+    (("metrics",), [1]),
+    (("config", "height"), "16"),
+    (("config", "stage_channels"), 5),
+    (("config", "loss_weights"), [1, 1, "a"]),
+    (("config", "use_cru"), 1),
+]
+
+
+@pytest.mark.parametrize("keys, value", [
+    pytest.param(keys, value, id=".".join(keys) or "document") for keys, value in MALFORMED_SIDECARS
+])
+def test_malformed_sidecar_is_a_format_error(tmp_path, keys, value):
+    path = tmp_path / "ckpt.lfdp"
+    save_checkpoint(path, init_state(tiny_config(), 0))
+    sidecar = tmp_path / "ckpt.lfdp.json"
+    doc = json.loads(sidecar.read_text())
+    if keys:
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    else:
+        doc = value
+    sidecar.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text", [b'{"config": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_sidecar_is_a_format_error(tmp_path, text):
+    path = tmp_path / "ckpt.lfdp"
+    save_checkpoint(path, init_state(tiny_config(), 0))
+    (tmp_path / "ckpt.lfdp.json").write_bytes(text)
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+network_keys = st.sampled_from(sorted(config_to_dict(NetworkConfig())) + sorted(RETIRED_KEYS))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(json_values | st.dictionaries(network_keys, json_values, max_size=6))
+def test_any_json_config_is_valid_or_a_format_error(doc):
+    try:
+        config = config_from_dict(doc)
+    except FormatError:
+        return
+    assert isinstance(config, NetworkConfig)
 
 
 def test_config_dict_round_trip():
