@@ -4,7 +4,9 @@ Two steps.  First each stream is enhanced with complementary information
 from the other: the focal volume passes through a 3-D conv and a slice-mean
 before joining the RGB map, the RGB map passes through a 2-D conv and is
 broadcast to every focal slice, and each sum is refined by a per-slice 1x1
-conv.  Second, the enhanced slices plus the enhanced RGB map form a bundle
+conv.  The slice mean commutes with the convolution, so it is taken first:
+one 2-D conv over per-tap slice sums gives the same complement at 1/S of
+the work.  Second, the enhanced slices plus the enhanced RGB map form a bundle
 of N = S + 1 features (RGB in the last slot) that is collapsed by two rounds
 of per-slice scalar attention:
 
@@ -33,6 +35,7 @@ from .ops import (
     Conv3d,
     Linear,
     concat,
+    conv2d,
     dropout,
     global_avg_pool,
     sigmoid,
@@ -75,16 +78,37 @@ class Cmfa:
     # -- step one: cross-residual enhancement --------------------------------
 
     def enhance(self, f_focal: Tensor, f_rgb: Tensor) -> tuple[Tensor, Tensor]:
-        s, c, h, w = f_focal.shape
+        c, h, w = f_focal.shape[1:]
         if f_rgb.shape != (1, c, h, w):
             raise ShapeError(
                 f"rgb feature {f_rgb.shape} does not pair with focal {f_focal.shape}"
             )
-        volume = reshape(transpose(f_focal, (1, 0, 2, 3)), (1, c, s, h, w))
-        complement = reduce(self.focal_to_rgb(volume), 2, "mean")  # [1,C1,H,W]
-        rgb_out = self.post_rgb(f_rgb + complement)
+        rgb_out = self.post_rgb(f_rgb + self.complement(f_focal))
         focal_out = self.post_focal(f_focal + self.rgb_to_focal(f_rgb))
         return focal_out, rgb_out
+
+    def complement(self, f_focal: Tensor) -> Tensor:
+        """Slice mean of ``focal_to_rgb`` over the [1,C1,S,H,W] focal volume: [1,C1,H,W].
+
+        Under 'same' padding, slice tap j of the 3-D kernel reads slices
+        [j - r, S + j - r) clipped to the stack (r = ks // 2) over all S
+        output slices.  So the mean is one 2-D conv of the per-tap slice
+        sums, stacked on the channel axis, with the tap axis of the weight
+        folded into its input channels, divided by S.  A tap that reads no
+        slice (|j - r| >= S) drops out with its weight slice.
+        """
+        s, c = f_focal.shape[:2]
+        conv = self.focal_to_rgb
+        ks = conv.weight.shape[2]
+        r = ks // 2
+        lo, hi = max(0, r - s + 1), min(ks, r + s)
+        sums = [
+            reduce(f_focal[max(0, j - r) : min(s, s + j - r)], 0, "sum", keepdims=True)
+            for j in range(lo, hi)
+        ]
+        weight = transpose(conv.weight, (0, 2, 1, 3, 4))[:, lo:hi]
+        weight = reshape(weight, (c, (hi - lo) * c) + weight.shape[3:])
+        return conv2d(concat(sums, axis=1), weight) / s + reshape(conv.bias, (1, c, 1, 1))
 
     # -- step two: attention over the slice bundle -----------------------------
 

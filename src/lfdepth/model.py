@@ -67,14 +67,16 @@ class NetworkConfig:
     def __post_init__(self):
         if not (self.use_rgb_stream or self.use_focal_stream):
             raise ConfigError("at least one input stream must be enabled")
-        if self.height % 16 or self.width % 16:
+        if self.height < 16 or self.width < 16 or self.height % 16 or self.width % 16:
             raise ConfigError(
-                f"input size must be divisible by 16, got {self.height}x{self.width}"
+                f"input size must be a positive multiple of 16, got {self.height}x{self.width}"
             )
         if self.slices < 1:
             raise ConfigError(f"slice count must be >= 1, got {self.slices}")
         if len(self.stage_channels) != 5 or any(c < 1 for c in self.stage_channels):
             raise ConfigError(f"need five positive stage channels, got {self.stage_channels}")
+        if self.decoder_channels < 1:
+            raise ConfigError(f"decoder channels must be >= 1, got {self.decoder_channels}")
         if len(self.loss_weights) != 3 or any(w < 0 for w in self.loss_weights):
             raise ConfigError(f"need three non-negative loss weights, got {self.loss_weights}")
         if self.use_cru and not (self.use_cru_md or self.use_cru_mg):

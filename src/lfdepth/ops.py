@@ -295,22 +295,28 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; ties route to the first maximum."""
+    """2x2 max pooling with stride 2; ties route to the first maximum in scan order.
+
+    Pairwise maxima over the four stride-2 views, in the scan order
+    (0,0), (0,1), (1,0), (1,1) of each window.  np.maximum returns its
+    second operand when both compare equal (+0 and -0), so the earlier view
+    goes second.  The gradient goes to the first view equal to the output.
+    """
     x = as_tensor(x)
     S, C, H, W = x.shape
     if H % 2 or W % 2:
         raise ShapeError(f"max_pool2 needs even spatial extents, got {H}x{W}")
-    oh, ow = H // 2, W // 2
-    windows = (
-        x.data.reshape(S, C, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5).reshape(S, C, oh, ow, 4)
-    )
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    offsets = [(i, j) for i in (0, 1) for j in (0, 1)]
+    views = [x.data[:, :, i::2, j::2] for i, j in offsets]
+    out = np.maximum(np.maximum(views[3], views[2]), np.maximum(views[1], views[0]))
 
     def backward(g):
-        buf = np.zeros((S, C, oh, ow, 4))
-        np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
-        dx = buf.reshape(S, C, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(S, C, H, W)
+        dx = np.zeros((S, C, H, W))
+        free = np.ones(out.shape, dtype=bool)
+        for (i, j), v in zip(offsets, views):
+            hit = free & (v == out)
+            np.copyto(dx[:, :, i::2, j::2], g, where=hit)
+            free &= ~hit
         _accum(x, dx)
 
     return _track(out, (x,), backward)

@@ -410,10 +410,14 @@ def generate_dataset(root, count: int, base: GenSpec) -> dict:
 
 def split_names(root, split: str) -> list[str]:
     """Scene names of one split, read from the dataset's manifest.json."""
-    manifest = read_json(os.path.join(root, "manifest.json"))
-    if split not in manifest:
+    path = os.path.join(root, "manifest.json")
+    manifest = read_json(path)
+    if isinstance(manifest, dict) and split not in manifest:
         raise UsageError(f"manifest has no split {split!r}; available: {list(manifest)}")
-    return manifest[split]
+    try:
+        return read_fields(manifest, {split: tuple[str, ...]}, {})[split]
+    except FormatError as err:
+        raise FormatError(f"{path}: {err}") from None
 
 
 def load_split(root, split: str) -> list[Scene]:

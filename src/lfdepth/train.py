@@ -122,6 +122,13 @@ def init_state(config: NetworkConfig, seed: int) -> TrainState:
 
 
 def _scene_tensors(scene: Scene) -> tuple[Tensor, Tensor, Tensor]:
+    """rgb [1,3,H,W], focal [S,3,H,W] and depth [1,1,H,W] of one scene.
+
+    Non-finite input is a NumericalCheckError, raised before any forward pass.
+    """
+    for name in ("rgb", "focal", "depth"):
+        if not np.all(np.isfinite(getattr(scene, name))):
+            raise NumericalCheckError(f"scene {name} holds non-finite values")
     rgb = Tensor(np.ascontiguousarray(scene.rgb[None]))
     focal = Tensor(np.ascontiguousarray(scene.focal))
     gt = Tensor(np.ascontiguousarray(scene.depth[None]))

@@ -121,6 +121,36 @@ def conv3d_direct(x, w, b=None, padding="same"):
     return out
 
 
+def cmfa_complement_3d(focal, w, b):
+    """The CMFA focal->RGB complement the way the paper states it.
+
+    ``focal`` [S, C, H, W] is turned into the [1, C, S, H, W] volume, passed
+    through the 'same' 3-D convolution with ``w`` [C, C, ks, kh, kw] and
+    ``b``, and averaged over the slice axis: [1, C, H, W].  ``Cmfa.enhance``
+    computed it this way before it took the slice mean first.
+    """
+    volume = np.ascontiguousarray(focal.transpose(1, 0, 2, 3))[None]
+    return conv3d_direct(volume, w, b).mean(axis=2)
+
+
+def max_pool2_argmax(x, g):
+    """2x2 stride-2 max pooling of ``x`` [S, C, H, W] and its input gradient for ``g``.
+
+    An argmax over a transposed copy of the windows: ties go to the first
+    maximum in scan order.  ``ops.max_pool2`` had this body before it moved
+    to pairwise maxima of strided views; it must still agree bit for bit.
+    """
+    S, C, H, W = x.shape
+    oh, ow = H // 2, W // 2
+    windows = x.reshape(S, C, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5).reshape(S, C, oh, ow, 4)
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    buf = np.zeros((S, C, oh, ow, 4))
+    np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
+    dx = buf.reshape(S, C, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(S, C, H, W)
+    return out, dx
+
+
 def bilinear_direct(x, factor):
     """Per-pixel bilinear upsampling, align-corners false, low edge clamped."""
     S, C, H, W = x.shape

@@ -264,6 +264,27 @@ def test_eval_missing_checkpoint(tmp_path):
     assert code == 2
 
 
+def test_eval_non_finite_scene_exits_3(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"]) == 0
+    load_split = cli.load_split
+
+    def poisoned(root, split):
+        scenes = load_split(root, split)
+        scenes[0].rgb[0, 2, 3] = np.nan
+        return scenes
+
+    monkeypatch.setattr(cli, "load_split", poisoned)
+    capsys.readouterr()
+    code = main(["eval", "--data", str(data), "--ckpt", str(out / "checkpoint.lfdp")])
+    assert code == 3
+    assert "scene rgb holds non-finite values" in capsys.readouterr().err
+
+
 def test_infer_slice_mismatch(tmp_path, capsys):
     data = tmp_path / "ds"
     make_dataset(data)

@@ -7,7 +7,7 @@ from lfdepth.ops import conv2d
 from lfdepth.params import ModuleParams
 from lfdepth.tensor import Tensor
 
-from oracles import fd_gradients, fd_gradients_sampled, max_rel_err
+from oracles import cmfa_complement_3d, fd_gradients, fd_gradients_sampled, max_rel_err
 
 TOL = 1e-4
 
@@ -62,26 +62,43 @@ def test_enhance_shapes_and_mismatch():
         block.enhance(focal, Tensor(np.zeros((1, 3, 5, 7))))
 
 
+@pytest.mark.parametrize("comp_kernel", [(3, 3, 3), (5, 3, 3), (1, 3, 3)])
+@pytest.mark.parametrize("slices", [1, 2, 3, 12])
+def test_complement_matches_3d_conv_slice_mean(slices, comp_kernel):
+    params, block = make_block(channels=3, seed=30, comp_kernel=comp_kernel)
+    rng = np.random.default_rng(31)
+    conv = block.focal_to_rgb
+    conv.bias.data[...] = rng.standard_normal(3)
+    focal = rng.standard_normal((slices, 3, 5, 4))
+    want = cmfa_complement_3d(focal, conv.weight.data, conv.bias.data)
+    got = block.complement(Tensor(focal))
+    assert got.shape == (1, 3, 5, 4)
+    assert max_rel_err(got.data, want) < 1e-13
+
+
 def test_enhance_gradcheck():
-    params, block = make_block(channels=4, seed=2)
-    rng = np.random.default_rng(3)
-    focal = Tensor(rng.standard_normal((4, 4, 6, 6)), requires_grad=True)
-    rgb = Tensor(rng.standard_normal((1, 4, 6, 6)), requires_grad=True)
-    rf = rng.standard_normal((4, 4, 6, 6))
-    rr = rng.standard_normal((1, 4, 6, 6))
+    # 4 slices; 1 slice, where both outer slice taps read nothing; 2 slices,
+    # where the outer taps of a 5-deep kernel read nothing
+    for slices, comp_kernel in ((4, (3, 3, 3)), (1, (3, 3, 3)), (2, (3, 3, 3)), (2, (5, 3, 3))):
+        params, block = make_block(channels=4, seed=2, comp_kernel=comp_kernel)
+        rng = np.random.default_rng(3)
+        focal = Tensor(rng.standard_normal((slices, 4, 6, 6)), requires_grad=True)
+        rgb = Tensor(rng.standard_normal((1, 4, 6, 6)), requires_grad=True)
+        rf = rng.standard_normal((slices, 4, 6, 6))
+        rr = rng.standard_normal((1, 4, 6, 6))
 
-    def build():
-        f2, r2 = block.enhance(focal, rgb)
-        return (f2 * Tensor(rf)).sum() + (r2 * Tensor(rr)).sum()
+        def build():
+            f2, r2 = block.enhance(focal, rgb)
+            return (f2 * Tensor(rf)).sum() + (r2 * Tensor(rr)).sum()
 
-    build().backward()
-    tensors = [focal, rgb] + [t for _, t in params.named() if t.grad is not None]
-    sampled = fd_gradients_sampled(lambda: build().item(), tensors, rng, per_tensor=6)
-    for t, rows in zip(tensors, sampled):
-        flat = t.grad.ravel()
-        for idx, want in rows:
-            denom = max(abs(flat[idx]), abs(want), 1e-6)
-            assert abs(flat[idx] - want) / denom < TOL
+        build().backward()
+        tensors = [focal, rgb] + [t for _, t in params.named() if t.grad is not None]
+        sampled = fd_gradients_sampled(lambda: build().item(), tensors, rng, per_tensor=6)
+        for t, rows in zip(tensors, sampled):
+            flat = t.grad.ravel()
+            for idx, want in rows:
+                denom = max(abs(flat[idx]), abs(want), 1e-6)
+                assert abs(flat[idx] - want) / denom < TOL
 
 
 # -- attention weights -----------------------------------------------------------

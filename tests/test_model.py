@@ -51,6 +51,12 @@ def test_config_rejects_indivisible_size():
         small_config(width=20)
 
 
+@pytest.mark.parametrize("key, value", [("height", 0), ("width", -16), ("decoder_channels", 0)])
+def test_config_rejects_non_positive_extents(key, value):
+    with pytest.raises(ConfigError):
+        small_config(**{key: value})
+
+
 def test_config_rejects_no_streams():
     with pytest.raises(ConfigError):
         small_config(use_rgb_stream=False, use_focal_stream=False)

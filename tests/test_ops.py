@@ -25,7 +25,14 @@ from lfdepth.ops import (
 from lfdepth.params import ModuleParams
 from lfdepth.tensor import Tensor
 
-from oracles import bilinear_direct, conv2d_direct, conv3d_direct, fd_gradients, max_rel_err
+from oracles import (
+    bilinear_direct,
+    conv2d_direct,
+    conv3d_direct,
+    fd_gradients,
+    max_pool2_argmax,
+    max_rel_err,
+)
 
 TOL = 1e-4
 
@@ -363,6 +370,24 @@ def test_max_pool2_gradcheck():
     max_pool2(x).sum().backward()
     want = fd_gradients(lambda: max_pool2(x).sum().item(), [x])[0]
     assert max_rel_err(x.grad, want) < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_max_pool2_matches_argmax_oracle_bitwise(seed):
+    """Forward and input gradient byte for byte: small integers (many tied
+    maxima), windows of zeros, and continuous values with and without zeros."""
+    rng = np.random.default_rng(seed)
+    shape = (3, 4, 8, 10)
+    ties = rng.integers(0, 3, shape).astype(np.float64)
+    ties[:, :, :4, :6] = 0.0
+    for x in (ties, rng.standard_normal(shape), np.maximum(rng.standard_normal(shape), 0.0)):
+        t = Tensor(x.copy(), requires_grad=True)
+        out = max_pool2(t)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        want_out, want_dx = max_pool2_argmax(x, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert t.grad.tobytes() == want_dx.tobytes()
 
 
 def test_max_pool2_odd_extent_rejected():

@@ -22,6 +22,7 @@ from lfdepth.synthdata import (
     generate_scene,
     load_split,
     read_scene,
+    split_names,
     write_scene,
 )
 
@@ -478,3 +479,14 @@ def test_load_split_errors(tmp_path):
     generate_dataset(tmp_path, 2, small_spec())
     with pytest.raises(UsageError):
         load_split(tmp_path, "validation")
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [5, [["scene_0000"]], {"train": 5}, {"train": ["scene_0000", 3]}],
+    ids=["number", "list", "split-not-a-list", "name-not-a-string"],
+)
+def test_malformed_manifest_is_a_format_error(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(FormatError, match="manifest.json"):
+        split_names(tmp_path, "train")

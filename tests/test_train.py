@@ -26,6 +26,7 @@ from lfdepth.train import (
     init_state,
     learning_rate_for,
     load_checkpoint,
+    predict_scene,
     save_checkpoint,
     train_model,
 )
@@ -124,11 +125,11 @@ def test_adam_rejects_non_finite_gradient_without_changing_state():
 
 
 def test_train_model_stops_on_non_finite_gradient_before_adam():
-    """A NaN input pixel that the forward pass drops still poisons the
-    gradients; the step raises instead of updating the weights."""
+    """A NaN weight whose output the relu drops still poisons the gradients
+    of the layers below it; the step raises instead of updating the weights."""
     scene = tiny_scene()
-    scene.rgb[:, 3, 4] = np.nan
     state = init_state(tiny_config(), 0)
+    dict(state.model.params.tensors())["backbone.rgb.stage1b.weight"].data[0, 0, 1, 1] = np.nan
     before = {p: t.data.copy() for p, t in state.model.params.tensors()}
     with pytest.raises(NumericalCheckError, match="non-finite gradient for parameter"):
         train_model([scene], state=state, eval_every=0, augment_data=False)
@@ -139,8 +140,8 @@ def test_train_model_stops_on_non_finite_gradient_before_adam():
 
 def test_train_model_stops_on_non_finite_loss_before_backward():
     scene = tiny_scene()
-    scene.depth[0, 3, 4] = np.nan
     state = init_state(tiny_config(), 0)
+    dict(state.model.params.tensors())["decoder.head.bias"].data[0] = np.nan
     before = {p: t.data.copy() for p, t in state.model.params.tensors()}
     with pytest.raises(NumericalCheckError, match="non-finite loss .* step 1"):
         train_model([scene], state=state, eval_every=0, augment_data=False)
@@ -148,6 +149,26 @@ def test_train_model_stops_on_non_finite_loss_before_backward():
     assert state.log.step_losses == []
     for path, t in state.model.params.tensors():
         assert t.grad is None, path
+        np.testing.assert_array_equal(t.data, before[path])
+
+
+@pytest.mark.parametrize("field", ["rgb", "focal", "depth"])
+def test_non_finite_scene_stops_before_the_forward_pass(field, monkeypatch):
+    scene = tiny_scene()
+    getattr(scene, field).reshape(-1)[7] = np.nan
+    state = init_state(tiny_config(), 0)
+    before = {p: t.data.copy() for p, t in state.model.params.tensors()}
+
+    def forward(*args, **kwargs):
+        raise AssertionError("the forward pass ran")
+
+    monkeypatch.setattr(type(state.model), "__call__", forward)
+    with pytest.raises(NumericalCheckError, match=f"scene {field} holds non-finite values"):
+        train_model([scene], state=state, eval_every=0)
+    with pytest.raises(NumericalCheckError, match=f"scene {field} holds non-finite values"):
+        predict_scene(state.model, scene)
+    assert state.optimizer.step_count == 0 and state.log.step_losses == []
+    for path, t in state.model.params.tensors():
         np.testing.assert_array_equal(t.data, before[path])
 
 
@@ -418,6 +439,21 @@ def test_any_json_config_is_valid_or_a_format_error(doc):
     except FormatError:
         return
     assert isinstance(config, NetworkConfig)
+
+
+@pytest.mark.parametrize("key, value", [("height", 0), ("width", -16), ("decoder_channels", 0)])
+def test_config_with_non_positive_extent_is_a_format_error(tmp_path, key, value):
+    doc = {**config_to_dict(tiny_config()), key: value}
+    with pytest.raises(FormatError, match=str(value)):
+        config_from_dict(doc)
+    path = tmp_path / "ckpt.lfdp"
+    save_checkpoint(path, init_state(tiny_config(), 0))
+    sidecar = tmp_path / "ckpt.lfdp.json"
+    side = json.loads(sidecar.read_text())
+    side["config"][key] = value
+    sidecar.write_text(json.dumps(side))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
 
 
 def test_config_dict_round_trip():
