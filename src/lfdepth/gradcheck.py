@@ -195,6 +195,19 @@ def _scope_ops(seed: int, samples: int, step: float) -> list[GroupReport]:
         ),
         [("a", xa), ("b", xb), ("c", xc)],
     )
+
+    # a constant input, as in each backbone's first conv: only the weight
+    # and bias need a gradient
+    xi = Tensor(rng.normal(size=(2, 3, 8, 8)))
+    wi = Tensor(0.3 * rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    bi = Tensor(0.1 * rng.normal(size=(4,)), requires_grad=True)
+    check(
+        "conv2d_weight_only",
+        lambda: _weighted_mean(
+            relu(conv2d(xi, wi, bi, stride=2)), np.random.default_rng(seed + 8)
+        ),
+        [("w", wi), ("b", bi)],
+    )
     return reports
 
 

@@ -21,6 +21,7 @@ deep-supervision head.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,12 +78,18 @@ class NetworkConfig:
             raise ConfigError(f"need five positive stage channels, got {self.stage_channels}")
         if self.decoder_channels < 1:
             raise ConfigError(f"decoder channels must be >= 1, got {self.decoder_channels}")
-        if len(self.loss_weights) != 3 or any(w < 0 for w in self.loss_weights):
-            raise ConfigError(f"need three non-negative loss weights, got {self.loss_weights}")
+        # chained comparisons: NaN fails both, and a huge JSON int needs no float conversion
+        if len(self.loss_weights) != 3 or not all(0 <= w < math.inf for w in self.loss_weights):
+            raise ConfigError(
+                f"loss_weights must be three finite values >= 0, got {self.loss_weights}"
+            )
         if self.use_cru and not (self.use_cru_md or self.use_cru_mg):
             raise ConfigError("use_cru needs at least one of use_cru_md / use_cru_mg")
-        if self.epochs < 1 or self.learning_rate <= 0 or self.lr_drop <= 0:
-            raise ConfigError("bad optimizer settings")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("learning_rate", "lr_drop"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def stage_size(self, stage: int) -> tuple[int, int]:
         stride = SIDE_STRIDES[SIDE_STAGES.index(stage)]

@@ -5,10 +5,11 @@ Convolutions are cross-correlations (no kernel flip).  ``conv2d`` and
 ``_conv``, over [N, C, *spatial].  The core is an im2col GEMM (Chellapilla
 et al. 2006) in blocks of at most ``_BLOCK_BYTES`` of columns: each block is
 copied out of one strided window view of the padded input and multiplied by
-the [C_out, C*K] weight matrix.  Backward runs on the same blocks: the weight
-gradient multiplies g by the columns, and the input gradient is the forward
-GEMM over the stride-spread, padded g with the flipped kernel (Dumoulin &
-Visin 2016, section 4).  All operators register gradients on the tape.
+the [C_out, C*K] weight matrix.  Backward walks the columns of the
+stride-spread, padded g once: the input gradient is the forward GEMM of those
+columns with the flipped kernel (Dumoulin & Visin 2016, section 4), and the
+weight gradient multiplies the input by the same columns.  All operators
+register gradients on the tape.
 
 Axis conventions: 2-D feature maps are [slices, channels, height, width];
 3-D convolution inputs are [batch, channels, slices, height, width].
@@ -178,10 +179,13 @@ def _conv(
     """Cross-correlation of [N, C, *spatial] with [C_out, C, *kernel].
 
     The one core behind conv2d and conv3d; forward and backward share the
-    im2col blocks of ``_columns``.  The weight gradient sums g @ cols^T over
-    the blocks of the padded input.  The input gradient is the transpose of
-    the convolution: ``_correlate`` of g, spread by the stride and padded by
-    dilation*(k-1) - pad, with the kernel flipped and its channel axes swapped.
+    im2col blocks of ``_columns``.  Backward takes one walk over the columns
+    of g, spread by the stride and padded by dilation*(k-1) - pad, at stride 1
+    over the input extent.  The input gradient is the transpose of the
+    convolution: the kernel, flipped and with its channel axes swapped, times
+    those columns, as ``_correlate`` computes it.  The weight gradient reads
+    the same columns: it sums x @ cols^T over the blocks, which is the flipped,
+    channel-swapped kernel gradient.
     """
     N, C, *spatial = x.shape
     CO, CI, *kernel = weight.shape
@@ -201,21 +205,29 @@ def _conv(
     def backward(g):
         if bias is not None:
             _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
-        if weight.requires_grad:
-            CK = C * math.prod(kernel)
-            dw = np.zeros((CO, CK))
-            for items, rs, cols in _columns(xp, kernel, stride, dilation, out_sp):
-                gb = g[items, :, rs].reshape(len(cols), CO, -1)
-                dw += np.matmul(gb, cols.reshape(len(cols), CK, -1).transpose(0, 2, 1)).sum(axis=0)
-            _accum(weight, dw.reshape(weight.shape))
-        if x.requires_grad:
-            if starts != out_sp:
-                spread = np.zeros((N, CO) + starts)
-                spread[(slice(None),) * 2 + (slice(None, None, stride),) * D] = g
-                g = spread
-            back = tuple(dilation * (k - 1) - p for k, p in zip(kernel, pads))
-            flipped = np.flip(weight.data, tuple(range(2, 2 + D))).swapaxes(0, 1)
-            _accum(x, _correlate(_pad(g, back), flipped, None, 1, dilation, spatial))
+        if not (x.requires_grad or weight.requires_grad):
+            return
+        if starts != out_sp:
+            spread = np.zeros((N, CO) + starts)
+            spread[(slice(None),) * 2 + (slice(None, None, stride),) * D] = g
+            g = spread
+        back = tuple(dilation * (k - 1) - p for k, p in zip(kernel, pads))
+        taps = tuple(range(2, 2 + D))
+        # [C, CO*K]: the flipped kernel with its channel axes swapped
+        wt = np.flip(weight.data, taps).swapaxes(0, 1).reshape(C, -1)
+        dx = np.empty(x.shape) if x.requires_grad else None
+        dwt = np.zeros(wt.shape) if weight.requires_grad else None
+        for items, rs, cols in _columns(_pad(g, back), kernel, 1, dilation, spatial):
+            cols = cols.reshape(len(cols), wt.shape[1], -1)
+            if dx is not None:
+                np.matmul(wt, cols, out=dx[items, :, rs].reshape(len(cols), C, -1))
+            if dwt is not None:
+                xb = x.data[items, :, rs].reshape(len(cols), C, -1)
+                dwt += np.matmul(xb, cols.transpose(0, 2, 1)).sum(axis=0)
+        if dwt is not None:
+            _accum(weight, np.flip(dwt.reshape((C, CO) + tuple(kernel)), taps).swapaxes(0, 1))
+        if dx is not None:
+            _accum(x, dx)
 
     return _track(out, parents, backward)
 

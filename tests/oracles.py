@@ -3,7 +3,9 @@
 Everything in here is deliberately written the slow, obvious way (scalar
 loops, dense windows, central differences) and never calls back into the
 package's backward pass or fast paths.  If a test compares the library to
-one of these and both agree, the agreement is meaningful.
+one of these and both agree, the agreement is meaningful.  The exceptions are
+the previous bodies of rewritten functions, kept to pin a rewrite bit for bit;
+each says in its docstring what it shares with the package.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from lfdepth.errors import UsageError
+from lfdepth.ops import _columns, _correlate, _pad
 
 
 def fd_gradients(loss_fn, tensors, step=1e-5):
@@ -131,6 +134,40 @@ def cmfa_complement_3d(focal, w, b):
     """
     volume = np.ascontiguousarray(focal.transpose(1, 0, 2, 3))[None]
     return conv3d_direct(volume, w, b).mean(axis=2)
+
+
+def conv_backward_two_walks(x, w, g, stride, dilation, pads):
+    """Input and weight gradients of ``ops._conv`` for output gradient ``g``, in two walks.
+
+    ``ops._conv`` had this backward before it took both gradients from one
+    walk.  The weight gradient walks the columns of the padded input and sums
+    g @ cols^T; the input gradient is ``_correlate`` of the stride-spread,
+    padded g with the flipped, channel-swapped kernel.  It runs on the
+    package's im2col walker and GEMM, which that change left as they were, so
+    the new input gradient must agree bit for bit and the weight gradient up
+    to summation order.  Returns (dx, dw).
+    """
+    N, C, *spatial = x.shape
+    CO, _, *kernel = w.shape
+    starts = tuple(n + 2 * p - dilation * (k - 1) for n, k, p in zip(spatial, kernel, pads))
+    out_sp = tuple((s - 1) // stride + 1 for s in starts)
+    D = len(kernel)
+    xp = _pad(x, pads)
+
+    CK = C * math.prod(kernel)
+    dw = np.zeros((CO, CK))
+    for items, rs, cols in _columns(xp, kernel, stride, dilation, out_sp):
+        gb = g[items, :, rs].reshape(len(cols), CO, -1)
+        dw += np.matmul(gb, cols.reshape(len(cols), CK, -1).transpose(0, 2, 1)).sum(axis=0)
+
+    if starts != out_sp:
+        spread = np.zeros((N, CO) + starts)
+        spread[(slice(None),) * 2 + (slice(None, None, stride),) * D] = g
+        g = spread
+    back = tuple(dilation * (k - 1) - p for k, p in zip(kernel, pads))
+    flipped = np.flip(w, tuple(range(2, 2 + D))).swapaxes(0, 1)
+    dx = _correlate(_pad(g, back), flipped, None, 1, dilation, spatial)
+    return dx, dw.reshape(w.shape)
 
 
 def max_pool2_argmax(x, g):

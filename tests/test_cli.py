@@ -139,6 +139,23 @@ def test_train_non_finite_step_exits_3(tmp_path, capsys):
     assert not (out / "checkpoint.lfdp").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", float("nan")),
+    ("lr_drop", float("nan")),
+    ("loss_weights", [1.0, 1.0, float("inf")]),
+])
+def test_train_non_finite_setting_exits_1_before_any_checkpoint(tmp_path, capsys, key, value):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_network_keys(write_run_config(tmp_path / "run.json"), **{key: value})
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"])
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not (out / "checkpoint.lfdp").exists()
+
+
 def test_train_resume_from_checkpoint(tmp_path):
     data = tmp_path / "ds"
     make_dataset(data)

@@ -57,6 +57,23 @@ def test_config_rejects_non_positive_extents(key, value):
         small_config(**{key: value})
 
 
+NON_FINITE_SETTINGS = [
+    ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
+    ("learning_rate", 0.0),
+    ("lr_drop", math.nan),
+    ("lr_drop", -math.inf),
+    ("loss_weights", (1.0, math.nan, 1.0)),
+    ("loss_weights", (math.inf, 1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("key, value", NON_FINITE_SETTINGS)
+def test_config_rejects_non_finite_rates_and_weights(key, value):
+    with pytest.raises(ConfigError, match=key):
+        small_config(**{key: value})
+
+
 def test_config_rejects_no_streams():
     with pytest.raises(ConfigError):
         small_config(use_rgb_stream=False, use_focal_stream=False)

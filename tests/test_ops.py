@@ -28,6 +28,7 @@ from lfdepth.tensor import Tensor
 from oracles import (
     bilinear_direct,
     conv2d_direct,
+    conv_backward_two_walks,
     conv3d_direct,
     fd_gradients,
     max_pool2_argmax,
@@ -41,25 +42,32 @@ def leaf(rng, *shape, scale=1.0):
     return Tensor(scale * rng.standard_normal(shape), requires_grad=True)
 
 
-def block_sizes(channels, kernel, out_shape):
-    """_BLOCK_BYTES for the default blocks, blocks of two items, blocks of two output rows."""
-    row = 8 * channels * math.prod(kernel) * math.prod(out_shape[3:])
-    return ops._BLOCK_BYTES, 2 * row * out_shape[2], 2 * row
+def block_sizes(channels, kernel, shape):
+    """_BLOCK_BYTES for the default blocks, blocks of two items, blocks of two rows.
+
+    Sized for an im2col walk of ``channels`` channels over the extent
+    ``shape[2:]``: the forward walks C channels over the output extent, the
+    backward CO channels over the input extent.
+    """
+    row = 8 * channels * math.prod(kernel) * math.prod(shape[3:])
+    return ops._BLOCK_BYTES, 2 * row * shape[2], 2 * row
 
 
-def adjoint_gaps(conv, x, w, b, g):
+def adjoint_gaps(conv, x, w, b, g, needs=(True, True)):
     """Relative gaps of <x, dx> and <w, dw> from <conv(x, w, b) - b, g>.
 
     A convolution is bilinear in (x, w), so both inner products equal that
     one exactly up to rounding; this pins the input gradient's kernel flip,
     back-padding and stride spread, not only its agreement with finite
-    differences.
+    differences.  ``needs`` says which of x and w require a gradient; only
+    their gaps are returned.
     """
-    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    xt, wt = (Tensor(a, requires_grad=r) for a, r in zip((x, w), needs))
+    bt = Tensor(b, requires_grad=True)
     out = conv(xt, wt, bt)
     (out * Tensor(g)).sum().backward()
     want = np.vdot(out.data, g) - np.vdot(b, bt.grad)
-    return [abs(np.vdot(t.data, t.grad) - want) / abs(want) for t in (xt, wt)]
+    return [abs(np.vdot(t.data, t.grad) - want) / abs(want) for t in (xt, wt) if t.requires_grad]
 
 
 # -- conv2d -------------------------------------------------------------------
@@ -230,8 +238,9 @@ def test_conv3d_gradcheck(padding, monkeypatch):
             assert max_rel_err(t.grad, g) < TOL
 
 
-def test_conv_holds_only_padded_input_and_output():
-    # the backward closure must not keep the im2col block buffer alive
+def test_conv_holds_only_its_output():
+    # the backward closure keeps neither the padded input (295 KB here)
+    # nor the im2col block buffer alive
     rng = np.random.default_rng(11)
     x = leaf(rng, 4, 8, 32, 32)
     w = leaf(rng, 8, 8, 3, 3)
@@ -242,8 +251,75 @@ def test_conv_holds_only_padded_input_and_output():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    padded = 4 * 8 * 34 * 34 * 8
-    assert held <= padded + out.data.nbytes + 16384
+    assert held <= out.data.nbytes + 16384
+
+
+# (input shape, out channels, kernel, stride, dilation, padding)
+BACKWARD_CASES = [
+    ((2, 3, 6, 7), 4, (3, 3), 1, 1, "same"),
+    ((3, 2, 8, 8), 3, (3, 3), 1, 1, "valid"),
+    ((3, 2, 9, 8), 3, (3, 3), 2, 1, "same"),
+    ((2, 3, 9, 9), 2, (3, 3), 2, 1, "valid"),
+    ((2, 2, 9, 10), 3, (3, 3), 1, 2, "same"),
+    ((2, 3, 11, 9), 2, (3, 3), 1, 3, "same"),
+    ((2, 4, 9, 9), 3, (3, 3), 1, 7, "same"),
+    ((1, 2, 16, 15), 2, (3, 3), 1, 7, "valid"),
+    ((3, 4, 5, 6), 2, (1, 1), 1, 1, "same"),
+    ((2, 2, 7, 6), 3, (5, 3), 2, 2, "same"),
+    ((2, 2, 4, 5, 6), 3, (3, 3, 3), 1, 1, "same"),
+    ((1, 3, 4, 6, 5), 2, (3, 3, 3), 1, 1, "valid"),
+]
+
+
+@pytest.mark.parametrize("shape,co,kernel,stride,dilation,padding", BACKWARD_CASES)
+def test_conv_backward_matches_two_walk_oracle(
+    shape, co, kernel, stride, dilation, padding, monkeypatch
+):
+    rng = np.random.default_rng(hash((shape, co, stride, dilation)) % 2**32)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((co, shape[1]) + kernel)
+    pads = ops._pads(padding, kernel, dilation)
+    for block_bytes in block_sizes(co, kernel, shape):
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = ops._conv(xt, wt, None, stride, dilation, pads)
+        g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        dx, dw = conv_backward_two_walks(x, w, g, stride, dilation, pads)
+        np.testing.assert_array_equal(xt.grad, dx)
+        assert max_rel_err(wt.grad, dw) < 1e-13
+
+
+@pytest.mark.parametrize("needs", [(True, False), (False, True)], ids=["x-only", "weight-only"])
+@pytest.mark.parametrize("shape,co,kernel,stride,dilation,padding", [
+    ((2, 3, 8, 8), 4, (3, 3), 1, 1, "same"),
+    ((2, 2, 9, 9), 3, (3, 3), 2, 1, "valid"),
+    ((1, 2, 9, 9), 2, (3, 3), 1, 3, "same"),
+])
+def test_conv2d_one_sided_gradient(shape, co, kernel, stride, dilation, padding, needs):
+    rng = np.random.default_rng(hash((shape, co, stride, dilation, needs)) % 2**32)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((co, shape[1]) + kernel)
+    b = rng.standard_normal(co)
+
+    def conv(x, w, b):
+        return conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding)
+
+    want = conv2d_direct(x, w, b, stride=stride, dilation=dilation, padding=padding)
+    g = rng.standard_normal(want.shape)
+    xt, wt = (Tensor(a, requires_grad=r) for a, r in zip((x, w), needs))
+    out = conv(xt, wt, Tensor(b))
+    assert max_rel_err(out.data, want) < 1e-12
+    (out * Tensor(g)).sum().backward()
+    both_x, both_w = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    (conv(both_x, both_w, Tensor(b)) * Tensor(g)).sum().backward()
+    for t, both in ((xt, both_x), (wt, both_w)):
+        if t.requires_grad:
+            np.testing.assert_array_equal(t.grad, both.grad)
+        else:
+            assert t.grad is None
+    gaps = adjoint_gaps(conv, x, w, b, g, needs)
+    assert len(gaps) == 1 and gaps[0] < 1e-12
 
 
 def test_conv3d_valid_needs_enough_slices():

@@ -456,6 +456,26 @@ def test_config_with_non_positive_extent_is_a_format_error(tmp_path, key, value)
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", float("nan")),
+    ("lr_drop", float("inf")),
+    ("loss_weights", [1.0, float("nan"), 1.0]),
+    ("loss_weights", [1.0, 1.0, -float("inf")]),
+])
+def test_config_with_non_finite_rate_or_weight_is_a_format_error(tmp_path, key, value):
+    doc = {**config_to_dict(tiny_config()), key: value}
+    with pytest.raises(FormatError, match=key):
+        config_from_dict(doc)
+    path = tmp_path / "ckpt.lfdp"
+    save_checkpoint(path, init_state(tiny_config(), 0))
+    sidecar = tmp_path / "ckpt.lfdp.json"
+    side = json.loads(sidecar.read_text())
+    side["config"][key] = value
+    sidecar.write_text(json.dumps(side))  # json writes NaN and Infinity, and reads them back
+    with pytest.raises(FormatError, match=key):
+        load_checkpoint(path)
+
+
 def test_config_dict_round_trip():
     cfg = tiny_config(loss_weights=(2.0, 0.5, 1.0))
     doc = config_to_dict(cfg)
