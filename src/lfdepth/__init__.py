@@ -1,6 +1,6 @@
 """Focal-stack depth estimation on a self-contained float64 autodiff core."""
 
-from .cmfa import Cmfa, CmfaConfig
+from .cmfa import Cmfa
 from .cru import Cru, CruConfig, node_count, zero_fuse
 from .errors import (
     ConfigError,

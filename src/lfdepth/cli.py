@@ -69,8 +69,9 @@ def load_run_config(path) -> dict:
     unknown = sorted(set(doc) - set(_RUN_KINDS))
     if unknown:
         raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
-    if doc["eval_every"] < 0:
-        raise ConfigError(f"{path}: 'eval_every' must be a non-negative integer")
+    for key in ("seed", "eval_every"):
+        if doc[key] < 0:
+            raise ConfigError(f"{path}: {key!r} must be a non-negative integer")
     return {**doc, "network": network}
 
 

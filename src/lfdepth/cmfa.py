@@ -1,79 +1,67 @@
 """Cross-modal fusion of focal-stack and RGB feature maps.
 
 Two steps.  First each stream is enhanced with complementary information
-from the other: the focal volume passes through a 3-D conv and a slice-mean
-before joining the RGB map, the RGB map passes through a 2-D conv and is
-broadcast to every focal slice, and each sum is refined by a per-slice 1x1
-conv.  The slice mean commutes with the convolution, so it is taken first:
-one 2-D conv over per-tap slice sums gives the same complement at 1/S of
-the work.  Second, the enhanced slices plus the enhanced RGB map form a bundle
-of N = S + 1 features (RGB in the last slot) that is collapsed by two rounds
-of per-slice scalar attention:
+from the other: the focal volume passes through a 3-D conv (kernel
+COMP_KERNEL) and a slice-mean before joining the RGB map, the RGB map passes
+through a 2-D conv and is broadcast to every focal slice, and each sum is
+refined by a per-slice 1x1 conv.  The slice mean commutes with the
+convolution, so it is taken first: one 2-D conv over per-tap slice sums gives
+the same complement at 1/S of the work.  Second, the enhanced slices plus the
+enhanced RGB map form a bundle of N = S + 1 features (RGB in the last slot)
+that is collapsed by two rounds of per-slice scalar attention:
 
     gamma_j = sigmoid(fc(dropout(gap(f_j))))          coarse weights
     F_f1    = sum_j gamma_j f_j / sum_j gamma_j       convex combination
     lambda_j = sigmoid(fc(dropout(gap([f_j, F_f1])))) relation weights
     F_f2    = sum_j gamma_j lambda_j [f_j, F_f1] / sum_j gamma_j lambda_j
 
-and a final 3x3 conv maps the 2*C1 channels of F_f2 back to C1.  Both
-normalized sums are convex combinations, so every element of F_f1 and F_f2
-stays inside the elementwise min/max envelope of its inputs; zeroing the
+and a final 3x3 conv maps the 2*C1 channels of F_f2 back to C1.  The pair
+bundle [f_j, F_f1] is never built.  Pooling is per channel, so the relation
+head reads [gap(f_j), gap(F_f1)], 2*C1 numbers per slice.  The F_f1 half of
+F_f2 is a convex combination of N copies of F_f1, so it is F_f1 itself:
+F_f2 = [sum_j gamma_j lambda_j f_j / sum_j gamma_j lambda_j, F_f1].
+
+Both normalized sums are convex combinations, so every element of F_f1 and
+F_f2 stays inside the elementwise min/max envelope of its inputs; zeroing the
 attention heads turns both into plain means.  In training mode both heads
 drop pooled features at the fixed rate DROPOUT_RATE = 0.5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UsageError
-from .ops import (
-    Conv2Spec,
-    Conv2d,
-    Conv3d,
-    Linear,
-    concat,
-    conv2d,
-    dropout,
-    global_avg_pool,
-    sigmoid,
-)
+from .ops import Conv2d, Linear, concat, conv2d, dropout, global_avg_pool, kaiming_normal, sigmoid
 from .params import ModuleParams
 from .tensor import Tensor, broadcast_to, reduce, reshape, transpose
 
+COMP_KERNEL = (3, 3, 3)                  # focal->rgb 3-D conv kernel: slices, height, width
 DROPOUT_RATE = 0.5                       # on the pooled features of both attention heads
-
-
-@dataclass(frozen=True)
-class CmfaConfig:
-    channels: int                        # C1, per-slice feature channels
-    comp_kernel: tuple[int, int, int] = (3, 3, 3)  # focal->rgb 3-D conv kernel
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        if any(k % 2 == 0 for k in self.comp_kernel):
-            raise ConfigError(f"complement kernel extents must be odd, got {self.comp_kernel}")
 
 
 class Cmfa:
     """Fuses [S,C1,H,W] focal features with a [1,C1,H,W] RGB feature."""
 
-    def __init__(self, params: ModuleParams, name: str, config: CmfaConfig,
+    def __init__(self, params: ModuleParams, name: str, channels: int,
                  rng: np.random.Generator):
-        self.config = config
+        if channels < 1:
+            raise ConfigError(f"channels must be >= 1, got {channels}")
+        self.channels = C1 = channels
         scope = params.child(name)
-        C1 = config.channels
-        self.focal_to_rgb = Conv3d(scope, "focal_to_rgb", C1, C1,
-                                   kernel=config.comp_kernel, rng=rng)
-        self.rgb_to_focal = Conv2d(scope, "rgb_to_focal", Conv2Spec(C1, C1, (3, 3)), rng)
-        self.post_rgb = Conv2d(scope, "post_rgb", Conv2Spec(C1, C1, (1, 1)), rng)
-        self.post_focal = Conv2d(scope, "post_focal", Conv2Spec(C1, C1, (1, 1)), rng)
+        comp = scope.child("focal_to_rgb")
+        self.comp_weight = comp.add(
+            "weight", kaiming_normal(rng, (C1, C1) + COMP_KERNEL, C1 * math.prod(COMP_KERNEL))
+        )
+        self.comp_bias = comp.add("bias", np.zeros(C1))
+        self.rgb_to_focal = Conv2d(scope, "rgb_to_focal", C1, C1, 3, rng)
+        self.post_rgb = Conv2d(scope, "post_rgb", C1, C1, 1, rng)
+        self.post_focal = Conv2d(scope, "post_focal", C1, C1, 1, rng)
         self.gamma_head = Linear(scope, "gamma_head", C1, 1, rng)
         self.lambda_head = Linear(scope, "lambda_head", 2 * C1, 1, rng)
-        self.fuse = Conv2d(scope, "fuse", Conv2Spec(2 * C1, C1, (3, 3)), rng)
+        self.fuse = Conv2d(scope, "fuse", 2 * C1, C1, 3, rng)
 
     # -- step one: cross-residual enhancement --------------------------------
 
@@ -88,7 +76,7 @@ class Cmfa:
         return focal_out, rgb_out
 
     def complement(self, f_focal: Tensor) -> Tensor:
-        """Slice mean of ``focal_to_rgb`` over the [1,C1,S,H,W] focal volume: [1,C1,H,W].
+        """Slice mean of the 'same' 3-D conv over the [1,C1,S,H,W] focal volume: [1,C1,H,W].
 
         Under 'same' padding, slice tap j of the 3-D kernel reads slices
         [j - r, S + j - r) clipped to the stack (r = ks // 2) over all S
@@ -98,65 +86,54 @@ class Cmfa:
         slice (|j - r| >= S) drops out with its weight slice.
         """
         s, c = f_focal.shape[:2]
-        conv = self.focal_to_rgb
-        ks = conv.weight.shape[2]
+        ks = self.comp_weight.shape[2]
         r = ks // 2
         lo, hi = max(0, r - s + 1), min(ks, r + s)
         sums = [
             reduce(f_focal[max(0, j - r) : min(s, s + j - r)], 0, "sum", keepdims=True)
             for j in range(lo, hi)
         ]
-        weight = transpose(conv.weight, (0, 2, 1, 3, 4))[:, lo:hi]
+        weight = transpose(self.comp_weight, (0, 2, 1, 3, 4))[:, lo:hi]
         weight = reshape(weight, (c, (hi - lo) * c) + weight.shape[3:])
-        return conv2d(concat(sums, axis=1), weight) / s + reshape(conv.bias, (1, c, 1, 1))
+        return conv2d(concat(sums, axis=1), weight) / s + reshape(self.comp_bias, (1, c, 1, 1))
 
     # -- step two: attention over the slice bundle -----------------------------
 
-    def bundle(self, f_focal: Tensor, f_rgb: Tensor) -> Tensor:
-        """Stack focal slices and the RGB feature (last slot) along axis 0."""
-        return concat([f_focal, f_rgb], axis=0)
-
-    def _head(self, linear, feats: Tensor, mode: str, rng) -> Tensor:
-        pooled = global_avg_pool(feats)
+    def _head(self, linear, pooled: Tensor, mode: str, rng) -> Tensor:
+        """Per-slice weights in (0, 1) from pooled features [N, K]."""
         if mode == "train":
             if rng is None:
                 raise UsageError("train mode needs an rng for dropout")
-            pooled = dropout(pooled, DROPOUT_RATE, "train", rng)
+            pooled = dropout(pooled, DROPOUT_RATE, rng)
         elif mode != "eval":
             raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
-        return reshape(sigmoid(linear(pooled)), (feats.shape[0],))
+        return reshape(sigmoid(linear(pooled)), (pooled.shape[0],))
 
     def self_attention_weights(self, slices: Tensor, mode: str = "eval", rng=None) -> Tensor:
-        return self._head(self.gamma_head, slices, mode, rng)
+        return self._head(self.gamma_head, global_avg_pool(slices), mode, rng)
 
     def global_aggregate(self, slices: Tensor, gamma: Tensor) -> Tensor:
         n = slices.shape[0]
         g = reshape(gamma, (n, 1, 1, 1))
         return reduce(slices * g, 0, "sum", keepdims=True) / gamma.sum()
 
-    def _paired(self, slices: Tensor, f1: Tensor) -> Tensor:
-        n, c, h, w = slices.shape
-        return concat([slices, broadcast_to(f1, (n, c, h, w))], axis=1)
-
     def relation_attention_weights(self, slices: Tensor, f1: Tensor,
                                    mode: str = "eval", rng=None) -> Tensor:
-        return self._head(self.lambda_head, self._paired(slices, f1), mode, rng)
+        n, c = slices.shape[:2]
+        pooled = concat([global_avg_pool(slices), broadcast_to(global_avg_pool(f1), (n, c))],
+                        axis=1)
+        return self._head(self.lambda_head, pooled, mode, rng)
 
     def relation_aggregate(self, slices: Tensor, f1: Tensor,
                            gamma: Tensor, lam: Tensor) -> Tensor:
-        pairs = self._paired(slices, f1)
-        w = gamma * lam
-        n = slices.shape[0]
-        weighted = reduce(pairs * reshape(w, (n, 1, 1, 1)), 0, "sum", keepdims=True)
-        return weighted / w.sum()
+        return concat([self.global_aggregate(slices, gamma * lam), f1], axis=1)
 
     def __call__(self, f_focal: Tensor, f_rgb: Tensor,
                  mode: str = "eval", rng=None) -> Tensor:
         focal2, rgb2 = self.enhance(f_focal, f_rgb)
-        slices = self.bundle(focal2, rgb2)
+        slices = concat([focal2, rgb2], axis=0)
         gamma = self.self_attention_weights(slices, mode, rng)
         f1 = self.global_aggregate(slices, gamma)
         lam = self.relation_attention_weights(slices, f1, mode, rng)
         f2 = self.relation_aggregate(slices, f1, gamma, lam)
         return self.fuse(f2)
-

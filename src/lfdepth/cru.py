@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .ops import Conv2Spec, Conv2d, concat, kaiming_normal, relu
+from .ops import Conv2d, concat, kaiming_normal, relu
 from .params import ModuleParams
 from .tensor import Tensor, matmul, reshape, transpose
 
@@ -78,12 +78,12 @@ class GraphBranch:
         self.scope = params.child(name)
         self.rng = rng
         C, Ci = config.channels, config.branch_channels
-        self.psi = Conv2d(self.scope, "psi", Conv2Spec(C, Ci, (1, 1)), rng)
+        self.psi = Conv2d(self.scope, "psi", C, Ci, 1, rng)
         # channel mixing W_i is bias-free so a zero matrix annihilates M
         self.channel_mix = self.scope.add(
             "channel_mix", kaiming_normal(rng, (Ci, Ci), Ci)
         )
-        self.expand = Conv2d(self.scope, "expand", Conv2Spec(Ci, C, (1, 1)), rng)
+        self.expand = Conv2d(self.scope, "expand", Ci, C, 1, rng)
         # the branch output is cubic in the feature scale (B enters twice,
         # psi(x) once); a small expansion keeps it from drowning the block's
         # residual path early in training
@@ -98,10 +98,7 @@ class GraphBranch:
         key = (h, w)
         if key not in self._lazy:
             n = self.nodes(h, w)
-            phi = Conv2d(
-                self.scope, f"phi_{h}x{w}",
-                Conv2Spec(self.config.channels, n, (1, 1)), self.rng,
-            )
+            phi = Conv2d(self.scope, f"phi_{h}x{w}", self.config.channels, n, 1, self.rng)
             # The assignment maps B enter the output twice (projection sums
             # over H*W pixels, re-projection over n nodes), so at standard
             # init the branch output grows like sqrt(n*H*W) and swamps the
@@ -156,14 +153,12 @@ class Cru:
         if config.use_dilated:
             half = C // 2
             md = scope.child("md")
-            self.cross = Conv2d(md, "cross", Conv2Spec(C, C, (1, 1)), rng)
+            self.cross = Conv2d(md, "cross", C, C, 1, rng)
             self.dilated = [
-                Conv2d(md, f"rate{r}", Conv2Spec(C, half, (3, 3), dilation=r), rng)
+                Conv2d(md, f"rate{r}", C, half, 3, rng, dilation=r)
                 for r in DILATION_RATES
             ]
-            self.md_fuse = Conv2d(
-                md, "fuse", Conv2Spec(half * len(DILATION_RATES), C, (1, 1)), rng
-            )
+            self.md_fuse = Conv2d(md, "fuse", half * len(DILATION_RATES), C, 1, rng)
 
         if config.use_graph:
             mg = scope.child("mg")
@@ -171,10 +166,10 @@ class Cru:
                 GraphBranch(mg, f"branch{i}", config, i, rng)
                 for i in range(1, GRAPH_BRANCHES + 1)
             ]
-            self.trail = Conv2d(mg, "trail", Conv2Spec(C, C, (3, 3)), rng)
+            self.trail = Conv2d(mg, "trail", C, C, 3, rng)
 
         width = C * (int(config.use_dilated) + int(config.use_graph))
-        self.fuse = Conv2d(scope, "fuse", Conv2Spec(width, C, (1, 1)), rng)
+        self.fuse = Conv2d(scope, "fuse", width, C, 1, rng)
 
     def multi_dilated(self, x: Tensor) -> Tensor:
         if not self.config.use_dilated:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cmfa import Cmfa, CmfaConfig
+from .cmfa import Cmfa
 from .cru import Cru, CruConfig
 from .errors import NumericalCheckError, UsageError
 from .model import DepthNet, NetworkConfig, prediction_loss
@@ -225,7 +225,7 @@ def _scope_cru(seed: int, samples: int, step: float) -> list[GroupReport]:
 def _scope_cmfa(seed: int, samples: int, step: float) -> list[GroupReport]:
     rng = np.random.default_rng(seed)
     params = ModuleParams()
-    block = Cmfa(params, "cmfa", CmfaConfig(channels=2), rng)
+    block = Cmfa(params, "cmfa", 2, rng)
     _shift_biases(params, rng)
     focal = Tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=False)
     rgbf = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=False)
@@ -297,6 +297,8 @@ def check_scope(
 ) -> list[GroupReport]:
     if scope not in _SCOPE_FNS:
         raise UsageError(f"unknown gradcheck scope {scope!r}; choose from {SCOPES}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     return _SCOPE_FNS[scope](seed, samples, step)
 
 

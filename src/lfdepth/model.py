@@ -26,18 +26,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cmfa import Cmfa, CmfaConfig
+from .cmfa import Cmfa
 from .cru import Cru, CruConfig, zero_fuse
 from .errors import ConfigError, ShapeError, UsageError
-from .ops import (
-    Conv2Spec,
-    Conv2d,
-    concat,
-    max_pool2,
-    relu,
-    sigmoid,
-    upsample_bilinear,
-)
+from .ops import Conv2d, concat, max_pool2, relu, sigmoid, upsample_bilinear
 from .params import ModuleParams
 from .tensor import Tensor, narrow, reshape, sqrt
 
@@ -104,8 +96,8 @@ class Backbone:
         self.convs = []
         cin = 3
         for i, cout in enumerate(stage_channels, start=1):
-            a = Conv2d(scope, f"stage{i}a", Conv2Spec(cin, cout, (3, 3)), rng)
-            b = Conv2d(scope, f"stage{i}b", Conv2Spec(cout, cout, (3, 3)), rng)
+            a = Conv2d(scope, f"stage{i}a", cin, cout, 3, rng)
+            b = Conv2d(scope, f"stage{i}b", cout, cout, 3, rng)
             self.convs.append((a, b))
             cin = cout
 
@@ -126,7 +118,7 @@ class PlainStack:
     def __init__(self, params: ModuleParams, name: str, channels: int, rng):
         scope = params.child(name)
         self.convs = [
-            Conv2d(scope, f"layer{i + 1}", Conv2Spec(channels, channels, (3, 3)), rng)
+            Conv2d(scope, f"layer{i + 1}", channels, channels, 3, rng)
             for i in range(PLAIN_STACK_DEPTH)
         ]
 
@@ -143,7 +135,7 @@ class FlattenFusion:
                  with_rgb: bool, rng):
         total = channels * (slices + (1 if with_rgb else 0))
         self.with_rgb = with_rgb
-        self.conv = Conv2d(params.child(name), "fuse", Conv2Spec(total, channels, (3, 3)), rng)
+        self.conv = Conv2d(params.child(name), "fuse", total, channels, 3, rng)
 
     def __call__(self, focal: Tensor | None, rgb: Tensor | None) -> Tensor:
         parts = []
@@ -212,14 +204,7 @@ class DepthNet:
             channels = cc.stage_channels[stage]
             name = f"stage{stage + 1}"
             if both and cc.use_cmfa:
-                self.fusion.append(
-                    Cmfa(
-                        self.params.child("cmfa"),
-                        name,
-                        CmfaConfig(channels),
-                        rng,
-                    )
-                )
+                self.fusion.append(Cmfa(self.params.child("cmfa"), name, channels, rng))
             elif cc.use_focal_stream:
                 self.fusion.append(
                     FlattenFusion(
@@ -232,10 +217,10 @@ class DepthNet:
         dec = self.params.child("decoder")
         d = cc.decoder_channels
         c3, c4, c5 = (cc.stage_channels[s] for s in SIDE_STAGES)
-        self.p5_conv = Conv2d(dec, "p5", Conv2Spec(c5, d, (3, 3)), rng)
-        self.p4_conv = Conv2d(dec, "p4", Conv2Spec(d + c4, d, (3, 3)), rng)
-        self.p3_conv = Conv2d(dec, "p3", Conv2Spec(d + c3, d, (3, 3)), rng)
-        self.head = Conv2d(dec, "head", Conv2Spec(d, 1, (1, 1)), rng)
+        self.p5_conv = Conv2d(dec, "p5", c5, d, 3, rng)
+        self.p4_conv = Conv2d(dec, "p4", d + c4, d, 3, rng)
+        self.p3_conv = Conv2d(dec, "p3", d + c3, d, 3, rng)
+        self.head = Conv2d(dec, "head", d, 1, 1, rng)
 
     # -- forward -----------------------------------------------------------
 

@@ -18,7 +18,6 @@ Axis conventions: 2-D feature maps are [slices, channels, height, width];
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,13 +57,11 @@ def sigmoid(x: Tensor) -> Tensor:
     return _track(s, (x,), backward)
 
 
-def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: identity in eval mode, 1/(1-rate) scaling in train."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout with 1/(1-rate) scaling; callers apply it in training only."""
     if not 0.0 <= rate < 1.0:
         raise UsageError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise UsageError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or rate == 0.0:
+    if rate == 0.0:
         return x
     x = as_tensor(x)
     scale = (rng.random(x.shape) >= rate) / (1.0 - rate)
@@ -76,21 +73,6 @@ def dropout(x: Tensor, rate: float, mode: str, rng: np.random.Generator) -> Tens
 
 
 # -- convolutions ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Conv2Spec:
-    """Static description of a 2-D convolution layer: stride 1, 'same' zero padding."""
-
-    in_channels: int
-    out_channels: int
-    kernel: tuple[int, int] = (3, 3)
-    dilation: int = 1
-
-    def __post_init__(self):
-        if self.dilation < 1:
-            raise ShapeError("dilation must be >= 1")
-        _pads("same", self.kernel, self.dilation)
 
 
 def _pads(padding: str, kernel, dilation: int) -> tuple[int, ...]:
@@ -253,23 +235,18 @@ def conv2d(
     return _conv(x, weight, bias, stride, dilation, _pads(padding, weight.shape[2:], dilation))
 
 
-def conv3d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    padding: str = "same",
-) -> Tensor:
+def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """3-D cross-correlation over [B, C, S, H, W] (slice axis is spatial).
 
-    ``weight`` is [C_out, C_in, ks, kh, kw]; 'valid' drops padding on every
-    axis, 'same' preserves all extents.  Stride and dilation are 1.
+    ``weight`` is [C_out, C_in, ks, kh, kw]; 'same' zero padding preserves
+    all extents.  Stride and dilation are 1.
     """
     x = as_tensor(x)
     if x.ndim != 5 or weight.ndim != 5:
         raise ShapeError(
             f"conv3d expects [B, C, S, H, W] and a 5-D kernel, got {x.shape} and {weight.shape}"
         )
-    return _conv(x, weight, bias, 1, 1, _pads(padding, weight.shape[2:], 1))
+    return _conv(x, weight, bias, 1, 1, _pads("same", weight.shape[2:], 1))
 
 
 def fc(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -388,43 +365,24 @@ def kaiming_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Conv2d:
-    """Conv2Spec + its weight/bias registered under ``params.child(name)``."""
+    """Stride-1 'same' k x k convolution, weight and bias under ``params.child(name)``."""
 
-    def __init__(self, params: ModuleParams, name: str, spec: Conv2Spec, rng: np.random.Generator):
-        kh, kw = spec.kernel
+    def __init__(self, params: ModuleParams, name: str, in_channels: int, out_channels: int,
+                 kernel: int, rng: np.random.Generator, dilation: int = 1):
+        if dilation < 1:
+            raise ShapeError("dilation must be >= 1")
+        _pads("same", (kernel, kernel), dilation)
         scope = params.child(name)
-        fan_in = spec.in_channels * kh * kw
         self.weight = scope.add(
-            "weight", kaiming_normal(rng, (spec.out_channels, spec.in_channels, kh, kw), fan_in)
-        )
-        self.bias = scope.add("bias", np.zeros(spec.out_channels))
-        self.spec = spec
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, dilation=self.spec.dilation)
-
-
-class Conv3d:
-    def __init__(
-        self,
-        params: ModuleParams,
-        name: str,
-        in_channels: int,
-        out_channels: int,
-        kernel: tuple[int, int, int] = (3, 3, 3),
-        *,
-        rng: np.random.Generator,
-    ):
-        ks, kh, kw = kernel
-        scope = params.child(name)
-        fan_in = in_channels * ks * kh * kw
-        self.weight = scope.add(
-            "weight", kaiming_normal(rng, (out_channels, in_channels, ks, kh, kw), fan_in)
+            "weight",
+            kaiming_normal(rng, (out_channels, in_channels, kernel, kernel),
+                           in_channels * kernel * kernel),
         )
         self.bias = scope.add("bias", np.zeros(out_channels))
+        self.dilation = dilation
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv3d(x, self.weight, self.bias)
+        return conv2d(x, self.weight, self.bias, dilation=self.dilation)
 
 
 class Linear:

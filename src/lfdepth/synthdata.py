@@ -55,6 +55,8 @@ class GenSpec:
             raise ConfigError(f"scene size must be divisible by 16, got {self.height}x{self.width}")
         if self.slices < 2:
             raise ConfigError(f"need at least 2 slices, got {self.slices}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.blur_gain) and self.blur_gain >= 0):
             raise ConfigError(f"blur gain must be finite and >= 0, got {self.blur_gain}")
         if self.depth_style not in DEPTH_STYLES:

@@ -70,17 +70,10 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self._parents
-
     def item(self) -> float:
         if self.size != 1:
             raise UsageError(f"item() needs a one-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -130,9 +123,6 @@ class Tensor:
 
     def mean(self, axes=None, keepdims: bool = False):
         return reduce(self, axes, "mean", keepdims)
-
-    def max(self, axes=None, keepdims: bool = False):
-        return reduce(self, axes, "max", keepdims)
 
     def abs(self):
         return absolute(self)
@@ -325,33 +315,23 @@ def _norm_axes(axes, ndim: int) -> tuple[int, ...]:
 
 
 def reduce(x: Tensor, axes, op: str, keepdims: bool = False) -> Tensor:
-    """Reduce ``x`` over ``axes`` (all axes when None) with sum, mean or max."""
+    """Reduce ``x`` over ``axes`` (all axes when None) with sum or mean."""
     x = as_tensor(x)
+    if op not in ("sum", "mean"):
+        raise UsageError(f"unknown reduce op {op!r}")
     axes = _norm_axes(axes, x.ndim)
     kept = tuple(1 if i in axes else n for i, n in enumerate(x.shape))
+    data = x.data.sum(axis=axes, keepdims=True)
+    count = float(np.prod([x.shape[i] for i in axes])) if axes else 1.0
+    if op == "mean":
+        data = data / count
 
-    if op == "sum" or op == "mean":
-        data = x.data.sum(axis=axes, keepdims=True)
-        count = float(np.prod([x.shape[i] for i in axes])) if axes else 1.0
+    def backward(g):
+        gk = g.reshape(kept)
         if op == "mean":
-            data = data / count
-
-        def backward(g):
-            gk = g.reshape(kept)
-            if op == "mean":
-                gk = gk / count
-            _accum(x, np.broadcast_to(gk, x.shape).copy())
-
-    elif op == "max":
-        data = x.data.max(axis=axes, keepdims=True)
-        mask = (x.data == data).astype(np.float64)
-        mask /= mask.sum(axis=axes, keepdims=True)  # split gradient across ties
-
-        def backward(g):
-            _accum(x, mask * g.reshape(kept))
-
-    else:
-        raise UsageError(f"unknown reduce op {op!r}")
+            gk = gk / count
+        # a read-only view: _accum copies it into, or adds it to, x.grad
+        _accum(x, np.broadcast_to(gk, x.shape))
 
     if not keepdims:
         data = data.reshape(tuple(n for i, n in enumerate(x.shape) if i not in axes))

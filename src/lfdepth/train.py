@@ -74,17 +74,26 @@ class Adam:
         return out
 
     def load_state_entries(self, entries: dict[str, np.ndarray]) -> None:
+        """Restore ``state_entries`` output; a malformed step or moment set is a FormatError."""
         if "adam.step" not in entries:
             raise FormatError("checkpoint is missing the optimizer step counter")
-        self.step_count = int(entries["adam.step"])
-        self.m = {
-            k[len("adam.m.") :]: np.array(v) for k, v in entries.items()
-            if k.startswith("adam.m.")
-        }
-        self.v = {
-            k[len("adam.v.") :]: np.array(v) for k, v in entries.items()
-            if k.startswith("adam.v.")
-        }
+        step = np.asarray(entries["adam.step"])
+        # written so that NaN fails the check
+        if step.shape != () or not (0 <= step < np.inf and step == np.floor(step)):
+            raise FormatError(f"optimizer step must be a non-negative integer, got {step}")
+        moments: dict[str, dict[str, np.ndarray]] = {"m": {}, "v": {}}
+        for key, arr in entries.items():
+            if key == "adam.step":
+                continue
+            kind, _, path = key[len("adam.") :].partition(".")
+            if kind not in moments or not path:
+                raise FormatError(f"unknown optimizer entry {key!r}")
+            moments[kind][path] = np.array(arr)
+        unpaired = sorted(set(moments["m"]) ^ set(moments["v"]))
+        if unpaired:
+            raise FormatError(f"optimizer moments without their partner: {unpaired[:4]}")
+        self.step_count = int(step)
+        self.m, self.v = moments["m"], moments["v"]
 
 
 def learning_rate_for(config: NetworkConfig, epoch: int) -> float:
@@ -110,6 +119,8 @@ class TrainState:
 
 
 def init_state(config: NetworkConfig, seed: int) -> TrainState:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     init_rng = np.random.default_rng(seed)
     model = DepthNet(config, init_rng)
     # separate stream for shuffling/augmentation/dropout so resumed runs
@@ -300,6 +311,7 @@ _SIDECAR_KINDS = {"config": dict, "epoch": int, "rng_state": dict, "metrics": li
 
 
 def load_checkpoint(path) -> TrainState:
+    """The run ``save_checkpoint`` wrote; a malformed or non-finite checkpoint is a FormatError."""
     sidecar_path = str(path) + ".json"
     sidecar = read_json(sidecar_path)
     rng = np.random.default_rng(0)
@@ -317,6 +329,9 @@ def load_checkpoint(path) -> TrainState:
         raise FormatError(f"{sidecar_path}: {err}") from None
 
     entries = load_params(path)
+    for key, arr in entries.items():
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{path}: entry {key!r} holds non-finite values")
     param_entries = {k: v for k, v in entries.items() if not k.startswith("adam.")}
     adam_entries = {k: v for k, v in entries.items() if k.startswith("adam.")}
 
@@ -324,6 +339,15 @@ def load_checkpoint(path) -> TrainState:
     model.params.load_state(param_entries)
     optimizer = Adam()
     optimizer.load_state_entries(adam_entries)
+    shapes = {p: t.shape for p, t in model.params.tensors()}
+    for p, m in optimizer.m.items():
+        if p not in shapes:
+            raise FormatError(f"{path}: optimizer moments for {p!r} name no model parameter")
+        if m.shape != shapes[p] or optimizer.v[p].shape != shapes[p]:
+            raise FormatError(
+                f"{path}: optimizer moments for {p!r} are {m.shape} and "
+                f"{optimizer.v[p].shape}, the parameter is {shapes[p]}"
+            )
 
     log = TrainLog(
         step_losses=[float(v) for v in sidecar["step_losses"]],

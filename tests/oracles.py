@@ -136,6 +136,30 @@ def cmfa_complement_3d(focal, w, b):
     return conv3d_direct(volume, w, b).mean(axis=2)
 
 
+def cmfa_relation_pairs(slices, f1, gamma, w, b):
+    """The CMFA relation stage on the pair bundle, the way the paper states it.
+
+    ``slices`` [N, C, H, W] and ``f1`` [1, C, H, W] form the bundle
+    pairs_j = [f_j, F_f1] of [N, 2C, H, W]; in eval mode
+    lambda = sigmoid(gap(pairs) @ w + b) and
+    F_f2 = sum_j gamma_j lambda_j pairs_j / sum_j gamma_j lambda_j.
+    Returns (lambda [N], F_f2 [1, 2C, H, W]).  ``Cmfa`` built this bundle
+    before it pooled each half on its own.  The arithmetic repeats the
+    package's pooling, affine map and clamped, sign-split sigmoid step for
+    step, so lambda can be compared bit for bit.
+    """
+    n, _, h, w_ = slices.shape
+    pairs = np.concatenate([slices, np.broadcast_to(f1, slices.shape)], axis=1)
+    z = (pairs.sum(axis=(2, 3)) / float(h * w_) @ w + b).reshape(n)
+    pos = z >= 0
+    e = np.exp(np.where(pos, -z, z))
+    lam = np.clip(np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e)),
+                  np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    wts = gamma * lam
+    f2 = (pairs * wts[:, None, None, None]).sum(axis=0, keepdims=True) / wts.sum()
+    return lam, f2
+
+
 def conv_backward_two_walks(x, w, g, stride, dilation, pads):
     """Input and weight gradients of ``ops._conv`` for output gradient ``g``, in two walks.
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from lfdepth.cmfa import Cmfa, CmfaConfig
+from lfdepth.cmfa import Cmfa
 from lfdepth.cru import Cru, CruConfig, node_count, zero_fuse
 from lfdepth.gradcheck import SCOPES, assert_all_pass, check_scope
 from lfdepth.metrics import evaluate
@@ -104,11 +104,11 @@ def test_criterion_2_identity_reductions():
 
     # (b) identity-reduced enhancement + zeroed heads = plain-mean fusion
     params = ModuleParams()
-    fuser = Cmfa(params, "cmfa", CmfaConfig(channels=4), np.random.default_rng(2))
-    c = fuser.config.channels
-    for conv in (fuser.focal_to_rgb, fuser.rgb_to_focal):
-        conv.weight.data[...] = 0.0
-        conv.bias.data[...] = 0.0
+    fuser = Cmfa(params, "cmfa", 4, np.random.default_rng(2))
+    c = fuser.channels
+    for t in (fuser.comp_weight, fuser.comp_bias, fuser.rgb_to_focal.weight,
+              fuser.rgb_to_focal.bias):
+        t.data[...] = 0.0
     for conv in (fuser.post_rgb, fuser.post_focal):
         conv.weight.data[...] = np.eye(c).reshape(c, c, 1, 1)
         conv.bias.data[...] = 0.0
@@ -139,7 +139,7 @@ def test_criterion_3_attention_convexity_and_threshold_order():
         h = int(rng.integers(4, 7))
         w = int(rng.integers(4, 7))
         params = ModuleParams()
-        block = Cmfa(params, "cmfa", CmfaConfig(channels=c), rng)
+        block = Cmfa(params, "cmfa", c, rng)
         slices = Tensor(rng.standard_normal((n, c, h, w)))
 
         gamma = block.self_attention_weights(slices)

@@ -9,6 +9,7 @@ import lfdepth.cli as cli
 from lfdepth.cli import main, worker_count
 from lfdepth.errors import ConfigError
 from lfdepth.gradcheck import GroupReport
+from lfdepth.params import load_params, save_params
 from lfdepth.pnm import read_pgm16
 from lfdepth.synthdata import GenSpec, generate_dataset
 
@@ -47,6 +48,15 @@ def test_generate_writes_dataset(tmp_path, capsys):
     assert len(manifest["train"]) == 2 and len(manifest["test"]) == 1
     assert (out / "scene_0000" / "rgb.ppm").exists()
     assert (out / "scene_0000" / "depth.pgm").exists()
+
+
+def test_generate_negative_seed_exits_1_before_writing(tmp_path, capsys):
+    out = tmp_path / "ds"
+    code = main(["generate", "--out", str(out), "--scenes", "2", "--size", "16", "16",
+                 "--slices", "2", "--seed", "-1"])
+    assert code == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_rejects_bad_size(tmp_path, capsys):
@@ -174,6 +184,37 @@ def test_train_resume_from_checkpoint(tmp_path):
                  "--out", str(out2), "--quiet", "--eval-every", "0"]) == 0
     log = json.loads((out2 / "train_log.json").read_text())
     assert len(log["epoch_losses"]) == 2
+
+
+def test_train_resume_with_corrupt_optimizer_state_exits_2(tmp_path, capsys):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"]) == 0
+    ckpt = out / "checkpoint.lfdp"
+    entries = load_params(ckpt)
+    entries["adam.step"] = np.asarray(-3.0)
+    save_params(ckpt, entries)
+    out2 = tmp_path / "run2"
+    code = main(["train", "--data", str(data), "--resume", str(ckpt),
+                 "--out", str(out2), "--quiet"])
+    assert code == 2
+    assert "optimizer step" in capsys.readouterr().err
+    assert not out2.exists()
+
+
+def test_train_negative_seed_exits_1_before_any_checkpoint(tmp_path, capsys):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json", seed=-1)
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_needs_config_or_resume(tmp_path, capsys):
@@ -347,6 +388,17 @@ def test_ablate_rejects_unknown_name(tmp_path, capsys):
     assert "Extra" in capsys.readouterr().err
 
 
+def test_ablate_negative_seed_exits_1_before_writing(tmp_path, capsys):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    out = tmp_path / "ab"
+    code = main(["ablate", "--data", str(data), "--ladder", "Baseline", "--epochs", "1",
+                 "--seed", "-1", "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_rejects_empty_ladder(tmp_path):
     data = tmp_path / "ds"
     make_dataset(data)
@@ -362,6 +414,11 @@ def test_gradcheck_ops_passes(capsys):
     text = capsys.readouterr().out
     assert "[ops]" in text
     assert "all gradient checks pass" in text
+
+
+def test_gradcheck_negative_seed_exits_1(capsys):
+    assert main(["gradcheck", "--module", "ops", "--seed", "-1"]) == 1
+    assert "seed" in capsys.readouterr().err
 
 
 def test_gradcheck_failure_exits_3(monkeypatch, capsys):

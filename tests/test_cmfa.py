@@ -1,29 +1,35 @@
 import numpy as np
 import pytest
 
-from lfdepth.cmfa import Cmfa, CmfaConfig
+from lfdepth.cmfa import Cmfa
 from lfdepth.errors import ConfigError, ShapeError, UsageError
-from lfdepth.ops import conv2d
+from lfdepth.ops import conv2d, kaiming_normal
 from lfdepth.params import ModuleParams
 from lfdepth.tensor import Tensor
 
-from oracles import cmfa_complement_3d, fd_gradients, fd_gradients_sampled, max_rel_err
+from oracles import (
+    cmfa_complement_3d,
+    cmfa_relation_pairs,
+    fd_gradients,
+    fd_gradients_sampled,
+    max_rel_err,
+)
 
 TOL = 1e-4
 
 
-def make_block(channels=4, seed=0, **kw):
+def make_block(channels=4, seed=0):
     params = ModuleParams()
-    block = Cmfa(params, "cmfa", CmfaConfig(channels, **kw), np.random.default_rng(seed))
+    block = Cmfa(params, "cmfa", channels, np.random.default_rng(seed))
     return params, block
 
 
 def identity_reduce_enhancement(block):
     """Zero complement convs, identity 1x1 post convs: enhance becomes a no-op."""
-    c = block.config.channels
-    for conv in (block.focal_to_rgb, block.rgb_to_focal):
-        conv.weight.data[...] = 0.0
-        conv.bias.data[...] = 0.0
+    c = block.channels
+    for t in (block.comp_weight, block.comp_bias, block.rgb_to_focal.weight,
+              block.rgb_to_focal.bias):
+        t.data[...] = 0.0
     for conv in (block.post_rgb, block.post_focal):
         conv.weight.data[...] = np.eye(c).reshape(c, c, 1, 1)
         conv.bias.data[...] = 0.0
@@ -65,22 +71,22 @@ def test_enhance_shapes_and_mismatch():
 @pytest.mark.parametrize("comp_kernel", [(3, 3, 3), (5, 3, 3), (1, 3, 3)])
 @pytest.mark.parametrize("slices", [1, 2, 3, 12])
 def test_complement_matches_3d_conv_slice_mean(slices, comp_kernel):
-    params, block = make_block(channels=3, seed=30, comp_kernel=comp_kernel)
+    params, block = make_block(channels=3, seed=30)
     rng = np.random.default_rng(31)
-    conv = block.focal_to_rgb
-    conv.bias.data[...] = rng.standard_normal(3)
+    # the complement reads the slice depth of its kernel from the weight
+    block.comp_weight = Tensor(rng.standard_normal((3, 3) + comp_kernel))
+    block.comp_bias.data[...] = rng.standard_normal(3)
     focal = rng.standard_normal((slices, 3, 5, 4))
-    want = cmfa_complement_3d(focal, conv.weight.data, conv.bias.data)
+    want = cmfa_complement_3d(focal, block.comp_weight.data, block.comp_bias.data)
     got = block.complement(Tensor(focal))
     assert got.shape == (1, 3, 5, 4)
     assert max_rel_err(got.data, want) < 1e-13
 
 
 def test_enhance_gradcheck():
-    # 4 slices; 1 slice, where both outer slice taps read nothing; 2 slices,
-    # where the outer taps of a 5-deep kernel read nothing
-    for slices, comp_kernel in ((4, (3, 3, 3)), (1, (3, 3, 3)), (2, (3, 3, 3)), (2, (5, 3, 3))):
-        params, block = make_block(channels=4, seed=2, comp_kernel=comp_kernel)
+    # 4 and 2 slices; 1 slice, where both outer slice taps read nothing
+    for slices in (4, 1, 2):
+        params, block = make_block(channels=4, seed=2)
         rng = np.random.default_rng(3)
         focal = Tensor(rng.standard_normal((slices, 4, 6, 6)), requires_grad=True)
         rgb = Tensor(rng.standard_normal((1, 4, 6, 6)), requires_grad=True)
@@ -227,6 +233,52 @@ def test_relation_aggregate_hand_arithmetic():
     assert abs(f2[0, 1, 0, 0] - m) < 1e-15
 
 
+@pytest.mark.parametrize("shape", [(2, 1, 3, 3), (5, 4, 5, 7), (7, 3, 6, 4), (13, 64, 16, 16)])
+def test_relation_stage_matches_pair_bundle(shape):
+    """Pooled halves and F_f1 itself reproduce the relation stage on [f_j, F_f1]."""
+    params, block = make_block(channels=shape[1], seed=27)
+    slices = Tensor(np.random.default_rng(28).standard_normal(shape))
+    gamma = block.self_attention_weights(slices)
+    f1 = block.global_aggregate(slices, gamma)
+    lam = block.relation_attention_weights(slices, f1)
+    f2 = block.relation_aggregate(slices, f1, gamma, lam)
+    head = block.lambda_head
+    want_lam, want_f2 = cmfa_relation_pairs(
+        slices.data, f1.data, gamma.data, head.weight.data, head.bias.data
+    )
+    np.testing.assert_array_equal(lam.data, want_lam)
+    assert f2.shape == want_f2.shape
+    assert max_rel_err(f2.data, want_f2) <= 1e-15
+
+
+# -- parameters -------------------------------------------------------------------
+
+
+def test_parameter_layout_and_complement_init():
+    c = 3
+    params, block = make_block(channels=c, seed=29)
+    assert [(path, t.shape) for path, t in params.named()] == [
+        ("cmfa.focal_to_rgb.weight", (c, c, 3, 3, 3)),
+        ("cmfa.focal_to_rgb.bias", (c,)),
+        ("cmfa.rgb_to_focal.weight", (c, c, 3, 3)),
+        ("cmfa.rgb_to_focal.bias", (c,)),
+        ("cmfa.post_rgb.weight", (c, c, 1, 1)),
+        ("cmfa.post_rgb.bias", (c,)),
+        ("cmfa.post_focal.weight", (c, c, 1, 1)),
+        ("cmfa.post_focal.bias", (c,)),
+        ("cmfa.gamma_head.weight", (c, 1)),
+        ("cmfa.gamma_head.bias", (1,)),
+        ("cmfa.lambda_head.weight", (2 * c, 1)),
+        ("cmfa.lambda_head.bias", (1,)),
+        ("cmfa.fuse.weight", (c, 2 * c, 3, 3)),
+        ("cmfa.fuse.bias", (c,)),
+    ]
+    # the complement weight is the block's first draw
+    want = kaiming_normal(np.random.default_rng(29), (c, c, 3, 3, 3), 27 * c)
+    np.testing.assert_array_equal(block.comp_weight.data, want)
+    np.testing.assert_array_equal(block.comp_bias.data, np.zeros(c))
+
+
 # -- full forward -----------------------------------------------------------------
 
 
@@ -260,7 +312,9 @@ def test_forward_zero_heads_equals_plain_mean_fusion():
 
 
 def test_forward_permutation_invariance_symmetric_config():
-    params, block = make_block(seed=21, comp_kernel=(1, 3, 3))
+    params, block = make_block(seed=21)
+    # a kernel one slice deep: the complement no longer sees slice order
+    block.comp_weight.data[:, :, [0, 2]] = 0.0
     rng = np.random.default_rng(22)
     focal = rng.standard_normal((6, 4, 5, 5))
     rgb = Tensor(rng.standard_normal((1, 4, 5, 5)))
@@ -303,6 +357,4 @@ def test_gradient_reaches_every_slice():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        CmfaConfig(0)
-    with pytest.raises(ConfigError):
-        CmfaConfig(4, comp_kernel=(2, 3, 3))
+        make_block(channels=0)

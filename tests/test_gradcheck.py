@@ -16,6 +16,11 @@ def test_unknown_scope_rejected():
         check_scope("decoder")
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(UsageError):
+        check_scope("ops", seed=-1)
+
+
 def test_assert_all_pass_accepts_clean_reports():
     assert_all_pass([GroupReport("a.weight", 1e-9, 4), GroupReport("b.bias", 3e-7, 4)])
 

@@ -7,9 +7,7 @@ import pytest
 from lfdepth import ops
 from lfdepth.errors import ShapeError, UsageError
 from lfdepth.ops import (
-    Conv2Spec,
     Conv2d,
-    Conv3d,
     Linear,
     concat,
     conv2d,
@@ -203,33 +201,27 @@ def test_conv3d_matches_direct_sum(monkeypatch):
     x = rng.standard_normal((1, 2, 4, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3, 3))
     b = rng.standard_normal(3)
-    for padding in ("same", "valid"):
-        want = conv3d_direct(x, w, b, padding=padding)
-        g = rng.standard_normal(want.shape)
-
-        def conv(x, w, b):
-            return conv3d(x, w, b, padding=padding)
-
-        for block_bytes in block_sizes(2, (3, 3, 3), want.shape):
-            monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
-            got = conv(Tensor(x), Tensor(w), Tensor(b))
-            assert got.shape == want.shape
-            assert max_rel_err(got.data, want) < 1e-12
-            assert max(adjoint_gaps(conv, x, w, b, g)) < 1e-12
+    want = conv3d_direct(x, w, b)
+    g = rng.standard_normal(want.shape)
+    for block_bytes in block_sizes(2, (3, 3, 3), want.shape):
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+        got = conv3d(Tensor(x), Tensor(w), Tensor(b))
+        assert got.shape == want.shape
+        assert max_rel_err(got.data, want) < 1e-12
+        assert max(adjoint_gaps(conv3d, x, w, b, g)) < 1e-12
 
 
-@pytest.mark.parametrize("padding", ["same", "valid"])
-def test_conv3d_gradcheck(padding, monkeypatch):
+def test_conv3d_gradcheck(monkeypatch):
     rng = np.random.default_rng(10)
     x = leaf(rng, 1, 2, 4, 6, 6)
     w = leaf(rng, 2, 2, 3, 3, 3, scale=0.4)
     b = leaf(rng, 2)
 
     def build():
-        return conv3d(x, w, b, padding=padding).sum()
+        return conv3d(x, w, b).sum()
 
     want = fd_gradients(lambda: build().item(), [x, w, b])
-    for block_bytes in block_sizes(2, (3, 3, 3), conv3d(x, w, padding=padding).shape):
+    for block_bytes in block_sizes(2, (3, 3, 3), conv3d(x, w).shape):
         monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
         for t in (x, w, b):
             t.zero_grad()
@@ -322,11 +314,6 @@ def test_conv2d_one_sided_gradient(shape, co, kernel, stride, dilation, padding,
     assert len(gaps) == 1 and gaps[0] < 1e-12
 
 
-def test_conv3d_valid_needs_enough_slices():
-    with pytest.raises(ShapeError):
-        conv3d(Tensor(np.zeros((1, 1, 2, 5, 5))), Tensor(np.zeros((1, 1, 3, 3, 3))), padding="valid")
-
-
 # -- fc / pooling / activations ---------------------------------------------------
 
 
@@ -396,14 +383,13 @@ def test_relu_gradcheck_off_kink():
 
 def test_dropout_eval_is_same_object():
     x = Tensor(np.ones((3, 3)))
-    assert dropout(x, 0.5, "eval", np.random.default_rng(0)) is x
-    assert dropout(x, 0.0, "train", np.random.default_rng(0)) is x
+    assert dropout(x, 0.0, np.random.default_rng(0)) is x
 
 
 def test_dropout_train_preserves_mean():
     rng = np.random.default_rng(16)
     x = Tensor(np.ones(100_000))
-    out = dropout(x, 0.5, "train", rng)
+    out = dropout(x, 0.5, rng)
     kept = out.data[out.data != 0.0]
     assert np.all(kept == 2.0)
     assert abs(out.data.mean() - 1.0) < 0.02
@@ -412,7 +398,7 @@ def test_dropout_train_preserves_mean():
 def test_dropout_grad_routes_through_mask():
     rng_seed = 17
     x = Tensor(np.ones(64), requires_grad=True)
-    out = dropout(x, 0.25, "train", np.random.default_rng(rng_seed))
+    out = dropout(x, 0.25, np.random.default_rng(rng_seed))
     out.sum().backward()
     np.testing.assert_array_equal(x.grad, out.data)  # grad of sum is the same scaling
 
@@ -420,9 +406,7 @@ def test_dropout_grad_routes_through_mask():
 def test_dropout_bad_args():
     x = Tensor(np.ones(4))
     with pytest.raises(UsageError):
-        dropout(x, 1.0, "train", np.random.default_rng(0))
-    with pytest.raises(UsageError):
-        dropout(x, 0.5, "test", np.random.default_rng(0))
+        dropout(x, 1.0, np.random.default_rng(0))
 
 
 # -- pooling / resize ---------------------------------------------------------------
@@ -527,24 +511,12 @@ def test_concat_wrapper_grad():
 
 def test_conv2d_layer_registers_params():
     params = ModuleParams()
-    layer = Conv2d(params, "probe", Conv2Spec(3, 8, (3, 3)), np.random.default_rng(0))
+    layer = Conv2d(params, "probe", 3, 8, 3, np.random.default_rng(0))
     names = dict(params.named())
     assert set(names) == {"probe.weight", "probe.bias"}
     assert names["probe.weight"].shape == (8, 3, 3, 3)
     out = layer(Tensor(np.zeros((2, 3, 6, 6))))
     assert out.shape == (2, 8, 6, 6)
-
-
-def test_conv3d_layer_needs_rng():
-    with pytest.raises(TypeError):
-        Conv3d(ModuleParams(), "c", 2, 2)
-
-
-def test_conv3d_layer_roundtrip_shape():
-    params = ModuleParams()
-    layer = Conv3d(params, "vol", 2, 4, kernel=(3, 3, 3), rng=np.random.default_rng(1))
-    out = layer(Tensor(np.zeros((1, 2, 5, 6, 6))))
-    assert out.shape == (1, 4, 5, 6, 6)
 
 
 def test_linear_layer():
@@ -555,8 +527,9 @@ def test_linear_layer():
     assert params.count() == 6 * 2 + 2
 
 
-def test_conv2spec_validation():
+def test_conv2d_layer_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ShapeError):
-        Conv2Spec(1, 1, (2, 2))
+        Conv2d(ModuleParams(), "c", 1, 1, 2, rng)
     with pytest.raises(ShapeError):
-        Conv2Spec(1, 1, (3, 3), dilation=0)
+        Conv2d(ModuleParams(), "c", 1, 1, 3, rng, dilation=0)

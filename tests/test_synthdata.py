@@ -67,6 +67,11 @@ def test_genspec_rejects_non_finite_blur_gain(gain):
         small_spec(blur_gain=gain)
 
 
+def test_genspec_rejects_negative_seed():
+    with pytest.raises(ConfigError):
+        small_spec(seed=-1)
+
+
 # -- defocus rendering -------------------------------------------------------------
 
 

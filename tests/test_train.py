@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfdepth.errors import FormatError, NumericalCheckError, UsageError
+from lfdepth.errors import ConfigError, FormatError, NumericalCheckError, UsageError
 from lfdepth.metrics import DepthMetrics
 from lfdepth.model import NetworkConfig
-from lfdepth.params import ModuleParams
+from lfdepth.params import ModuleParams, load_params, save_params
 from lfdepth.synthdata import GenSpec, generate_scene
 from lfdepth.tensor import Tensor
 import lfdepth.train as train_module
@@ -324,6 +324,81 @@ def test_load_checkpoint_errors(tmp_path):
     (tmp_path / "broken.lfdp.json").write_text("{oops")
     with pytest.raises(FormatError):
         load_checkpoint(tmp_path / "broken.lfdp")
+
+
+def first_moment(entries):
+    return next(k for k in entries if k.startswith("adam.m."))[len("adam.m.") :]
+
+
+def set_entries(*pairs):
+    def corrupt(entries):
+        for key, value in pairs:
+            entries[key] = np.asarray(value, dtype=np.float64)
+    return corrupt
+
+
+def drop_v(entries):
+    del entries["adam.v." + first_moment(entries)]
+
+
+def moment_of_shape_one(entries):
+    entries["adam.m." + first_moment(entries)] = np.zeros(1)
+
+
+def non_finite_entry(prefix):
+    def corrupt(entries):
+        key = next(k for k in entries if k.startswith(prefix))
+        entries[key] = entries[key].copy()
+        entries[key].flat[0] = np.inf
+    return corrupt
+
+
+CORRUPT_OPTIMIZER_STATE = {
+    "step-nan": set_entries(("adam.step", np.nan)),
+    "step-inf": set_entries(("adam.step", np.inf)),
+    "step-vector": set_entries(("adam.step", [1.0, 2.0])),
+    "step-negative": set_entries(("adam.step", -3.0)),
+    "step-fraction": set_entries(("adam.step", 1.5)),
+    "m-without-v": drop_v,
+    "m-of-no-parameter": set_entries(("adam.m.nowhere.weight", [0.0])),
+    "pair-of-no-parameter": set_entries(("adam.m.nowhere.weight", [0.0]),
+                                        ("adam.v.nowhere.weight", [0.0])),
+    "m-of-another-shape": moment_of_shape_one,
+    "unknown-entry": set_entries(("adam.x", 0.0)),
+    "non-finite-moment": non_finite_entry("adam.v."),
+    "non-finite-parameter": non_finite_entry("backbone."),
+}
+
+
+@pytest.fixture(scope="module")
+def one_epoch_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.lfdp"
+    save_checkpoint(path, train_model([tiny_scene(0)], tiny_config(), seed=3, until_epoch=1,
+                                      eval_every=0))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_OPTIMIZER_STATE))
+def test_corrupt_optimizer_state_is_a_format_error(tmp_path, one_epoch_checkpoint, case):
+    entries = load_params(one_epoch_checkpoint)
+    CORRUPT_OPTIMIZER_STATE[case](entries)
+    path = tmp_path / "bad.lfdp"
+    save_params(path, entries)
+    (tmp_path / "bad.lfdp.json").write_text(
+        (one_epoch_checkpoint.parent / "ckpt.lfdp.json").read_text()
+    )
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_negative_seed_is_a_config_error_before_training(monkeypatch):
+    with pytest.raises(ConfigError):
+        init_state(tiny_config(), -1)
+    with pytest.raises(ConfigError):
+        train_model([tiny_scene(0)], tiny_config(), seed=-1)
+    monkeypatch.setattr(train_module, "DepthNet", None)  # any model build would fail
+    with pytest.raises(ConfigError):
+        ablation_run([tiny_scene(0)], ["Baseline"], tiny_config(), seed=-1)
 
 
 # Configs written before these settings became constants carry them at
