@@ -1,4 +1,7 @@
-"""Focal-stack depth estimation on a self-contained float64 autodiff core."""
+"""Focal-stack depth estimation on a self-contained autodiff core.
+
+Training, gradients and checkpoints are float64; inference runs in float32.
+"""
 
 from .cmfa import Cmfa
 from .cru import Cru, CruConfig, node_count, zero_fuse

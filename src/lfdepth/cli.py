@@ -29,6 +29,7 @@ from .model import NetworkConfig
 from .pnm import write_pgm16
 from .synthdata import GenSpec, generate_dataset, load_split, read_scene, split_names
 from .train import (
+    INFERENCE_DTYPE,
     ablation_run,
     config_from_dict,
     format_metric,
@@ -169,6 +170,7 @@ def cmd_eval(args) -> int:
     if args.json:
         doc = {
             "split": args.split,
+            "dtype": INFERENCE_DTYPE.name,
             "scenes": {n: m.as_dict() for n, m in zip(names, per_scene)},
             "aggregate": mean.as_dict(),
         }

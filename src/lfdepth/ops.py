@@ -11,6 +11,11 @@ columns with the flipped kernel (Dumoulin & Visin 2016, section 4), and the
 weight gradient multiplies the input by the same columns.  All operators
 register gradients on the tape.
 
+Every operator computes and allocates in its input's dtype.  Convolutions
+and ``fc`` cast a float64 weight and bias to a float32 input's dtype where
+they read them (a no-op in float64), so one parameter tree serves float64
+training and float32 inference without being changed.
+
 Axis conventions: 2-D feature maps are [slices, channels, height, width];
 3-D convolution inputs are [batch, channels, slices, height, width].
 """
@@ -29,10 +34,6 @@ from .tensor import Tensor, _accum, _track, as_tensor, concat_tensors, reduce
 
 # -- activations ---------------------------------------------------------------
 
-_ONE_BELOW = np.nextafter(1.0, 0.0)
-_ZERO_ABOVE = np.nextafter(0.0, 1.0)
-
-
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     mask = x.data > 0
@@ -49,7 +50,10 @@ def sigmoid(x: Tensor) -> Tensor:
     pos = x.data >= 0
     e = np.exp(np.where(pos, -x.data, x.data))  # exp of a non-positive number
     s = np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
-    s = np.clip(s, _ZERO_ABOVE, _ONE_BELOW)
+    # bounds in the input's dtype (float64's nextafter(1, 0) is 1 in float32); the low
+    # one is the smallest normal number, so that upsampling the map cannot underflow to 0
+    info = np.finfo(s.dtype)
+    s = np.clip(s, info.tiny, 1 - info.epsneg)
 
     def backward(g):
         _accum(x, g * s * (1.0 - s))
@@ -64,7 +68,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate == 0.0:
         return x
     x = as_tensor(x)
-    scale = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    scale = ((rng.random(x.shape) >= rate) / (1.0 - rate)).astype(x.data.dtype, copy=False)
 
     def backward(g):
         _accum(x, g * scale)
@@ -94,7 +98,7 @@ def _pad(a: np.ndarray, pads) -> np.ndarray:
     """``a`` [N, C, *spatial] zero-padded by ``pads`` on both sides of each spatial axis."""
     if not any(pads):
         return a
-    out = np.zeros(a.shape[:2] + tuple(n + 2 * p for n, p in zip(a.shape[2:], pads)))
+    out = np.zeros(a.shape[:2] + tuple(n + 2 * p for n, p in zip(a.shape[2:], pads)), a.dtype)
     out[(slice(None),) * 2 + tuple(slice(p, p + n) for p, n in zip(pads, a.shape[2:]))] = a
     return out
 
@@ -119,10 +123,10 @@ def _columns(xp: np.ndarray, kernel, stride: int, dilation: int, out_sp):
     ].transpose((0, 1) + tuple(range(2 + D, 2 + 2 * D)) + tuple(range(2, 2 + D)))
 
     rows, row_len = out_sp[0], math.prod(out_sp[1:])
-    block_rows = max(1, _BLOCK_BYTES // (8 * CK * row_len))
+    block_rows = max(1, _BLOCK_BYTES // (xp.itemsize * CK * row_len))
     per = max(1, min(N, block_rows // rows))
     block_rows = min(block_rows, rows)
-    buf = np.empty(per * CK * block_rows * row_len)
+    buf = np.empty(per * CK * block_rows * row_len, xp.dtype)
     for n in range(0, N, per):
         for r in range(0, rows, block_rows):
             items, rs = slice(n, n + per), slice(r, r + block_rows)
@@ -140,7 +144,7 @@ def _correlate(xp: np.ndarray, w: np.ndarray, bias, stride: int, dilation: int, 
     """
     CO = w.shape[0]
     w2 = w.reshape(CO, -1)
-    out = np.empty((xp.shape[0], CO) + tuple(out_sp))
+    out = np.empty((xp.shape[0], CO) + tuple(out_sp), xp.dtype)
     for items, rs, cols in _columns(xp, w.shape[2:], stride, dilation, out_sp):
         # whole items, or rows of one item: a view of ``out`` either way
         dst = out[items, :, rs].reshape(len(cols), CO, -1)
@@ -180,8 +184,10 @@ def _conv(
         raise ShapeError(f"convolution of input {x.shape} with kernel {tuple(kernel)} is empty")
 
     D = len(kernel)
+    dtype = x.data.dtype
     xp = _pad(x.data, pads)
-    out = _correlate(xp, weight.data, None if bias is None else bias.data, stride, dilation, out_sp)
+    b = None if bias is None else bias.data.astype(dtype, copy=False)
+    out = _correlate(xp, weight.data.astype(dtype, copy=False), b, stride, dilation, out_sp)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
@@ -257,9 +263,9 @@ def fc(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"fc expects last extent {K}, got {x.shape}")
     lead = x.shape[:-1]
     xf = x.data.reshape(-1, K)
-    out = xf @ weight.data
+    out = xf @ weight.data.astype(xf.dtype, copy=False)
     if bias is not None:
-        out = out + bias.data
+        out = out + bias.data.astype(xf.dtype, copy=False)
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(g):
@@ -332,14 +338,15 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     S, C, H, W = x.shape
     i0, i1, fy = _bilinear_axis(H, factor)
     j0, j1, fx = _bilinear_axis(W, factor)
-    wy, wx = fy[:, None], fx[None, :]
+    dtype = x.data.dtype
+    wy, wx = fy[:, None].astype(dtype, copy=False), fx[None, :].astype(dtype, copy=False)
     corners = (
         (i0, j0, (1 - wy) * (1 - wx)),
         (i0, j1, (1 - wy) * wx),
         (i1, j0, wy * (1 - wx)),
         (i1, j1, wy * wx),
     )
-    out = np.zeros((S, C, H * factor, W * factor))
+    out = np.zeros((S, C, H * factor, W * factor), dtype)
     for ii, jj, w in corners:
         out += w * x.data[:, :, ii[:, None], jj[None, :]]
 

@@ -1,10 +1,17 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
 
-Every tensor wraps a row-major numpy array in double precision.  Operations
-build a dynamic tape: each result remembers its parents and a closure that
-routes the incoming gradient back to them.  ``Tensor.backward()`` walks the
-tape once in reverse topological order, accumulates gradients on trainable
-leaves and frees intermediate gradients as it goes.
+Every tensor wraps a row-major numpy array: float64 for training, float32
+for inference.  Operations build a dynamic tape: each result remembers its
+parents and a closure that routes the incoming gradient back to them.
+``Tensor.backward()`` walks the tape once in reverse topological order,
+accumulates gradients on trainable leaves and frees intermediate gradients
+as it goes.
+
+An op computes in its input's dtype.  A float32 operand casts the other
+operand of a binary op to float32, so float64 parameters and Python scalars
+join a float32 forward pass without being changed.  The tape is float64
+only: recording a float32 result raises UsageError, so float32 runs under
+``no_grad``.
 
 The tape is rebuilt on every forward pass (shapes downstream depend on the
 data, e.g. graph node counts follow the spatial size), is single-threaded,
@@ -38,14 +45,17 @@ def no_grad():
 
 
 def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
+    """``data`` as float32 if it is a float32 array, else as float64."""
+    arr = np.asarray(data)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     if any(n < 1 for n in arr.shape):
         raise ShapeError(f"tensor extents must all be >= 1, got shape {arr.shape}")
     return arr
 
 
 class Tensor:
-    """A dense float64 array, optionally tracked for differentiation."""
+    """A dense float64 or float32 array, optionally tracked for differentiation."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
@@ -169,6 +179,10 @@ class Tensor:
 def _track(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     if _NO_GRAD_DEPTH.get() == 0 and any(p.requires_grad for p in parents):
+        if out.data.dtype != np.float64:
+            raise UsageError(
+                f"the tape records float64 only, got {out.data.dtype}: run float32 under no_grad"
+            )
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -210,6 +224,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _common(a: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """The operands' arrays in one dtype: float32 when either one is float32."""
+    if a.data.dtype == b.data.dtype:
+        return a.data, b.data
+    return a.data.astype(np.float32, copy=False), b.data.astype(np.float32, copy=False)
+
+
 # -- elementwise arithmetic -------------------------------------------------
 
 
@@ -221,7 +242,7 @@ def add(a, b) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(g, b.shape))
 
-    return _track(a.data + b.data, (a, b), backward)
+    return _track(np.add(*_common(a, b)), (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
@@ -232,7 +253,7 @@ def sub(a, b) -> Tensor:
         _accum(a, _unbroadcast(g, a.shape))
         _accum(b, _unbroadcast(-g, b.shape))
 
-    return _track(a.data - b.data, (a, b), backward)
+    return _track(np.subtract(*_common(a, b)), (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -243,7 +264,7 @@ def mul(a, b) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.shape))
         _accum(b, _unbroadcast(g * a.data, b.shape))
 
-    return _track(a.data * b.data, (a, b), backward)
+    return _track(np.multiply(*_common(a, b)), (a, b), backward)
 
 
 def div(a, b) -> Tensor:
@@ -256,7 +277,7 @@ def div(a, b) -> Tensor:
         _accum(a, _unbroadcast(g / b.data, a.shape))
         _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-    return _track(a.data / b.data, (a, b), backward)
+    return _track(np.divide(*_common(a, b)), (a, b), backward)
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -296,7 +317,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
         _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
 
-    return _track(np.matmul(a.data, b.data), (a, b), backward)
+    return _track(np.matmul(*_common(a, b)), (a, b), backward)
 
 
 def _norm_axes(axes, ndim: int) -> tuple[int, ...]:
@@ -411,4 +432,7 @@ def concat_tensors(xs: Sequence[Tensor], axis: int) -> Tensor:
             sel = tuple(slice(lo, hi) if i == axis else slice(None) for i in range(t.ndim))
             _accum(t, g[sel])
 
-    return _track(np.concatenate([t.data for t in xs], axis=axis), tuple(xs), backward)
+    dtype = np.float32 if any(t.data.dtype == np.float32 for t in xs) else np.float64
+    return _track(
+        np.concatenate([t.data for t in xs], axis=axis, dtype=dtype), tuple(xs), backward
+    )

@@ -5,7 +5,8 @@ with batch size 1 and a step learning-rate schedule that drops once at a
 configured epoch.  A checkpoint is the parameter container with the
 optimizer moments stored alongside under "adam." keys, plus a JSON sidecar
 holding the config, epoch counter, generator state, and metric history, so
-a resumed run replays bit for bit.
+a resumed run replays bit for bit.  Training and checkpoints are float64;
+``predict_scene`` runs the network in float32 (INFERENCE_DTYPE).
 """
 
 from __future__ import annotations
@@ -146,11 +147,21 @@ def _scene_tensors(scene: Scene) -> tuple[Tensor, Tensor, Tensor]:
     return rgb, focal, gt
 
 
+# The dtype predict_scene computes in; training, gradients and checkpoints are float64.
+INFERENCE_DTYPE = np.dtype(np.float32)
+
+
 def predict_scene(model: DepthNet, scene: Scene) -> np.ndarray:
-    """Depth map [1,1,H,W] for one scene, reference semantics, no tape."""
+    """Depth map [1,1,H,W] for one scene as float64, computed in INFERENCE_DTYPE with no tape.
+
+    Each float64 parameter is cast where an op reads it, so the model is never
+    changed and threads may share it.
+    """
     rgb, focal, _ = _scene_tensors(scene)
     with no_grad():
-        return model(rgb, focal, mode="eval").data
+        depth = model(Tensor(rgb.data.astype(INFERENCE_DTYPE)),
+                      Tensor(focal.data.astype(INFERENCE_DTYPE)), mode="eval")
+    return depth.data.astype(np.float64)
 
 
 def evaluate_model(model: DepthNet, scenes: list[Scene]):
@@ -180,11 +191,14 @@ def train_model(
     taken from it); otherwise builds a new model from ``seed``.  Stops after
     ``until_epoch`` epochs total (default: the config's epoch cap) or
     ``max_steps`` optimizer steps, whichever comes first.  ``eval_every``
-    controls how often epoch metrics are computed (0 disables).  A
-    non-finite loss raises NumericalCheckError before its backward pass.
+    controls how often epoch metrics are computed (0 disables; negative is a
+    UsageError).  A non-finite loss raises NumericalCheckError before its
+    backward pass.
     """
     if not scenes:
         raise UsageError("training needs at least one scene")
+    if eval_every < 0:
+        raise UsageError(f"eval_every must be >= 0, got {eval_every}")
     if state is None:
         if config is None:
             raise UsageError("pass a config or a state to train from")

@@ -95,6 +95,7 @@ def test_train_eval_infer_pipeline(tmp_path, capsys):
     assert "scene_0002" in text
     doc = json.loads(metrics_json.read_text())
     assert doc["split"] == "test"
+    assert doc["dtype"] == "float32"
     assert set(doc["scenes"]) == {"scene_0002"}
     assert set(doc["aggregate"]) == {"rms", "abs_rel", "sq_rel", "d1", "d2", "d3"}
 
@@ -214,6 +215,25 @@ def test_train_negative_seed_exits_1_before_any_checkpoint(tmp_path, capsys):
                  "--out", str(out), "--quiet"])
     assert code == 1
     assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resume", [False, True])
+def test_train_negative_eval_every_exits_1_before_any_checkpoint(tmp_path, capsys, resume):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json")
+    start = ["--config", str(config)]
+    if resume:
+        assert main(["train", "--data", str(data), *start, "--out", str(tmp_path / "first"),
+                     "--quiet"]) == 0
+        start = ["--resume", str(tmp_path / "first" / "checkpoint.lfdp")]
+    capsys.readouterr()
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), *start, "--out", str(out),
+                 "--eval-every", "-3", "--quiet"])
+    assert code == 1
+    assert "eval_every" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -457,12 +477,16 @@ def test_eval_parallel_matches_sequential(tmp_path, monkeypatch, capsys):
     ckpt = str(out / "checkpoint.lfdp")
 
     monkeypatch.delenv("LFDEPTH_THREADS", raising=False)
+    capsys.readouterr()
     j1 = tmp_path / "seq.json"
     assert main(["eval", "--data", str(data), "--ckpt", ckpt, "--json", str(j1)]) == 0
-    monkeypatch.setenv("LFDEPTH_THREADS", "3")
-    j2 = tmp_path / "par.json"
-    assert main(["eval", "--data", str(data), "--ckpt", ckpt, "--json", str(j2)]) == 0
-    assert json.loads(j1.read_text()) == json.loads(j2.read_text())
+    table = capsys.readouterr().out
+    for workers in ("2", "3"):
+        monkeypatch.setenv("LFDEPTH_THREADS", workers)
+        j2 = tmp_path / f"par{workers}.json"
+        assert main(["eval", "--data", str(data), "--ckpt", ckpt, "--json", str(j2)]) == 0
+        assert capsys.readouterr().out == table
+        assert json.loads(j1.read_text()) == json.loads(j2.read_text())
 
 
 def test_bad_thread_env_is_config_error(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from lfdepth.ops import (
     upsample_bilinear,
 )
 from lfdepth.params import ModuleParams
-from lfdepth.tensor import Tensor
+from lfdepth.tensor import Tensor, no_grad
 
 from oracles import (
     bilinear_direct,
@@ -533,3 +533,86 @@ def test_conv2d_layer_validation():
         Conv2d(ModuleParams(), "c", 1, 1, 2, rng)
     with pytest.raises(ShapeError):
         Conv2d(ModuleParams(), "c", 1, 1, 3, rng, dilation=0)
+
+
+# -- dtypes: float32 input, float64 weights ---------------------------------------
+
+
+def _module_ops(x, layers):
+    """Every public op of ops.py on the [2, 4, 6, 6] map ``x``, with the float64
+    weights of ``layers``."""
+    conv, dilated, linear, w3, b = layers
+    volume = x.reshape(1, 2, 4, 6, 6).transpose((0, 2, 1, 3, 4))
+    return {
+        "conv2d": conv(x),
+        "conv2d_strided": conv2d(x, conv.weight, conv.bias, stride=2, padding="valid"),
+        "conv2d_dilated": dilated(x),
+        "conv3d": conv3d(volume, w3, b),
+        "fc": linear(global_avg_pool(x)),
+        "fc_nobias": fc(global_avg_pool(x), linear.weight),
+        "relu": relu(x), "sigmoid": sigmoid(x),
+        "dropout": dropout(x, 0.5, np.random.default_rng(0)),
+        "global_avg_pool": global_avg_pool(x), "max_pool2": max_pool2(x),
+        "upsample2": upsample_bilinear(x, 2), "upsample4": upsample_bilinear(x, 4),
+        "concat": concat([x, x], axis=1),
+    }
+
+
+def _float64_layers():
+    rng = np.random.default_rng(60)
+    params = ModuleParams()
+    return (
+        Conv2d(params, "conv", 4, 3, 3, rng), Conv2d(params, "dilated", 4, 3, 3, rng, dilation=2),
+        Linear(params, "linear", 4, 5, rng),
+        Tensor(rng.standard_normal((3, 4, 3, 3, 3)), requires_grad=True),
+        Tensor(rng.standard_normal(3), requires_grad=True),
+    )
+
+
+def test_float32_input_stays_float32_in_every_op(monkeypatch):
+    layers = _float64_layers()
+    before = [t.data.copy() for t in layers[3:]]
+    x64 = np.random.default_rng(61).standard_normal((2, 4, 6, 6))
+    with no_grad():
+        reference = _module_ops(Tensor(x64), layers)
+        # float32 blocks of two rows, then of one item, of the 3x3 conv2d; then the default
+        for block_bytes in (4 * 4 * 9 * 6 * 2, 4 * 4 * 9 * 36, ops._BLOCK_BYTES):
+            monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+            outs = _module_ops(Tensor(x64.astype(np.float32)), layers)
+            for name, out in outs.items():
+                assert out.data.dtype == np.float32, name
+                np.testing.assert_allclose(out.data, reference[name].data, rtol=1e-5, atol=1e-5,
+                                           err_msg=name)
+    for t, b in zip(layers[3:], before):
+        assert t.data.dtype == np.float64 and np.array_equal(t.data, b)
+
+
+def test_float64_input_stays_float64_in_every_op():
+    x = Tensor(np.random.default_rng(62).standard_normal((2, 4, 6, 6)), requires_grad=True)
+    for name, out in _module_ops(x, _float64_layers()).items():
+        assert out.data.dtype == np.float64, name
+        assert out.requires_grad, name
+
+
+def test_float32_sigmoid_stays_in_the_open_interval():
+    out = sigmoid(Tensor(np.array([-1e4, -100.0, 100.0, 1e4], np.float32))).data
+    assert out.dtype == np.float32
+    assert np.all(out > 0.0) and np.all(out < 1.0)
+
+
+def test_float32_conv_with_float64_weights_needs_no_grad():
+    layer = _float64_layers()[0]
+    with pytest.raises(UsageError, match="no_grad"):
+        layer(Tensor(np.ones((1, 4, 6, 6), np.float32)))
+
+
+def test_columns_size_blocks_by_itemsize(monkeypatch):
+    """A block of float32 columns holds twice the rows of a float64 one."""
+    monkeypatch.setattr(ops, "_BLOCK_BYTES", 4 * 4 * 9 * 36)  # one item of float32 columns
+    # (first item, first row) of each block of a [2, 4, 8, 8] input's 6x6 output
+    starts = {np.float32: [(0, 0), (1, 0)], np.float64: [(0, 0), (0, 3), (1, 0), (1, 3)]}
+    for dtype, want in starts.items():
+        xp = np.zeros((2, 4, 8, 8), dtype)
+        blocks = list(ops._columns(xp, (3, 3), 1, 1, (6, 6)))
+        assert [(items.start, rs.start) for items, rs, _ in blocks] == want
+        assert all(cols.dtype == dtype for *_, cols in blocks)

@@ -295,3 +295,61 @@ def test_as_tensor_passthrough_and_wrap():
     w = as_tensor([1.0, 2.0])
     assert isinstance(w, Tensor)
     assert w.data.dtype == np.float64
+
+
+# -- dtypes: float64 on the tape, float32 for inference ------------------------
+
+
+def _tensor_ops(x, p):
+    """Every public tensor op applied to ``x`` [2, 3] alone, with the [2, 3]
+    tensor ``p``, and with Python scalars."""
+    return {
+        "add": x + p, "radd": 1.5 + x, "sub": x - p, "rsub": 1.0 - x,
+        "mul": x * p, "rmul": 2 * x, "neg": -x,
+        "div": x / (p * p + 1.0), "rdiv": 3.0 / (x * x + 1.0),
+        "abs": absolute(x), "sqrt": sqrt(x * x),
+        "matmul": matmul(x, transpose(p, (1, 0))), "rmatmul": matmul(p, transpose(x, (1, 0))),
+        "sum": reduce(x, 0, "sum"), "mean": x.mean(), "reshape": reshape(x, (3, 2)),
+        "transpose": transpose(x, (1, 0)), "broadcast_to": broadcast_to(x, (4, 2, 3)),
+        "narrow": narrow(x, (slice(None), 1)), "concat": concat_tensors([x, p, x], axis=0),
+    }
+
+
+def test_float32_input_stays_float32_in_every_op():
+    rng = np.random.default_rng(40)
+    x = Tensor(rng.standard_normal((2, 3)).astype(np.float32))
+    param = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    with no_grad():
+        outs = _tensor_ops(x, param)
+        reference = _tensor_ops(Tensor(x.data.astype(np.float64)), param)
+    for name, out in outs.items():
+        assert out.data.dtype == np.float32, name
+        np.testing.assert_allclose(out.data, reference[name].data, rtol=1e-5, atol=1e-6,
+                                   err_msg=name)
+    assert param.data.dtype == np.float64 and param.grad is None
+
+
+def test_float64_input_stays_float64_in_every_op():
+    rng = np.random.default_rng(41)
+    x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+    for name, out in _tensor_ops(x, Tensor(rng.standard_normal((2, 3)))).items():
+        assert out.data.dtype == np.float64, name
+        assert out.requires_grad, name
+
+
+def test_constructor_keeps_float32_and_widens_everything_else():
+    assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+    assert Tensor(np.float32(2.0)).data.dtype == np.float32
+    for value in (np.ones(2, np.float16), np.arange(3), [True, False], 2.0, [1, 2]):
+        assert Tensor(value).data.dtype == np.float64
+
+
+def test_float32_on_the_tape_is_a_usage_error():
+    x32 = np.ones((2, 2), np.float32)
+    with pytest.raises(UsageError, match="float64 only"):
+        Tensor(x32, requires_grad=True) * 2.0
+    param = Tensor(np.ones((2, 2)), requires_grad=True)
+    with pytest.raises(UsageError, match="no_grad"):
+        matmul(Tensor(x32), param)
+    with no_grad():
+        assert matmul(Tensor(x32), param).data.dtype == np.float32

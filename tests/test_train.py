@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfdepth.errors import ConfigError, FormatError, NumericalCheckError, UsageError
-from lfdepth.metrics import DepthMetrics
+from lfdepth.metrics import DepthMetrics, evaluate
 from lfdepth.model import NetworkConfig
 from lfdepth.params import ModuleParams, load_params, save_params
 from lfdepth.synthdata import GenSpec, generate_scene
-from lfdepth.tensor import Tensor
+from lfdepth.tensor import Tensor, no_grad
 import lfdepth.train as train_module
 from lfdepth.train import (
     AblationResult,
@@ -260,6 +260,52 @@ def test_evaluate_model():
     assert mean.rms == pytest.approx((per_scene[0].rms + per_scene[1].rms) / 2)
     with pytest.raises(UsageError):
         evaluate_model(state.model, [])
+
+
+def test_negative_eval_every_is_a_usage_error():
+    with pytest.raises(UsageError, match="eval_every"):
+        train_model([tiny_scene()], tiny_config(), eval_every=-3)
+
+
+# -- float32 inference -----------------------------------------------------------------
+
+
+def test_predict_scene_matches_the_float64_forward(monkeypatch):
+    """The float32 gate: within 1e-4 of the float64 forward pass, equal delta
+    thresholds and rms within 1e-5, with the parameters untouched."""
+    scenes = [tiny_scene(seed) for seed in range(3)]
+    state = train_model(scenes[:2], tiny_config(), seed=2, until_epoch=1, eval_every=0)
+    before = {p: t.data.copy() for p, t in state.model.params.tensors()}
+    with no_grad():
+        wants = [state.model(Tensor(sc.rgb[None]), Tensor(sc.focal)).data for sc in scenes]
+    net, seen = type(state.model), []
+    forward = net.__call__
+
+    def spy(self, rgb, focal, **kwargs):
+        out = forward(self, rgb, focal, **kwargs)
+        seen.append({rgb.data.dtype, focal.data.dtype, out.data.dtype})
+        return out
+
+    monkeypatch.setattr(net, "__call__", spy)
+    for scene, want in zip(scenes, wants):
+        got = predict_scene(state.model, scene)
+        assert got.dtype == np.float64 and got.shape == (1, 1, 16, 16)
+        assert np.max(np.abs(got - want)) <= 1e-4
+        m32, m64 = evaluate(got, scene.depth[None]), evaluate(want, scene.depth[None])
+        assert (m32.d1, m32.d2, m32.d3) == (m64.d1, m64.d2, m64.d3)
+        assert abs(m32.rms - m64.rms) <= 1e-5
+    assert seen == [{np.dtype(np.float32)}] * len(scenes)
+    for path, t in state.model.params.tensors():
+        assert t.data.dtype == np.float64, path
+        assert t.data.tobytes() == before[path].tobytes(), path
+
+
+@pytest.mark.parametrize("bias", [50.0, -50.0, -200.0])
+def test_predict_scene_stays_inside_the_open_interval_when_saturated(bias):
+    state = init_state(tiny_config(), 0)
+    state.model.head.bias.data[...] = bias
+    pred = predict_scene(state.model, tiny_scene())
+    assert pred.min() > 0.0 and pred.max() < 1.0
 
 
 # -- checkpoints ----------------------------------------------------------------------
