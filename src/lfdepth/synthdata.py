@@ -11,15 +11,16 @@ using a square window of per-pixel radius ceil(3*sigma), renormalized over
 the taps that land inside the image.  Pixels exactly in focus copy through
 untouched.  Focus depths sit at the midpoints of S equal depth bins.
 
-The renderer visits each window offset once and gathers by plain slicing,
-clipped to the bounding box of the pixels whose window reaches that offset
-and to the image border, so a tap costs the area it can touch rather than
-the whole image.
+The renderer visits each window offset (tap) once.  It stores the image flat
+with zero columns after each row, so a tap over a run of rows reads one
+contiguous range, and it computes one weight map per (|dy|, |dx|) pair for
+the eight taps that share it; see ``defocus_blur``.
 
 On disk a scene is a directory: rgb.ppm (P6), focal_00.ppm .. focal_{S-1}.ppm,
 depth.pgm (P5, 16-bit big-endian, round(depth*65535)), and meta.json.  A
 dataset is a directory of such scene folders plus manifest.json naming the
-train/test split.
+train/test split.  read_scene raises FormatError, naming the file, when a
+focal slice or the depth map differs in size from rgb.ppm.
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ def _upsample_nn_smooth(coarse: np.ndarray, h: int, w: int) -> np.ndarray:
 # -- defocus rendering ---------------------------------------------------------
 
 
+# Upper bound on the bytes of the tap weight maps defocus_blur holds at once.
+_BAND_BYTES = 4 << 20
+
+
 def defocus_blur(img: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Spatially varying Gaussian gather over square per-pixel windows.
 
@@ -163,14 +168,28 @@ def defocus_blur(img: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     widths.  Window radius is ceil(3*sigma) per pixel; weights renormalize
     over in-bounds taps; sigma == 0 pixels copy through exactly.
 
-    Tap offset (dy, dx) lies on ring max(|dy|, |dx|) and reaches only the
-    pixels whose radius is at least that ring.  It works on the bounding box
-    of those pixels, clipped so that the shifted box stays inside the image:
-    the source is a plain slice, and box pixels with a smaller window get
-    weight 0.  Pixels outside the box would only have received +0.0, and
-    taps accumulate in a fixed (dy, dx) order, so the result equals a
-    full-image gather bit for bit.  Radii are capped at the image size,
-    beyond which no tap lands inside.
+    Layout: with R the largest radius, the image and a ones channel (which
+    sums the weights) are stored flat, each row followed by R zero columns
+    that also serve as the zeros before the next row, with R more zeros in
+    front.  Rows are W + R long, so tap (dy, dx) over output rows [y0, y1)
+    reads one contiguous range, (y0 + dy) * (W + R) + dx past the leading
+    zeros, for one multiply and one add; the R extra columns of each output
+    row are dropped.  A tap covers only the rows that its ring
+    max(|dy|, |dx|) reaches and whose source row is in the image, and is
+    skipped when no column that its ring reaches has a source column inside.
+
+    Exactness: pixels with a smaller window get weight 0 and taps that fall
+    outside the image read zeros, so every term this skips or adds beyond a
+    full-image gather is a +-0.0 product, which leaves a sum unchanged.
+    Taps accumulate in one fixed (dy, dx) order at every pixel, so the result
+    equals that gather bit for bit.
+
+    Weights: the map of tap (dy, dx) depends only on {|dy|, |dx|}, so one
+    exp serves the eight offsets (+-a, +-b) and (+-b, +-a).  Rows are
+    rendered in bands whose maps fit in ``_BAND_BYTES`` (a default 64x64
+    scene is one band); each pixel keeps its tap order.  A map that would
+    overflow the budget even in a one-row band is recomputed at each use.
+    Radii are capped at the image size, beyond which no tap lands inside.
     """
     if img.ndim != 3:
         raise UsageError(f"image must be [C,H,W], got shape {img.shape}")
@@ -196,35 +215,67 @@ def defocus_blur(img: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     inv_two_s2 = np.zeros((h, w))
     inv_two_s2[active] = 1.0 / (2.0 * np.clip(sigma[active], 1e-150, 1e150) ** 2)
 
-    # rows [y0, y1) and columns [x0, x1) of the pixels a ring-r tap reaches
-    ring_boxes = []
-    for ring in range(rmax + 1):
-        reach = radius >= ring
-        rows = np.flatnonzero(reach.any(axis=1))
-        cols = np.flatnonzero(reach.any(axis=0))
-        ring_boxes.append((rows[0], rows[-1] + 1, cols[0], cols[-1] + 1))
+    ring_rows = _reach_spans(radius.max(axis=1), rmax)
+    ring_cols = _reach_spans(radius.max(axis=0), rmax)
 
-    num = np.zeros((c, h, w))
-    den = np.zeros((h, w))
-    for dy in range(-rmax, rmax + 1):
-        for dx in range(-rmax, rmax + 1):
-            ring = max(abs(dy), abs(dx))
-            by0, by1, bx0, bx1 = ring_boxes[ring]
-            y0, y1 = max(by0, -dy), min(by1, h - dy)
-            x0, x1 = max(bx0, -dx), min(bx1, w - dx)
-            if y0 >= y1 or x0 >= x1:
-                continue
-            wgt = np.where(
-                radius[y0:y1, x0:x1] >= ring,
-                np.exp(-(dy * dy + dx * dx) * inv_two_s2[y0:y1, x0:x1]),
-                0.0,
-            )
-            num[:, y0:y1, x0:x1] += wgt[None] * img[:, y0 + dy : y1 + dy, x0 + dx : x1 + dx]
-            den[y0:y1, x0:x1] += wgt
+    # Both on padded rows, where the pad columns get radius 0.
+    wp = w + rmax
+    radius = np.pad(radius, ((0, 0), (0, rmax)))
+    inv_two_s2 = np.pad(inv_two_s2, ((0, 0), (0, rmax)))
 
+    src = np.zeros((c + 1, rmax + h * wp + rmax))
+    grid = src[:, rmax : rmax + h * wp].reshape(c + 1, h, wp)
+    grid[:c, :, :w] = img
+    grid[c, :, :w] = 1.0
+    acc = np.zeros((c + 1, h * wp))
+
+    pairs = (rmax + 1) * (rmax + 2) // 2
+    band = min(h, max(1, _BAND_BYTES // (pairs * wp * 8)))
+    tmp = np.empty((c + 1, band * wp))
+    for b0 in range(0, h, band):
+        b1 = min(b0 + band, h)
+        band_rows = [(max(r0, b0), min(r1, b1)) for r0, r1 in ring_rows]
+        # A ring-r tap's weight is exp(-(dy^2 + dx^2) * inv), where inv is
+        # 1/(2 sigma^2) at pixels whose radius reaches r and inf elsewhere,
+        # so that exp(-inf) gives them weight 0.
+        ring_inv = [
+            np.where(radius[r0:r1] >= ring, inv_two_s2[r0:r1], np.inf)
+            for ring, (r0, r1) in enumerate(band_rows)
+        ]
+        weights, held = {}, 0
+        for dy in range(-rmax, rmax + 1):
+            for dx in range(-rmax, rmax + 1):
+                ring = max(abs(dy), abs(dx))
+                ry0, ry1 = band_rows[ring]
+                y0, y1 = max(ry0, -dy), min(ry1, h - dy)
+                cx0, cx1 = ring_cols[ring]
+                if y0 >= y1 or max(cx0, -dx) >= min(cx1, w - dx):
+                    continue
+                key = (ring, min(abs(dy), abs(dx)))
+                wgt = weights.get(key)
+                if wgt is None:
+                    wgt = np.exp(-(dy * dy + dx * dx) * ring_inv[ring].ravel())
+                    if held + wgt.nbytes <= _BAND_BYTES:
+                        weights[key] = wgt
+                        held += wgt.nbytes
+                n = (y1 - y0) * wp
+                at = (y0 - ry0) * wp
+                s0 = rmax + (y0 + dy) * wp + dx
+                np.multiply(wgt[at : at + n], src[:, s0 : s0 + n], out=tmp[:, :n])
+                acc[:, y0 * wp : y1 * wp] += tmp[:, :n]
+
+    acc = acc.reshape(c + 1, h, wp)[:, :, :w]
     out = img.copy()
-    out[:, active] = num[:, active] / den[active]
+    np.divide(acc[:c], acc[c], out=out, where=active)
     return out
+
+
+def _reach_spans(reach: np.ndarray, rmax: int) -> list[tuple[int, int]]:
+    """[start, stop) of the indices i with reach[i] >= r, for r = 0..rmax."""
+    hit = reach >= np.arange(rmax + 1)[:, None]
+    start = hit.argmax(axis=1)
+    stop = len(reach) - hit[:, ::-1].argmax(axis=1)
+    return list(zip(start.tolist(), stop.tolist()))
 
 
 def generate_scene(spec: GenSpec) -> Scene:
@@ -363,14 +414,23 @@ def read_scene(dirpath) -> Scene:
         raise FormatError(f"{meta_path}: focus depths must be strictly increasing, one per slice")
 
     rgb = read_ppm(os.path.join(dirpath, "rgb.ppm")).astype(np.float64) / 255.0
-    focal = np.stack(
-        [
-            read_ppm(os.path.join(dirpath, f"focal_{s:02d}.ppm")).astype(np.float64) / 255.0
-            for s in range(slices)
-        ]
-    )
-    depth = read_pgm16(os.path.join(dirpath, "depth.pgm")).astype(np.float64) / 65535.0
+    focal = np.empty((slices, *rgb.shape))
+    for s in range(slices):
+        path = os.path.join(dirpath, f"focal_{s:02d}.ppm")
+        focal[s] = _same_size(read_ppm(path), rgb, path).astype(np.float64) / 255.0
+    path = os.path.join(dirpath, "depth.pgm")
+    depth = _same_size(read_pgm16(path), rgb, path).astype(np.float64) / 65535.0
     return Scene(rgb=rgb, focal=focal, depth=depth[None], focus_depths=ds)
+
+
+def _same_size(img: np.ndarray, rgb: np.ndarray, path) -> np.ndarray:
+    """``img``, unless its H x W differs from ``rgb``'s: then FormatError naming ``path``."""
+    if img.shape[-2:] != rgb.shape[-2:]:
+        raise FormatError(
+            f"{path}: image is {img.shape[-2]}x{img.shape[-1]}, "
+            f"but rgb.ppm is {rgb.shape[-2]}x{rgb.shape[-1]}"
+        )
+    return img
 
 
 def _to_u8(img: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from lfdepth.cli import main, worker_count
 from lfdepth.errors import ConfigError
 from lfdepth.gradcheck import GroupReport
 from lfdepth.params import load_params, save_params
-from lfdepth.pnm import read_pgm16
+from lfdepth.pnm import read_pgm16, write_ppm
 from lfdepth.synthdata import GenSpec, generate_dataset
 
 
@@ -340,6 +340,20 @@ def test_eval_missing_checkpoint(tmp_path):
     make_dataset(data)
     code = main(["eval", "--data", str(data), "--ckpt", str(tmp_path / "no.lfdp")])
     assert code == 2
+
+
+def test_eval_scene_with_a_focal_slice_of_another_size_exits_2(tmp_path, capsys):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"]) == 0
+    write_ppm(data / "scene_0002" / "focal_01.ppm", np.zeros((3, 16, 8), dtype=np.uint8))
+    capsys.readouterr()
+    code = main(["eval", "--data", str(data), "--ckpt", str(out / "checkpoint.lfdp")])
+    assert code == 2
+    assert "focal_01.ppm" in capsys.readouterr().err
 
 
 def test_eval_non_finite_scene_exits_3(tmp_path, monkeypatch, capsys):

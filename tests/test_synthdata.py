@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from lfdepth import synthdata
 from lfdepth.errors import ConfigError, FormatError, UsageError
 from lfdepth.pnm import read_pgm16, read_ppm, write_pgm16, write_ppm
 from lfdepth.synthdata import (
@@ -175,12 +178,49 @@ def _gather_cases():
     single[4, 7] = 1.2
     yield "single-pixel", rng.uniform(0, 1, (3, 9, 10)), single
     yield "all-zero", rng.uniform(0, 1, (3, 6, 6)), np.zeros((6, 6))
+    yield from _bench_sized_cases()
+
+
+# a seed per depth style whose 64x64 depth reaches radius 11 at focus depth 1/24
+BENCH_SEEDS = {"planes": 6, "slanted": 1, "blobs": 4}
+
+
+def _bench_sized_cases():
+    """Default-size scenes at the default blur gain, as the benchmark renders them."""
+    for style, seed in BENCH_SEEDS.items():
+        spec = GenSpec(depth_style=style, texture_style="noise", seed=seed, slices=2)
+        scene = generate_scene(spec)
+        for d in focus_depths(12)[[0, 5, 11]]:
+            sigma = spec.blur_gain * np.abs(scene.depth[0] - d)
+            yield f"bench-{style}-{d:.3f}", scene.rgb, sigma
 
 
 def test_defocus_equals_full_image_gather_bitwise():
     for name, img, sigma in _gather_cases():
         got = defocus_blur(img, sigma)
         assert got.tobytes() == defocus_blur_gather(img, sigma).tobytes(), name
+
+
+def test_bench_sized_cases_reach_radius_11():
+    radii = {}
+    for name, _, sigma in _bench_sized_cases():
+        style = name.split("-")[1]
+        radii[style] = max(radii.get(style, 0), math.ceil(3.0 * sigma.max()))
+    assert radii == {style: 11 for style in DEPTH_STYLES}
+
+
+@pytest.mark.parametrize("band_rows", [20, 1, 0.5])
+def test_defocus_in_bands_equals_full_image_gather(monkeypatch, band_rows):
+    """A small budget renders the rows in bands; below one row of weight maps,
+    the maps that do not fit are recomputed at each use."""
+    name, img, sigma = next(_bench_sized_cases())
+    h, w = sigma.shape
+    rmax = math.ceil(3.0 * sigma.max())
+    row_bytes = (rmax + 1) * (rmax + 2) // 2 * (w + rmax) * 8
+    monkeypatch.setattr(synthdata, "_BAND_BYTES", int(band_rows * row_bytes))
+    assert math.ceil(h / max(1, band_rows)) >= 3
+    got = defocus_blur(img, sigma)
+    assert got.tobytes() == defocus_blur_gather(img, sigma).tobytes(), name
 
 
 @st.composite
@@ -234,6 +274,25 @@ def test_generate_scene_is_deterministic():
     np.testing.assert_array_equal(a.depth, b.depth)
     c = generate_scene(small_spec(seed=8))
     assert np.any(c.rgb != a.rgb)
+
+
+@pytest.mark.parametrize(
+    "seed, depth_style, texture_style, digest",
+    [
+        (11000, "planes", "checker", "f82bec03892c1bb5"),
+        (11001, "slanted", "noise", "ef08e02cad79e37a"),
+        (11002, "blobs", "stripes", "3f1364263da6c392"),
+    ],
+)
+def test_default_scene_focal_bytes_are_pinned(seed, depth_style, texture_style, digest):
+    """The focal stacks the benchmark trains and evaluates on, by SHA-256.
+
+    The digests were taken with numpy 2.4 on x86-64; another numpy exp may
+    round a weight differently in its last bit.
+    """
+    spec = GenSpec(seed=seed, depth_style=depth_style, texture_style=texture_style)
+    focal = generate_scene(spec).focal
+    assert hashlib.sha256(focal.tobytes()).hexdigest()[:16] == digest
 
 
 def test_zero_blur_gain_gives_sharp_slices():
@@ -440,6 +499,18 @@ def test_read_scene_rejects_bad_metadata(tmp_path):
 
     os.remove(meta)
     with pytest.raises(FormatError):
+        read_scene(tmp_path / "scene")
+
+
+@pytest.mark.parametrize("name", ["focal_01.ppm", "depth.pgm"])
+def test_read_scene_rejects_an_image_of_another_size(tmp_path, name):
+    write_scene(generate_scene(small_spec(seed=16)), tmp_path / "scene")
+    path = tmp_path / "scene" / name
+    if name.endswith(".ppm"):
+        write_ppm(path, np.zeros((3, 16, 32), dtype=np.uint8))
+    else:
+        write_pgm16(path, np.zeros((8, 16), dtype=np.uint16))
+    with pytest.raises(FormatError, match=name):
         read_scene(tmp_path / "scene")
 
 
