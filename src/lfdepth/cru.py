@@ -16,11 +16,13 @@ things happen in parallel:
 The configuration only chooses the channel count and which of the two
 learned branches is built; everything else above is fixed.
 
-Dilated-pyramid convs carry ReLU; the graph branches and both fusion convs
-are linear so that zeroing the last fusion conv collapses the whole block to
-an exact identity.  Node-dependent parameters (the pixel-to-node projection
-and the node mixing matrix) are built lazily per distinct spatial size and
-then live in the parameter tree like any other entry.
+Dilated-pyramid convs (the cross 1x1 conv and the three dilated ones) carry
+a ReLU fused into the conv (``Conv2d(..., relu=True)``); the graph branches
+and both fusion convs are linear so that zeroing the last fusion conv
+collapses the whole block to an exact identity.  Node-dependent parameters
+(the pixel-to-node projection and the node mixing matrix) are built lazily
+per distinct spatial size and then live in the parameter tree like any
+other entry.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UsageError
-from .ops import Conv2d, concat, kaiming_normal, relu
+from .ops import Conv2d, concat, kaiming_normal
 from .params import ModuleParams
 from .tensor import Tensor, matmul, reshape, transpose
 
@@ -153,9 +155,9 @@ class Cru:
         if config.use_dilated:
             half = C // 2
             md = scope.child("md")
-            self.cross = Conv2d(md, "cross", C, C, 1, rng)
+            self.cross = Conv2d(md, "cross", C, C, 1, rng, relu=True)
             self.dilated = [
-                Conv2d(md, f"rate{r}", C, half, 3, rng, dilation=r)
+                Conv2d(md, f"rate{r}", C, half, 3, rng, dilation=r, relu=True)
                 for r in DILATION_RATES
             ]
             self.md_fuse = Conv2d(md, "fuse", half * len(DILATION_RATES), C, 1, rng)
@@ -174,8 +176,8 @@ class Cru:
     def multi_dilated(self, x: Tensor) -> Tensor:
         if not self.config.use_dilated:
             raise UsageError("dilated branch is disabled in this configuration")
-        h = relu(self.cross(x))
-        pyramids = [relu(conv(h)) for conv in self.dilated]
+        h = self.cross(x)
+        pyramids = [conv(h) for conv in self.dilated]
         return self.md_fuse(concat(pyramids, axis=1))
 
     def multi_graph(self, x: Tensor) -> Tensor:

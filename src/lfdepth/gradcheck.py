@@ -28,7 +28,6 @@ from .ops import (
     fc,
     global_avg_pool,
     max_pool2,
-    relu,
     sigmoid,
     upsample_bilinear,
 )
@@ -139,7 +138,7 @@ def _scope_ops(seed: int, samples: int, step: float) -> list[GroupReport]:
     check(
         "conv2d_strided_dilated",
         lambda: _weighted_mean(
-            relu(conv2d(x, w, b, stride=2, dilation=2, padding="valid")),
+            conv2d(x, w, b, stride=2, dilation=2, padding="valid", relu=True),
             np.random.default_rng(seed + 1),
         ),
         [("x", x), ("w", w), ("b", b)],
@@ -204,7 +203,7 @@ def _scope_ops(seed: int, samples: int, step: float) -> list[GroupReport]:
     check(
         "conv2d_weight_only",
         lambda: _weighted_mean(
-            relu(conv2d(xi, wi, bi, stride=2)), np.random.default_rng(seed + 8)
+            conv2d(xi, wi, bi, stride=2, relu=True), np.random.default_rng(seed + 8)
         ),
         [("w", wi), ("b", bi)],
     )

@@ -2,15 +2,18 @@
 
 An RGB image [1,3,H,W] and a focal stack [S,3,H,W] each pass through their
 own five-stage backbone (two 3x3 convs + ReLU per stage, 2x2 max pooling
-between stages).  Side outputs are taken from stages 3, 4, 5 at strides
-4, 8, 16.  Each side output goes through a context block (the full
-reasoning block, one of its single branches, or a plain stack of
-PLAIN_STACK_DEPTH convs, depending on the configuration), the two streams
-are fused per stage, and a top-down decoder produces the one depth map:
+between stages).  Every ReLU in the network is fused into the conv before
+it (``Conv2d(..., relu=True)``): the backbone stages, the plain context
+stack, the dilated-pyramid convs of the CRU and the three decoder convs.
+Side outputs are taken from stages 3, 4, 5 at strides 4, 8, 16.  Each side
+output goes through a context block (the full reasoning block, one of its
+single branches, or a plain stack of PLAIN_STACK_DEPTH convs, depending on
+the configuration), the two streams are fused per stage, and a top-down
+decoder produces the one depth map:
 
-    P5 = conv(F5)
-    P4 = conv(concat(up2(P5), F4))
-    P3 = conv(concat(up2(P4), F3))
+    P5 = relu(conv(F5))
+    P4 = relu(conv(concat(up2(P5), F4)))
+    P3 = relu(conv(concat(up2(P4), F3)))
     depth = upsample(sigmoid(conv1x1(P3)), 4)
 
 The loss combines an L1 term, a forward-difference gradient term, and a
@@ -29,7 +32,7 @@ import numpy as np
 from .cmfa import Cmfa
 from .cru import Cru, CruConfig, zero_fuse
 from .errors import ConfigError, ShapeError, UsageError
-from .ops import Conv2d, concat, max_pool2, relu, sigmoid, upsample_bilinear
+from .ops import Conv2d, concat, max_pool2, sigmoid, upsample_bilinear
 from .params import ModuleParams
 from .tensor import Tensor, narrow, reshape, sqrt
 
@@ -96,8 +99,8 @@ class Backbone:
         self.convs = []
         cin = 3
         for i, cout in enumerate(stage_channels, start=1):
-            a = Conv2d(scope, f"stage{i}a", cin, cout, 3, rng)
-            b = Conv2d(scope, f"stage{i}b", cout, cout, 3, rng)
+            a = Conv2d(scope, f"stage{i}a", cin, cout, 3, rng, relu=True)
+            b = Conv2d(scope, f"stage{i}b", cout, cout, 3, rng, relu=True)
             self.convs.append((a, b))
             cin = cout
 
@@ -106,7 +109,7 @@ class Backbone:
         for i, (a, b) in enumerate(self.convs):
             if i > 0:
                 x = max_pool2(x)
-            x = relu(b(relu(a(x))))
+            x = b(a(x))
             if i in SIDE_STAGES:
                 outs.append(x)
         return tuple(outs)
@@ -118,13 +121,13 @@ class PlainStack:
     def __init__(self, params: ModuleParams, name: str, channels: int, rng):
         scope = params.child(name)
         self.convs = [
-            Conv2d(scope, f"layer{i + 1}", channels, channels, 3, rng)
+            Conv2d(scope, f"layer{i + 1}", channels, channels, 3, rng, relu=True)
             for i in range(PLAIN_STACK_DEPTH)
         ]
 
     def __call__(self, x: Tensor) -> Tensor:
         for conv in self.convs:
-            x = relu(conv(x))
+            x = conv(x)
         return x
 
 
@@ -217,9 +220,9 @@ class DepthNet:
         dec = self.params.child("decoder")
         d = cc.decoder_channels
         c3, c4, c5 = (cc.stage_channels[s] for s in SIDE_STAGES)
-        self.p5_conv = Conv2d(dec, "p5", c5, d, 3, rng)
-        self.p4_conv = Conv2d(dec, "p4", d + c4, d, 3, rng)
-        self.p3_conv = Conv2d(dec, "p3", d + c3, d, 3, rng)
+        self.p5_conv = Conv2d(dec, "p5", c5, d, 3, rng, relu=True)
+        self.p4_conv = Conv2d(dec, "p4", d + c4, d, 3, rng, relu=True)
+        self.p3_conv = Conv2d(dec, "p3", d + c3, d, 3, rng, relu=True)
         self.head = Conv2d(dec, "head", d, 1, 1, rng)
 
     # -- forward -----------------------------------------------------------
@@ -260,9 +263,9 @@ class DepthNet:
                 fused.append(rgb_feats[k])
         f3, f4, f5 = fused
 
-        p5 = relu(self.p5_conv(f5))
-        p4 = relu(self.p4_conv(concat([upsample_bilinear(p5, 2), f4], axis=1)))
-        p3 = relu(self.p3_conv(concat([upsample_bilinear(p4, 2), f3], axis=1)))
+        p5 = self.p5_conv(f5)
+        p4 = self.p4_conv(concat([upsample_bilinear(p5, 2), f4], axis=1))
+        p3 = self.p3_conv(concat([upsample_bilinear(p4, 2), f3], axis=1))
         return upsample_bilinear(sigmoid(self.head(p3)), 4)
 
 

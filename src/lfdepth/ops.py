@@ -11,6 +11,12 @@ columns with the flipped kernel (Dumoulin & Visin 2016, section 4), and the
 weight gradient multiplies the input by the same columns.  All operators
 register gradients on the tape.
 
+``conv2d(..., relu=True)`` (and ``Conv2d(..., relu=True)``) applies the ReLU
+in place on the convolution's output, and its backward recovers the ReLU
+mask from that output, so the tape keeps no pre-activation.  The model
+applies every ReLU this way.  Backward passes hand the gradients they
+allocate to ``tensor._accum`` as ``fresh``, which takes them without a copy.
+
 Every operator computes and allocates in its input's dtype.  Convolutions
 and ``fc`` cast a float64 weight and bias to a float32 input's dtype where
 they read them (a no-op in float64), so one parameter tree serves float64
@@ -35,11 +41,16 @@ from .tensor import Tensor, _accum, _track, as_tensor, concat_tensors, reduce
 # -- activations ---------------------------------------------------------------
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0), with NaN and -0 mapped to +0.
+
+    The model fuses its ReLUs into the convolution (``conv2d(..., relu=True)``);
+    this unfused op is kept for callers outside the package.
+    """
     x = as_tensor(x)
     mask = x.data > 0
 
     def backward(g):
-        _accum(x, g * mask)
+        _accum(x, g * mask, fresh=True)
 
     return _track(np.where(mask, x.data, 0.0), (x,), backward)
 
@@ -56,7 +67,7 @@ def sigmoid(x: Tensor) -> Tensor:
     s = np.clip(s, info.tiny, 1 - info.epsneg)
 
     def backward(g):
-        _accum(x, g * s * (1.0 - s))
+        _accum(x, g * s * (1.0 - s), fresh=True)
 
     return _track(s, (x,), backward)
 
@@ -71,7 +82,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     scale = ((rng.random(x.shape) >= rate) / (1.0 - rate)).astype(x.data.dtype, copy=False)
 
     def backward(g):
-        _accum(x, g * scale)
+        _accum(x, g * scale, fresh=True)
 
     return _track(x.data * scale, (x,), backward)
 
@@ -161,17 +172,21 @@ def _conv(
     stride: int,
     dilation: int,
     pads: tuple[int, ...],
+    relu: bool = False,
 ) -> Tensor:
-    """Cross-correlation of [N, C, *spatial] with [C_out, C, *kernel].
+    """Cross-correlation of [N, C, *spatial] with [C_out, C, *kernel], then ReLU if ``relu``.
 
     The one core behind conv2d and conv3d; forward and backward share the
-    im2col blocks of ``_columns``.  Backward takes one walk over the columns
-    of g, spread by the stride and padded by dilation*(k-1) - pad, at stride 1
+    im2col blocks of ``_columns``.  The ReLU runs in place on the fresh
+    output, as np.where(out > 0, out, 0.0) would (NaN and -0 become +0), and
+    backward masks g with out > 0, so the tape keeps neither the
+    pre-activation nor a mask.  Backward takes one walk over the columns of
+    g, spread by the stride and padded by dilation*(k-1) - pad, at stride 1
     over the input extent.  The input gradient is the transpose of the
     convolution: the kernel, flipped and with its channel axes swapped, times
     those columns, as ``_correlate`` computes it.  The weight gradient reads
-    the same columns: it sums x @ cols^T over the blocks, which is the flipped,
-    channel-swapped kernel gradient.
+    the same columns: it sums cols @ x^T over the blocks, which is the
+    flipped kernel gradient as [C_out*K, C].
     """
     N, C, *spatial = x.shape
     CO, CI, *kernel = weight.shape
@@ -188,11 +203,16 @@ def _conv(
     xp = _pad(x.data, pads)
     b = None if bias is None else bias.data.astype(dtype, copy=False)
     out = _correlate(xp, weight.data.astype(dtype, copy=False), b, stride, dilation, out_sp)
+    if relu:
+        np.copyto(out, 0.0, where=~(out > 0))
     parents = (x, weight) if bias is None else (x, weight, bias)
 
+    # the closure holds x, weight, bias and out, and no other array
     def backward(g):
+        if relu:
+            g *= out > 0  # g is this node's own gradient buffer (see tensor._accum)
         if bias is not None:
-            _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))))
+            _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))), fresh=True)
         if not (x.requires_grad or weight.requires_grad):
             return
         if starts != out_sp:
@@ -204,20 +224,27 @@ def _conv(
         # [C, CO*K]: the flipped kernel with its channel axes swapped
         wt = np.flip(weight.data, taps).swapaxes(0, 1).reshape(C, -1)
         dx = np.empty(x.shape) if x.requires_grad else None
-        dwt = np.zeros(wt.shape) if weight.requires_grad else None
+        dw = np.zeros(wt.shape[::-1]) if weight.requires_grad else None
         for items, rs, cols in _columns(_pad(g, back), kernel, 1, dilation, spatial):
             cols = cols.reshape(len(cols), wt.shape[1], -1)
             if dx is not None:
                 np.matmul(wt, cols, out=dx[items, :, rs].reshape(len(cols), C, -1))
-            if dwt is not None:
+            if dw is not None:
                 xb = x.data[items, :, rs].reshape(len(cols), C, -1)
-                dwt += np.matmul(xb, cols.transpose(0, 2, 1)).sum(axis=0)
-        if dwt is not None:
-            _accum(weight, np.flip(dwt.reshape((C, CO) + tuple(kernel)), taps).swapaxes(0, 1))
+                dw += np.matmul(cols, xb.transpose(0, 2, 1)).sum(axis=0)
+        if dw is not None:
+            # [CO*K, C] -> [CO, C, *kernel], taps flipped back
+            dw = np.moveaxis(dw.reshape((CO, *kernel, C)), -1, 1)
+            _accum(weight, np.flip(dw, taps))
         if dx is not None:
-            _accum(x, dx)
+            _accum(x, dx, fresh=True)
 
     return _track(out, parents, backward)
+
+
+def _check_step(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ShapeError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def conv2d(
@@ -227,18 +254,23 @@ def conv2d(
     stride: int = 1,
     dilation: int = 1,
     padding: str = "same",
+    relu: bool = False,
 ) -> Tensor:
-    """2-D cross-correlation over [S, C, H, W], applied per slice.
+    """2-D cross-correlation over [S, C, H, W], applied per slice, then ReLU if ``relu``.
 
     ``weight`` is [C_out, C_in, kh, kw]; zero padding keeps H, W under
-    'same' padding with stride 1.
+    'same' padding with stride 1.  ``stride`` and ``dilation`` are integers
+    >= 1.
     """
     x = as_tensor(x)
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(
             f"conv2d expects [S, C, H, W] and a 4-D kernel, got {x.shape} and {weight.shape}"
         )
-    return _conv(x, weight, bias, stride, dilation, _pads(padding, weight.shape[2:], dilation))
+    _check_step("stride", stride)
+    _check_step("dilation", dilation)
+    return _conv(x, weight, bias, stride, dilation, _pads(padding, weight.shape[2:], dilation),
+                 relu)
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -271,9 +303,9 @@ def fc(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     def backward(g):
         gf = g.reshape(-1, L)
         if bias is not None:
-            _accum(bias, gf.sum(axis=0))
-        _accum(weight, xf.T @ gf)
-        _accum(x, (gf @ weight.data.T).reshape(x.shape))
+            _accum(bias, gf.sum(axis=0), fresh=True)
+        _accum(weight, xf.T @ gf, fresh=True)
+        _accum(x, (gf @ weight.data.T).reshape(x.shape), fresh=True)
 
     return _track(out.reshape(lead + (L,)), parents, backward)
 
@@ -312,7 +344,7 @@ def max_pool2(x: Tensor) -> Tensor:
             hit = free & (v == out)
             np.copyto(dx[:, :, i::2, j::2], g, where=hit)
             free &= ~hit
-        _accum(x, dx)
+        _accum(x, dx, fresh=True)
 
     return _track(out, (x,), backward)
 
@@ -372,12 +404,14 @@ def kaiming_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Conv2d:
-    """Stride-1 'same' k x k convolution, weight and bias under ``params.child(name)``."""
+    """Stride-1 'same' k x k convolution, weight and bias under ``params.child(name)``.
+
+    With ``relu`` set, every call applies the ReLU fused into the convolution.
+    """
 
     def __init__(self, params: ModuleParams, name: str, in_channels: int, out_channels: int,
-                 kernel: int, rng: np.random.Generator, dilation: int = 1):
-        if dilation < 1:
-            raise ShapeError("dilation must be >= 1")
+                 kernel: int, rng: np.random.Generator, dilation: int = 1, relu: bool = False):
+        _check_step("dilation", dilation)
         _pads("same", (kernel, kernel), dilation)
         scope = params.child(name)
         self.weight = scope.add(
@@ -387,9 +421,10 @@ class Conv2d:
         )
         self.bias = scope.add("bias", np.zeros(out_channels))
         self.dilation = dilation
+        self.relu = relu
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, dilation=self.dilation)
+        return conv2d(x, self.weight, self.bias, dilation=self.dilation, relu=self.relu)
 
 
 class Linear:

@@ -189,15 +189,27 @@ def _track(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into ``t.grad``, so that every ``grad`` is a buffer no other tensor holds.
+
+    The first gradient is copied in the layout of ``t.data``, as
+    zeros_like(t.data) + g gave.  A ``fresh`` ``g`` is an array the calling
+    backward allocated itself and keeps no reference to, never handed to
+    another parent: it becomes ``t.grad`` without a copy when it already has
+    that layout (both C-contiguous, same shape and dtype).  A ``g`` that
+    flows through an op unchanged, or a view of one, is never fresh.  Since
+    ``grad`` is owned, a backward closure may overwrite the ``g`` it receives.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # a copy in the layout of t.data, as zeros_like(t.data) + g gave
+    if t.grad is not None:
+        t.grad += g
+    elif (fresh and g.flags.c_contiguous and t.data.flags.c_contiguous
+          and g.shape == t.data.shape and g.dtype == t.data.dtype):
+        t.grad = g
+    else:
         t.grad = np.empty_like(t.data)
         np.copyto(t.grad, g)
-    else:
-        t.grad += g
 
 
 def as_tensor(value) -> Tensor:
@@ -251,7 +263,7 @@ def sub(a, b) -> Tensor:
 
     def backward(g):
         _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
+        _accum(b, _unbroadcast(-g, b.shape), fresh=True)
 
     return _track(np.subtract(*_common(a, b)), (a, b), backward)
 
@@ -261,8 +273,8 @@ def mul(a, b) -> Tensor:
     _check_broadcast(a.shape, b.shape)
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
+        _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _track(np.multiply(*_common(a, b)), (a, b), backward)
 
@@ -274,8 +286,8 @@ def div(a, b) -> Tensor:
         raise DomainError("division by exact zero")
 
     def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        _accum(a, _unbroadcast(g / b.data, a.shape), fresh=True)
+        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape), fresh=True)
 
     return _track(np.divide(*_common(a, b)), (a, b), backward)
 
@@ -284,7 +296,7 @@ def absolute(a: Tensor) -> Tensor:
     a = as_tensor(a)
 
     def backward(g):
-        _accum(a, g * np.sign(a.data))
+        _accum(a, g * np.sign(a.data), fresh=True)
 
     return _track(np.abs(a.data), (a,), backward)
 
@@ -296,7 +308,7 @@ def sqrt(a: Tensor) -> Tensor:
     root = np.sqrt(a.data)
 
     def backward(g):
-        _accum(a, g / (2.0 * root))
+        _accum(a, g / (2.0 * root), fresh=True)
 
     return _track(root, (a,), backward)
 
@@ -314,8 +326,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a.shape[:-2], b.shape[:-2])
 
     def backward(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), fresh=True)
+        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), fresh=True)
 
     return _track(np.matmul(*_common(a, b)), (a, b), backward)
 
@@ -407,7 +419,7 @@ def narrow(x: Tensor, key) -> Tensor:
     def backward(g):
         full = np.zeros_like(x.data)
         full[key] = g
-        _accum(x, full)
+        _accum(x, full, fresh=True)
 
     return _track(x.data[key].copy(), (x,), backward)
 

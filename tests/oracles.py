@@ -14,6 +14,7 @@ import numpy as np
 
 from lfdepth.errors import UsageError
 from lfdepth.ops import _columns, _correlate, _pad
+from lfdepth.tensor import _accum, _track, as_tensor
 
 
 def fd_gradients(loss_fn, tensors, step=1e-5):
@@ -192,6 +193,23 @@ def conv_backward_two_walks(x, w, g, stride, dilation, pads):
     flipped = np.flip(w, tuple(range(2, 2 + D))).swapaxes(0, 1)
     dx = _correlate(_pad(g, back), flipped, None, 1, dilation, spatial)
     return dx, dw.reshape(w.shape)
+
+
+def relu(x):
+    """The unfused ReLU tape op: np.where(x > 0, x, 0.0), backward g * (x > 0).
+
+    The model applied this after each convolution before the ReLU was fused
+    into ``ops.conv2d``; composed with an unfused ``conv2d`` it must agree
+    with ``conv2d(..., relu=True)`` bit for bit.  It records on the package's
+    tape (``_track``) and copies its gradient in through ``_accum``.
+    """
+    x = as_tensor(x)
+    mask = x.data > 0
+
+    def backward(g):
+        _accum(x, g * mask)
+
+    return _track(np.where(mask, x.data, 0.0), (x,), backward)
 
 
 def max_pool2_argmax(x, g):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lfdepth import ops
 from lfdepth.errors import ConfigError, ShapeError, UsageError
 from lfdepth.model import (
     LADDER,
@@ -15,8 +16,9 @@ from lfdepth.model import (
 )
 from lfdepth.params import ModuleParams
 from lfdepth.tensor import Tensor
+from lfdepth.train import Adam
 
-from oracles import fd_gradients_sampled, max_rel_err
+from oracles import fd_gradients_sampled, max_rel_err, relu as oracle_relu
 
 TOL = 1e-4
 
@@ -354,3 +356,40 @@ def test_model_loss_backward_runs():
     missing = [k for k, t in model.params.tensors() if t.grad is None]
     assert missing == []
     assert np.isfinite(loss.data)
+
+
+def test_fused_relu_training_matches_unfused_reference(monkeypatch):
+    """Two Adam steps of a tiny DepthNet in train mode: every parameter gradient
+    of both steps equals, bit for bit, the one from an unfused conv2d followed
+    by the oracle relu."""
+    cfg = small_config(height=16, width=16, slices=2, stage_channels=(4, 4, 4, 4, 4),
+                       decoder_channels=4)
+
+    def two_steps():
+        model = DepthNet(cfg, np.random.default_rng(5))
+        optimizer, rng = Adam(), np.random.default_rng(6)
+        rgb, focal, gt = scene_inputs(cfg, seed=7)
+        steps = []
+        for _ in range(2):
+            model.params.zero_grad()
+            prediction_loss(model(rgb, focal, mode="train", rng=rng), gt).backward()
+            assert all(t.grad is not None for _, t in model.params.tensors())
+            steps.append({k: g.copy() for k, g in model.params.gradients().items()})
+            optimizer.step(model.params, 1e-3)
+        return steps
+
+    fused = two_steps()
+    conv2d, relu_calls = ops.conv2d, []
+
+    def unfused(*args, relu=False, **kwargs):
+        out = conv2d(*args, **kwargs)
+        relu_calls.append(relu)
+        return oracle_relu(out) if relu else out
+
+    monkeypatch.setattr(ops, "conv2d", unfused)
+    reference = two_steps()
+    assert sum(relu_calls) > 0
+    for got, want in zip(fused, reference):
+        assert got.keys() == want.keys()
+        for path, g in got.items():
+            assert g.tobytes() == want[path].tobytes(), path

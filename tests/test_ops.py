@@ -31,6 +31,7 @@ from oracles import (
     fd_gradients,
     max_pool2_argmax,
     max_rel_err,
+    relu as oracle_relu,
 )
 
 TOL = 1e-4
@@ -172,6 +173,26 @@ def test_conv2d_unknown_padding_rejected():
         conv2d(Tensor(np.zeros((1, 1, 5, 5))), Tensor(np.zeros((1, 1, 3, 3))), padding="full")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("stride", 0), ("stride", -1), ("stride", 1.5), ("stride", True),
+    ("dilation", 0), ("dilation", -2), ("dilation", 1.5), ("dilation", "2"),
+])
+def test_conv2d_rejects_bad_stride_or_dilation(key, value):
+    x, w = Tensor(np.zeros((1, 1, 9, 9))), Tensor(np.zeros((1, 1, 3, 3)))
+    with pytest.raises(ShapeError, match=key):
+        conv2d(x, w, **{key: value})
+    if key == "dilation":
+        with pytest.raises(ShapeError, match=key):
+            Conv2d(ModuleParams(), "c", 1, 1, 3, np.random.default_rng(0), dilation=value)
+
+
+def test_conv2d_takes_numpy_integer_steps():
+    x, w = Tensor(np.ones((1, 1, 9, 9))), Tensor(np.ones((1, 1, 3, 3)))
+    want = conv2d(x, w, stride=2, dilation=2).data
+    got = conv2d(x, w, stride=np.int64(2), dilation=np.int32(2)).data
+    np.testing.assert_array_equal(got, want)
+
+
 # -- conv3d -------------------------------------------------------------------
 
 
@@ -232,18 +253,19 @@ def test_conv3d_gradcheck(monkeypatch):
 
 def test_conv_holds_only_its_output():
     # the backward closure keeps neither the padded input (295 KB here)
-    # nor the im2col block buffer alive
+    # nor the im2col block buffer alive, nor the fused ReLU's mask
     rng = np.random.default_rng(11)
     x = leaf(rng, 4, 8, 32, 32)
     w = leaf(rng, 8, 8, 3, 3)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = conv2d(x, w)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held <= out.data.nbytes + 16384
+    for relu in (False, True):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, w, relu=relu)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= out.data.nbytes + 16384
 
 
 # (input shape, out channels, kernel, stride, dilation, padding)
@@ -312,6 +334,120 @@ def test_conv2d_one_sided_gradient(shape, co, kernel, stride, dilation, padding,
             assert t.grad is None
     gaps = adjoint_gaps(conv, x, w, b, g, needs)
     assert len(gaps) == 1 and gaps[0] < 1e-12
+
+
+# -- conv2d with the fused ReLU ------------------------------------------------
+
+
+def bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def plant_specials(monkeypatch):
+    """Make every convolution's pre-activation hold NaN, -0.0 and +0.0 at fixed entries."""
+    correlate = ops._correlate
+
+    def planted(*args):
+        out = correlate(*args)
+        out.reshape(-1)[[0, 5, 11]] = (np.nan, -0.0, 0.0)
+        return out
+
+    monkeypatch.setattr(ops, "_correlate", planted)
+
+
+# (input shape, out channels, kernel, stride, dilation, padding)
+FUSED_CASES = [
+    ((2, 3, 8, 8), 4, (3, 3), 1, 1, "same"),
+    ((2, 2, 9, 9), 3, (3, 3), 2, 1, "valid"),
+    ((1, 2, 9, 10), 3, (3, 3), 1, 3, "same"),
+    ((3, 4, 5, 6), 2, (1, 1), 1, 1, "same"),
+]
+
+
+@pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)],
+                         ids=["both", "x-only", "weight-only"])
+@pytest.mark.parametrize("shape,co,kernel,stride,dilation,padding", FUSED_CASES)
+def test_fused_relu_matches_oracle_relu_of_conv2d_bitwise(
+    shape, co, kernel, stride, dilation, padding, needs, monkeypatch
+):
+    plant_specials(monkeypatch)
+    rng = np.random.default_rng(hash((shape, co, stride, dilation, needs)) % 2**32)
+    x = rng.standard_normal(shape)
+    w = rng.standard_normal((co, shape[1]) + kernel)
+    b = rng.standard_normal(co)
+    g = None
+    results = []
+    for fused in (True, False):
+        xt, wt = (Tensor(a, requires_grad=r) for a, r in zip((x, w), needs))
+        bt = Tensor(b, requires_grad=True)
+        if fused:
+            out = conv2d(xt, wt, bt, stride, dilation, padding, relu=True)
+        else:
+            pre = conv2d(xt, wt, bt, stride, dilation, padding)
+            assert np.isnan(pre.data).any() and (pre.data == 0).sum() >= 2
+            assert np.signbit(pre.data[pre.data == 0]).any()
+            out = oracle_relu(pre)
+        if g is None:
+            g = rng.standard_normal(out.shape)
+        (out * Tensor(g)).sum().backward()
+        results.append([out.data] + [t.grad for t in (xt, wt, bt)])
+    for got, want in zip(*results):
+        if want is None:
+            assert got is None
+        else:
+            assert bitwise_equal(got, want)
+    assert not np.signbit(results[0][0]).any()
+
+
+def test_fused_relu_float32_forward_matches_oracle_bitwise(monkeypatch):
+    plant_specials(monkeypatch)
+    layer = Conv2d(ModuleParams(), "c", 3, 4, 3, np.random.default_rng(21), relu=True)
+    x = Tensor(np.random.default_rng(22).standard_normal((2, 3, 8, 8)).astype(np.float32))
+    with no_grad():
+        got = layer(x).data
+        want = oracle_relu(conv2d(x, layer.weight, layer.bias)).data
+    assert got.dtype == np.float32
+    assert bitwise_equal(got, want)
+
+
+def test_fused_conv_closure_holds_only_its_inputs_and_output():
+    rng = np.random.default_rng(23)
+    x, w, b = leaf(rng, 2, 3, 9, 9), leaf(rng, 4, 3, 3, 3), leaf(rng, 4)
+    for kwargs in ({}, {"stride": 2, "dilation": 2, "padding": "valid"}):
+        out = conv2d(x, w, b, relu=True, **kwargs)
+        cells = [c.cell_contents for c in out._backward_fn.__closure__]
+        arrays = [v for v in cells if isinstance(v, np.ndarray)]
+        tensors = [v for v in cells if isinstance(v, Tensor)]
+        assert len(arrays) == 1 and arrays[0] is out.data
+        assert {id(t) for t in tensors} == {id(x), id(w), id(b)}
+        assert not any(isinstance(v, (list, tuple, dict)) and any(
+            isinstance(e, (np.ndarray, Tensor)) for e in v) for v in cells)
+
+
+def test_input_feeding_two_convs_owns_its_gradient():
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((2, 3, 8, 8))
+    w1, w2 = rng.standard_normal((4, 3, 3, 3)), rng.standard_normal((2, 3, 1, 1))
+    g1, g2 = rng.standard_normal((2, 4, 8, 8)), rng.standard_normal((2, 2, 8, 8))
+
+    def grads(*branches):
+        xt = Tensor(x, requires_grad=True)
+        ws = [Tensor(w1, requires_grad=True), Tensor(w2, requires_grad=True)]
+        loss = None
+        for i in branches:
+            out = conv2d(xt, ws[i], relu=i == 0) * Tensor((g1, g2)[i])
+            loss = out.sum() if loss is None else loss + out.sum()
+        loss.backward()
+        return xt, ws
+
+    xt, ws = grads(0, 1)
+    held = [xt.grad, ws[0].grad, ws[1].grad]
+    for i, a in enumerate(held):
+        for other in held[i + 1:] + [xt.data, ws[0].data, ws[1].data, g1, g2]:
+            assert not np.shares_memory(a, other)
+    (x1, (w1t, _)), (x2, (_, w2t)) = grads(0), grads(1)
+    assert bitwise_equal(xt.grad, x1.grad + x2.grad)
+    assert bitwise_equal(ws[0].grad, w1t.grad) and bitwise_equal(ws[1].grad, w2t.grad)
 
 
 # -- fc / pooling / activations ---------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from lfdepth.errors import DomainError, ShapeError, UsageError
 from lfdepth.tensor import (
     Tensor,
+    add,
     as_tensor,
     absolute,
     broadcast_to,
@@ -16,6 +17,7 @@ from lfdepth.tensor import (
     reduce,
     reshape,
     sqrt,
+    sub,
     transpose,
 )
 
@@ -192,6 +194,32 @@ def test_grad_accumulates_across_reuse():
     y = x * x + x  # dy/dx = 2x + 1 = 7
     y.backward()
     assert abs(x.grad.item() - 7.0) < 1e-12
+
+
+def test_gradients_own_their_buffers():
+    """No two tensors share a grad buffer, and reuse sums as copy-then-add did."""
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((3, 4))
+    cases = [
+        (lambda a, b: add(a, a), lambda a, b: (c + c, None)),
+        (lambda a, b: add(a, b), lambda a, b: (c, c)),
+        (lambda a, b: sub(a, b), lambda a, b: (c, -c)),
+        (lambda a, b: a * a + b, lambda a, b: (c * a + c * a, c)),
+        (lambda a, b: reshape(transpose(a, (1, 0)), (3, 4)) + reshape(b, (3, 4)),
+         lambda a, b: (np.ascontiguousarray(c.reshape(4, 3).T), c)),
+    ]
+    for build, want in cases:
+        a, b = leaf(rng, 3, 4), leaf(rng, 3, 4)
+        (build(a, b) * Tensor(c)).sum().backward()
+        held = [t.grad for t in (a, b) if t.grad is not None]
+        for i, g in enumerate(held):
+            for other in held[i + 1:] + [a.data, b.data, c]:
+                assert not np.shares_memory(g, other)
+        for t, w in zip((a, b), want(a.data, b.data)):
+            if w is None:
+                assert t.grad is None
+            else:
+                assert t.grad.tobytes() == w.tobytes()
 
 
 def test_diamond_graph_single_visit():
