@@ -4,7 +4,7 @@ Training, gradients and checkpoints are float64; inference runs in float32.
 """
 
 from .cmfa import Cmfa
-from .cru import Cru, CruConfig, node_count, zero_fuse
+from .cru import Cru, node_count, zero_fuse
 from .errors import (
     ConfigError,
     DomainError,

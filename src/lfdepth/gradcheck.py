@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmfa import Cmfa
-from .cru import Cru, CruConfig
+from .cru import Cru
 from .errors import NumericalCheckError, UsageError
 from .model import DepthNet, NetworkConfig, prediction_loss
 from .ops import (
@@ -35,7 +35,8 @@ from .params import ModuleParams
 from .tensor import Tensor, concat_tensors, matmul
 
 SCOPES = ("ops", "cru", "cmfa", "model")
-DEFAULT_STEP = 1e-5
+SAMPLES = 3             # entries checked per tensor
+FD_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 _REL_FLOOR = 1e-6
 
@@ -62,14 +63,11 @@ def _fd_entry(forward, flat, i, step: float) -> float:
     return (hi - lo) / (2.0 * step)
 
 
-def _check_tensors(
-    forward, named, rng, samples: int, step: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[GroupReport]:
+def _check_tensors(forward, named, rng) -> list[GroupReport]:
     """Compare analytic gradients of ``forward()`` against sampled FD.
 
-    The primary estimate uses the given step.  An entry that disagrees is
-    re-estimated once at step/10: in a relu network a random evaluation
+    The primary estimate uses FD_STEP.  An entry that disagrees is
+    re-estimated once at FD_STEP/10: in a relu network a random evaluation
     point occasionally has some pre-activation within the step of zero, and
     the central difference then straddles the kink and reports a one-sided
     slope even though the backward rule is exact.  The refined estimate is
@@ -88,17 +86,18 @@ def _check_tensors(
     for (name, t), an in zip(named, analytic):
         flat = t.data.ravel()
         an_flat = an.ravel()
-        n = min(samples, flat.size)
+        n = min(SAMPLES, flat.size)
         picks = rng.choice(flat.size, size=n, replace=False)
         fd_vals = np.empty(n)
         an_vals = np.empty(n)
         refined = 0
         for row, i in enumerate(picks):
-            fd = _fd_entry(forward, flat, i, step)
+            fd = _fd_entry(forward, flat, i, FD_STEP)
             an_i = an_flat[i]
-            if abs(an_i - fd) > tolerance * max(abs(an_i), abs(fd), _REL_FLOOR):
-                finer = _fd_entry(forward, flat, i, step / 10.0)
-                if abs(an_i - finer) <= tolerance * max(abs(an_i), abs(finer), _REL_FLOOR):
+            if abs(an_i - fd) > DEFAULT_TOLERANCE * max(abs(an_i), abs(fd), _REL_FLOOR):
+                finer = _fd_entry(forward, flat, i, FD_STEP / 10.0)
+                bound = DEFAULT_TOLERANCE * max(abs(an_i), abs(finer), _REL_FLOOR)
+                if abs(an_i - finer) <= bound:
                     fd = finer
                     refined += 1
             fd_vals[row] = fd
@@ -124,13 +123,13 @@ def _shift_biases(params: ModuleParams, rng) -> None:
 # -- fixtures -------------------------------------------------------------------
 
 
-def _scope_ops(seed: int, samples: int, step: float) -> list[GroupReport]:
+def _scope_ops(seed: int) -> list[GroupReport]:
     rng = np.random.default_rng(seed)
     reports = []
 
     def check(name, forward, tensors):
         named = [(f"{name}.{label}", t) for label, t in tensors]
-        reports.extend(_check_tensors(forward, named, rng, samples, step))
+        reports.extend(_check_tensors(forward, named, rng))
 
     x = Tensor(rng.normal(size=(2, 3, 9, 9)), requires_grad=True)
     w = Tensor(0.3 * rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
@@ -210,18 +209,17 @@ def _scope_ops(seed: int, samples: int, step: float) -> list[GroupReport]:
     return reports
 
 
-def _scope_cru(seed: int, samples: int, step: float) -> list[GroupReport]:
+def _scope_cru(seed: int) -> list[GroupReport]:
     rng = np.random.default_rng(seed)
     params = ModuleParams()
-    block = Cru(params, "cru", CruConfig(channels=4), rng)
-    block.warmup(6, 6)
+    block = Cru(params, "cru", 4, (6, 6), rng)
     _shift_biases(params, rng)
     x = Tensor(rng.normal(size=(2, 4, 6, 6)), requires_grad=False)
     forward = lambda: _weighted_mean(block(x), np.random.default_rng(seed + 1))
-    return _check_tensors(forward, params.tensors(), rng, samples, step)
+    return _check_tensors(forward, params.tensors(), rng)
 
 
-def _scope_cmfa(seed: int, samples: int, step: float) -> list[GroupReport]:
+def _scope_cmfa(seed: int) -> list[GroupReport]:
     rng = np.random.default_rng(seed)
     params = ModuleParams()
     block = Cmfa(params, "cmfa", 2, rng)
@@ -231,7 +229,7 @@ def _scope_cmfa(seed: int, samples: int, step: float) -> list[GroupReport]:
     forward = lambda: _weighted_mean(
         block(focal, rgbf, mode="eval"), np.random.default_rng(seed + 1)
     )
-    return _check_tensors(forward, params.tensors(), rng, samples, step)
+    return _check_tensors(forward, params.tensors(), rng)
 
 
 def micro_config() -> NetworkConfig:
@@ -242,7 +240,7 @@ def micro_config() -> NetworkConfig:
     )
 
 
-def _scope_model(seed: int, samples: int, step: float) -> list[GroupReport]:
+def _scope_model(seed: int) -> list[GroupReport]:
     rng = np.random.default_rng(seed)
     model = DepthNet(micro_config(), rng)
     # The constructor zeroes the context-fusion convs for stable training;
@@ -276,7 +274,7 @@ def _scope_model(seed: int, samples: int, step: float) -> list[GroupReport]:
     gt = Tensor(rng.uniform(0.1, 0.9, (1, 1, cfg.height, cfg.width)), requires_grad=False)
 
     forward = lambda: prediction_loss(model(rgb, focal, mode="eval"), gt, cfg.loss_weights)
-    return _check_tensors(forward, model.params.tensors(), rng, samples, step)
+    return _check_tensors(forward, model.params.tensors(), rng)
 
 
 _SCOPE_FNS = {
@@ -287,18 +285,12 @@ _SCOPE_FNS = {
 }
 
 
-def check_scope(
-    scope: str,
-    seed: int = 0,
-    *,
-    samples: int = 3,
-    step: float = DEFAULT_STEP,
-) -> list[GroupReport]:
+def check_scope(scope: str, seed: int = 0) -> list[GroupReport]:
     if scope not in _SCOPE_FNS:
         raise UsageError(f"unknown gradcheck scope {scope!r}; choose from {SCOPES}")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
-    return _SCOPE_FNS[scope](seed, samples, step)
+    return _SCOPE_FNS[scope](seed)
 
 
 def assert_all_pass(reports: list[GroupReport], tolerance: float = DEFAULT_TOLERANCE) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cmfa import Cmfa
-from .cru import Cru, CruConfig, zero_fuse
+from .cru import Cru, zero_fuse
 from .errors import ConfigError, ShapeError, UsageError
 from .ops import Conv2d, concat, max_pool2, sigmoid, upsample_bilinear
 from .params import ModuleParams
@@ -80,6 +80,9 @@ class NetworkConfig:
             )
         if self.use_cru and not (self.use_cru_md or self.use_cru_mg):
             raise ConfigError("use_cru needs at least one of use_cru_md / use_cru_mg")
+        side = [self.stage_channels[s] for s in SIDE_STAGES]
+        if self.use_cru and self.use_cru_md and any(c % 2 for c in side):
+            raise ConfigError(f"use_cru_md needs even side-stage channels, got {side}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         for name in ("learning_rate", "lr_drop"):
@@ -179,14 +182,12 @@ class DepthNet:
                     block = Cru(
                         self.params.child("cru").child(stream),
                         name,
-                        CruConfig(
-                            channels,
-                            use_dilated=cc.use_cru_md,
-                            use_graph=cc.use_cru_mg,
-                        ),
+                        channels,
+                        cc.stage_size(stage),
                         rng,
+                        dilated=cc.use_cru_md,
+                        graph=cc.use_cru_mg,
                     )
-                    block.warmup(*cc.stage_size(stage))
                     # start as identity: the graph branch multiplies activation
                     # matrices and is orders of magnitude too hot at random
                     # init, which would park the prediction head's sigmoid in

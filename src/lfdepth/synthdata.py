@@ -52,8 +52,10 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.height % 16 or self.width % 16:
-            raise ConfigError(f"scene size must be divisible by 16, got {self.height}x{self.width}")
+        if self.height < 16 or self.width < 16 or self.height % 16 or self.width % 16:
+            raise ConfigError(
+                f"scene size must be a positive multiple of 16, got {self.height}x{self.width}"
+            )
         if self.slices < 2:
             raise ConfigError(f"need at least 2 slices, got {self.slices}")
         if self.seed < 0:

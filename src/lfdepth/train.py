@@ -27,6 +27,10 @@ from .params import load_params, save_params
 from .synthdata import Scene, augment
 from .tensor import Tensor, no_grad
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Adam:
     """Adaptive-moment descent over a parameter tree.
@@ -37,10 +41,7 @@ class Adam:
     NumericalCheckError before it changes any moment or weight.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -51,8 +52,8 @@ class Adam:
             if not np.all(np.isfinite(t.grad)):
                 raise NumericalCheckError(f"non-finite gradient for parameter {path!r}")
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
+        bc1 = 1.0 - ADAM_BETA1**self.step_count
+        bc2 = 1.0 - ADAM_BETA2**self.step_count
         for path, t in graded:
             g = t.grad
             m = self.m.get(path)
@@ -60,11 +61,11 @@ class Adam:
             if m is None:
                 m = np.zeros_like(t.data)
                 v = np.zeros_like(t.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
             self.m[path] = m
             self.v[path] = v
-            t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def state_entries(self) -> dict[str, np.ndarray]:
         out = {"adam.step": np.asarray(float(self.step_count))}
@@ -339,6 +340,11 @@ def load_checkpoint(path) -> TrainState:
             rng.bit_generator.state = sidecar["rng_state"]
         except (KeyError, TypeError, ValueError) as err:
             raise FormatError(f"bad rng_state ({err})") from None
+        if sidecar["epoch"] != len(sidecar["epoch_losses"]):
+            raise FormatError(
+                f"epoch {sidecar['epoch']} does not match its "
+                f"{len(sidecar['epoch_losses'])} epoch losses"
+            )
     except FormatError as err:
         raise FormatError(f"{sidecar_path}: {err}") from None
 

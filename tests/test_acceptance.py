@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from lfdepth.cmfa import Cmfa
-from lfdepth.cru import Cru, CruConfig, node_count, zero_fuse
+from lfdepth.cru import Cru, node_count, zero_fuse
 from lfdepth.gradcheck import SCOPES, assert_all_pass, check_scope
 from lfdepth.metrics import evaluate
 from lfdepth.model import NetworkConfig
@@ -95,8 +95,7 @@ def test_criterion_2_identity_reductions():
     attention heads equals a plain mean followed by its final conv."""
     # (a) zero fusion conv: residual path only, bit-exact
     params = ModuleParams()
-    block = Cru(params, "cru", CruConfig(channels=4), np.random.default_rng(0))
-    block.warmup(6, 6)
+    block = Cru(params, "cru", 4, (6, 6), np.random.default_rng(0))
     zero_fuse(block)
     x = Tensor(np.random.default_rng(1).standard_normal((2, 4, 6, 6)))
     y = block(x)

@@ -66,6 +66,15 @@ def test_generate_rejects_bad_size(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", [("0", "0"), ("-16", "32")])
+def test_generate_rejects_non_positive_size(tmp_path, capsys, size):
+    out = tmp_path / "ds"
+    code = main(["generate", "--out", str(out), "--scenes", "2", "--size", *size])
+    assert code == 1
+    assert "multiple of 16" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- train --------------------------------------------------------------------
 
 
@@ -204,6 +213,61 @@ def test_train_resume_with_corrupt_optimizer_state_exits_2(tmp_path, capsys):
     assert code == 2
     assert "optimizer step" in capsys.readouterr().err
     assert not out2.exists()
+
+
+def edit_sidecar(ckpt, network=(), **fields):
+    sidecar = ckpt.parent / (ckpt.name + ".json")
+    doc = json.loads(sidecar.read_text())
+    doc.update(fields)
+    doc["config"].update(network)
+    sidecar.write_text(json.dumps(doc))
+
+
+def test_train_resume_with_negative_epoch_exits_2(tmp_path, capsys):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"]) == 0
+    ckpt = out / "checkpoint.lfdp"
+    edit_sidecar(ckpt, {"epochs": 2}, epoch=-5)
+    out2 = tmp_path / "run2"
+    code = main(["train", "--data", str(data), "--resume", str(ckpt),
+                 "--out", str(out2), "--quiet"])
+    assert code == 2
+    assert "epoch -5" in capsys.readouterr().err
+    assert not out2.exists()
+
+
+ODD_SIDE_CHANNELS = [2, 2, 5, 5, 5]
+
+
+def test_run_config_with_odd_side_channels_exits_1(tmp_path, capsys):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_network_keys(write_run_config(tmp_path / "run.json"),
+                                stage_channels=ODD_SIDE_CHANNELS)
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "even side-stage channels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_sidecar_with_odd_side_channels_exits_2(tmp_path, capsys):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"]) == 0
+    edit_sidecar(out / "checkpoint.lfdp", {"stage_channels": ODD_SIDE_CHANNELS})
+    capsys.readouterr()
+    code = main(["eval", "--data", str(data), "--ckpt", str(out / "checkpoint.lfdp")])
+    assert code == 2
+    assert "even side-stage channels" in capsys.readouterr().err
 
 
 def test_train_negative_seed_exits_1_before_any_checkpoint(tmp_path, capsys):

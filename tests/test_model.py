@@ -1,3 +1,5 @@
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ from lfdepth.model import (
     loss_terms,
     prediction_loss,
 )
-from lfdepth.params import ModuleParams
+from lfdepth.params import ModuleParams, write_container
 from lfdepth.tensor import Tensor
 from lfdepth.train import Adam
 
@@ -84,6 +86,21 @@ def test_config_rejects_no_streams():
 def test_config_rejects_cru_with_no_branches():
     with pytest.raises(ConfigError):
         small_config(use_cru=True, use_cru_md=False, use_cru_mg=False)
+
+
+@pytest.mark.parametrize("stage", [2, 3, 4])
+def test_config_rejects_odd_side_channels_with_the_dilated_branch(stage):
+    channels = [4, 8, 8, 8, 8]
+    channels[stage] = 5
+    with pytest.raises(ConfigError, match="even"):
+        small_config(stage_channels=tuple(channels))
+    # the dilated branch is the one that halves channels; without it any count works
+    small_config(stage_channels=tuple(channels), use_cru_md=False)
+    small_config(stage_channels=tuple(channels), use_cru=False)
+
+
+def test_config_accepts_odd_channels_outside_the_side_stages():
+    DepthNet(small_config(stage_channels=(3, 5, 8, 8, 8)), np.random.default_rng(0))
 
 
 def test_config_rejects_bad_channels_and_weights():
@@ -192,6 +209,20 @@ def test_same_seed_builds_identical_models():
         np.testing.assert_array_equal(s1[k], s2[k])
     rgb, focal, _ = scene_inputs(cfg, seed=3)
     np.testing.assert_array_equal(m1(rgb, focal).data, m2(rgb, focal).data)
+
+
+def test_default_init_container_is_pinned():
+    """The bytes a default model starts from, by SHA-256.
+
+    This pins the order in which the constructors draw from the init RNG and
+    register their parameters, which every saved checkpoint depends on.  The
+    digest was taken with numpy 2.4 on x86-64.
+    """
+    buf = io.BytesIO()
+    write_container(buf, DepthNet(NetworkConfig(), np.random.default_rng(0)).params.state())
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == (
+        "5e2106b855c1600249335d9617ac694f05deb8e43ec63348a9317d954a38f2d8"
+    )
 
 
 def test_forward_rejects_wrong_shapes():

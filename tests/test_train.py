@@ -437,6 +437,26 @@ def test_corrupt_optimizer_state_is_a_format_error(tmp_path, one_epoch_checkpoin
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("epoch", [-5, 0, 2])
+def test_sidecar_epoch_must_count_its_epoch_losses(tmp_path, one_epoch_checkpoint, epoch):
+    path = tmp_path / "ckpt.lfdp"
+    path.write_bytes(one_epoch_checkpoint.read_bytes())
+    doc = json.loads((one_epoch_checkpoint.parent / "ckpt.lfdp.json").read_text())
+    doc["epoch"] = epoch
+    (tmp_path / "ckpt.lfdp.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="epoch"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_stopped_mid_epoch_loads(tmp_path):
+    state = train_model([tiny_scene(0), tiny_scene(1)], tiny_config(), max_steps=3,
+                        eval_every=0)
+    assert (state.epoch, len(state.log.epoch_losses)) == (2, 2)
+    path = tmp_path / "ckpt.lfdp"
+    save_checkpoint(path, state)
+    assert load_checkpoint(path).epoch == 2
+
+
 def test_negative_seed_is_a_config_error_before_training(monkeypatch):
     with pytest.raises(ConfigError):
         init_state(tiny_config(), -1)
