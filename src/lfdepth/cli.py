@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .gradcheck import SCOPES, assert_all_pass, check_scope
 from .jsonio import read_fields, read_json
-from .metrics import COLUMN_NAMES, aggregate, evaluate
+from .metrics import COLUMN_NAMES
 from .model import NetworkConfig
 from .pnm import write_pgm16
 from .synthdata import GenSpec, generate_dataset, load_split, read_scene, split_names
@@ -32,6 +31,7 @@ from .train import (
     INFERENCE_DTYPE,
     ablation_run,
     config_from_dict,
+    evaluate_model,
     format_metric,
     format_table,
     load_checkpoint,
@@ -40,17 +40,6 @@ from .train import (
     save_checkpoint,
     train_model,
 )
-
-
-def worker_count() -> int:
-    raw = os.environ.get("LFDEPTH_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"LFDEPTH_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"LFDEPTH_THREADS must be >= 1, got {n}")
-    return n
 
 
 # -- run configuration ------------------------------------------------------------
@@ -117,6 +106,9 @@ def _write_train_outputs(out_dir, state) -> None:
 
 
 def cmd_train(args) -> int:
+    if bool(args.config) == bool(args.resume):
+        raise UsageError("train takes one of --config and --resume; a resumed run keeps "
+                         "the settings in its checkpoint")
     train_scenes = _load_scenes(args.data, "train")
     test_scenes = _load_scenes(args.data, "test")
     if args.resume:
@@ -128,8 +120,6 @@ def cmd_train(args) -> int:
             verbose=not args.quiet,
         )
     else:
-        if not args.config:
-            raise UsageError("train needs --config (or --resume)")
         run = load_run_config(args.config)
         state = train_model(
             train_scenes, run["network"], run["seed"],
@@ -145,16 +135,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     state = load_checkpoint(args.ckpt)
     scenes = _load_scenes(args.data, args.split)
-    if not scenes:
-        raise UsageError(f"split {args.split!r} is empty")
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            preds = list(pool.map(lambda sc: predict_scene(state.model, sc), scenes))
-    else:
-        preds = [predict_scene(state.model, sc) for sc in scenes]
-    per_scene = [evaluate(p, sc.depth[None]) for p, sc in zip(preds, scenes)]
-    mean = aggregate(per_scene)
+    per_scene, mean = evaluate_model(state.model, scenes)
 
     names = split_names(args.data, args.split)
     width = max(len(n) for n in names + ["aggregate"])
@@ -182,17 +163,6 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     state = load_checkpoint(args.ckpt)
     scene = read_scene(args.scene)
-    cfg = state.config
-    if scene.focal.shape[0] != cfg.slices:
-        raise UsageError(
-            f"scene has {scene.focal.shape[0]} slices but the checkpoint "
-            f"expects {cfg.slices}"
-        )
-    if scene.rgb.shape[1:] != (cfg.height, cfg.width):
-        raise UsageError(
-            f"scene is {scene.rgb.shape[1]}x{scene.rgb.shape[2]} but the "
-            f"checkpoint expects {cfg.height}x{cfg.width}"
-        )
     depth = predict_scene(state.model, scene)[0, 0]
     write_pgm16(args.out, np.round(depth * 65535.0).astype(np.uint16))
     print(f"wrote {args.out}")
@@ -204,13 +174,11 @@ def cmd_ablate(args) -> int:
     if not names:
         raise UsageError("--ladder needs at least one configuration name")
     train_scenes = _load_scenes(args.data, "train")
+    if not train_scenes:
+        raise UsageError(f"{args.data}: the train split is empty")
     test_scenes = _load_scenes(args.data, "test")
-    base = NetworkConfig(
-        height=train_scenes[0].rgb.shape[1] if train_scenes else 64,
-        width=train_scenes[0].rgb.shape[2] if train_scenes else 64,
-        slices=train_scenes[0].focal.shape[0] if train_scenes else 12,
-        epochs=args.epochs,
-    )
+    slices, _, height, width = train_scenes[0].focal.shape
+    base = NetworkConfig(height=height, width=width, slices=slices, epochs=args.epochs)
     results = ablation_run(
         train_scenes, names, base, args.seed,
         eval_scenes=test_scenes or None, verbose=not args.quiet,

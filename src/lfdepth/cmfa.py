@@ -24,7 +24,7 @@ F_f2 = [sum_j gamma_j lambda_j f_j / sum_j gamma_j lambda_j, F_f1].
 Both normalized sums are convex combinations, so every element of F_f1 and
 F_f2 stays inside the elementwise min/max envelope of its inputs; zeroing the
 attention heads turns both into plain means.  In training mode both heads
-drop pooled features at the fixed rate DROPOUT_RATE = 0.5.
+drop pooled features at ops.DROPOUT_RATE (0.5).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .params import ModuleParams
 from .tensor import Tensor, broadcast_to, reduce, reshape, transpose
 
 COMP_KERNEL = (3, 3, 3)                  # focal->rgb 3-D conv kernel: slices, height, width
-DROPOUT_RATE = 0.5                       # on the pooled features of both attention heads
 
 
 class Cmfa:
@@ -104,7 +103,7 @@ class Cmfa:
         if mode == "train":
             if rng is None:
                 raise UsageError("train mode needs an rng for dropout")
-            pooled = dropout(pooled, DROPOUT_RATE, rng)
+            pooled = dropout(pooled, rng)
         elif mode != "eval":
             raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
         return reshape(sigmoid(linear(pooled)), (pooled.shape[0],))

@@ -293,12 +293,12 @@ def check_scope(scope: str, seed: int = 0) -> list[GroupReport]:
     return _SCOPE_FNS[scope](seed)
 
 
-def assert_all_pass(reports: list[GroupReport], tolerance: float = DEFAULT_TOLERANCE) -> None:
+def assert_all_pass(reports: list[GroupReport]) -> None:
     # written so that a NaN error fails rather than slipping past the comparison
-    bad = [r for r in reports if not (r.max_rel_err < tolerance)]
+    bad = [r for r in reports if not (r.max_rel_err < DEFAULT_TOLERANCE)]
     if bad:
         worst = max(bad, key=lambda r: r.max_rel_err)
         raise NumericalCheckError(
             f"{len(bad)} of {len(reports)} parameter groups exceed "
-            f"tolerance {tolerance:g}; worst is {worst.name} at {worst.max_rel_err:.3e}"
+            f"tolerance {DEFAULT_TOLERANCE:g}; worst is {worst.name} at {worst.max_rel_err:.3e}"
         )

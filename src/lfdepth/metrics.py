@@ -29,23 +29,24 @@ class DepthMetrics:
 
 COLUMN_NAMES = ("rms", "abs rel", "sq rel", "d1", "d2", "d3")
 
+# Ground-truth depths at or below this are masked out of every metric.
+MASK_EPS = 1e-3
 
-def evaluate(pred, gt, eps: float = 1e-3) -> DepthMetrics:
+
+def evaluate(pred, gt) -> DepthMetrics:
     """Compare a predicted depth map against ground truth.
 
-    Pixels with gt <= eps are masked out.  rms = sqrt(mean (d-g)^2),
+    Pixels with gt <= MASK_EPS are masked out.  rms = sqrt(mean (d-g)^2),
     abs_rel = mean |d-g|/g, sq_rel = mean (d-g)^2/g, and d_i is the
     fraction of pixels where max(d/g, g/d) < 1.25^i.
     """
-    if eps <= 0:
-        raise UsageError(f"eps must be positive, got {eps}")
     d = pred.data if isinstance(pred, Tensor) else np.asarray(pred, dtype=np.float64)
     g = gt.data if isinstance(gt, Tensor) else np.asarray(gt, dtype=np.float64)
     if d.shape != g.shape:
         raise ShapeError(f"prediction {d.shape} and ground truth {g.shape} differ")
-    mask = g > eps
+    mask = g > MASK_EPS
     if not np.any(mask):
-        raise EvaluationError(f"no ground-truth pixels above eps={eps}")
+        raise EvaluationError(f"no ground-truth pixels above {MASK_EPS}")
     d = d[mask].astype(np.float64)
     g = g[mask].astype(np.float64)
 

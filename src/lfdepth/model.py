@@ -242,11 +242,11 @@ class DepthNet:
         if cc.use_focal_stream and focal is None:
             raise UsageError("configuration uses the focal stream but none was given")
         if rgb is not None and rgb.shape != (1, 3, cc.height, cc.width):
-            raise ShapeError(f"rgb input must be [1,3,{cc.height},{cc.width}], got {rgb.shape}")
+            raise ShapeError(f"rgb input has shape {rgb.shape}, "
+                             f"the model takes one 3x{cc.height}x{cc.width} image")
         if focal is not None and focal.shape != (cc.slices, 3, cc.height, cc.width):
-            raise ShapeError(
-                f"focal input must be [{cc.slices},3,{cc.height},{cc.width}], got {focal.shape}"
-            )
+            raise ShapeError(f"focal stack has shape {focal.shape} (slices, 3, H, W), "
+                             f"the model takes {cc.slices} slices of 3x{cc.height}x{cc.width}")
 
         rgb_feats = self._stream_features("rgb", rgb) if cc.use_rgb_stream else None
         focal_feats = self._stream_features("focal", focal) if cc.use_focal_stream else None

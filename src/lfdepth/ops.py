@@ -20,7 +20,8 @@ allocate to ``tensor._accum`` as ``fresh``, which takes them without a copy.
 Every operator computes and allocates in its input's dtype.  Convolutions
 and ``fc`` cast a float64 weight and bias to a float32 input's dtype where
 they read them (a no-op in float64), so one parameter tree serves float64
-training and float32 inference without being changed.
+training and float32 inference without being changed.  ``dropout`` always
+drops at DROPOUT_RATE, the rate of CMFA's attention heads.
 
 Axis conventions: 2-D feature maps are [slices, channels, height, width];
 3-D convolution inputs are [batch, channels, slices, height, width].
@@ -72,14 +73,14 @@ def sigmoid(x: Tensor) -> Tensor:
     return _track(s, (x,), backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with 1/(1-rate) scaling; callers apply it in training only."""
-    if not 0.0 <= rate < 1.0:
-        raise UsageError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
+DROPOUT_RATE = 0.5  # CMFA's, on the pooled features of both attention heads
+
+
+def dropout(x: Tensor, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout at DROPOUT_RATE, kept values scaled by 1/(1-rate); training only."""
     x = as_tensor(x)
-    scale = ((rng.random(x.shape) >= rate) / (1.0 - rate)).astype(x.data.dtype, copy=False)
+    keep = rng.random(x.shape) >= DROPOUT_RATE
+    scale = (keep / (1.0 - DROPOUT_RATE)).astype(x.data.dtype, copy=False)
 
     def backward(g):
         _accum(x, g * scale, fresh=True)

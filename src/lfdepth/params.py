@@ -177,10 +177,8 @@ def read_container(fh: BinaryIO) -> dict[str, np.ndarray]:
     return entries
 
 
-def save_params(path, entries) -> None:
-    """Write a ModuleParams tree or a {path: array} map to ``path``."""
-    if isinstance(entries, ModuleParams):
-        entries = entries.state()
+def save_params(path, entries: dict[str, np.ndarray]) -> None:
+    """Write a {path: array} map (e.g. ``ModuleParams.state()``) to ``path``."""
     with open(path, "wb") as fh:
         write_container(fh, entries)
 

@@ -16,6 +16,9 @@ with zero columns after each row, so a tap over a run of rows reads one
 contiguous range, and it computes one weight map per (|dy|, |dx|) pair for
 the eight taps that share it; see ``defocus_blur``.
 
+Training augmentation has fixed settings: ``augment(scene, rng)`` flips every
+map (FLIP_CHANCE), rotates it (MAX_ROTATION_DEG) and jitters the images' colour.
+
 On disk a scene is a directory: rgb.ppm (P6), focal_00.ppm .. focal_{S-1}.ppm,
 depth.pgm (P5, 16-bit big-endian, round(depth*65535)), and meta.json.  A
 dataset is a directory of such scene folders plus manifest.json naming the
@@ -294,12 +297,9 @@ def generate_scene(spec: GenSpec) -> Scene:
 # -- augmentation -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AugmentPolicy:
-    flip_chance: float = 0.5
-    max_rotation_deg: float = 5.0
-    color_low: float = 0.6
-    color_high: float = 1.4
+FLIP_CHANCE = 0.5                  # chance of a horizontal mirror of every map
+MAX_ROTATION_DEG = 5.0             # rotation drawn uniformly from +-this
+COLOR_LOW, COLOR_HIGH = 0.6, 1.4   # range of the brightness, contrast and saturation factors
 
 
 def _rotate_bilinear(img: np.ndarray, degrees: float) -> np.ndarray:
@@ -358,21 +358,20 @@ def _color_jitter(img: np.ndarray, brightness: float, contrast: float,
     return np.clip(out, 0.0, 1.0)
 
 
-def augment(scene: Scene, rng: np.random.Generator,
-            policy: AugmentPolicy = AugmentPolicy()) -> Scene:
+def augment(scene: Scene, rng: np.random.Generator) -> Scene:
     """Jointly flip/rotate all maps; color-jitter the images but not depth."""
     rgb, focal, depth = scene.rgb, scene.focal, scene.depth
-    if rng.random() < policy.flip_chance:
+    if rng.random() < FLIP_CHANCE:
         rgb = rgb[:, :, ::-1]
         focal = focal[:, :, :, ::-1]
         depth = depth[:, :, ::-1]
-    degrees = float(rng.uniform(-policy.max_rotation_deg, policy.max_rotation_deg))
+    degrees = float(rng.uniform(-MAX_ROTATION_DEG, MAX_ROTATION_DEG))
     if degrees != 0.0:
         rgb = _rotate_bilinear(rgb, degrees)
         focal = _rotate_bilinear(focal, degrees)
         depth = _rotate_bilinear(depth, degrees)
         depth = np.clip(depth, 0.0, 1.0)
-    b, c, s = rng.uniform(policy.color_low, policy.color_high, 3)
+    b, c, s = rng.uniform(COLOR_LOW, COLOR_HIGH, 3)
     rgb = _color_jitter(np.ascontiguousarray(rgb), b, c, s)
     focal = _color_jitter(np.ascontiguousarray(focal), b, c, s)
     return Scene(

@@ -7,22 +7,28 @@ optimizer moments stored alongside under "adam." keys, plus a JSON sidecar
 holding the config, epoch counter, generator state, and metric history, so
 a resumed run replays bit for bit.  Training and checkpoints are float64;
 ``predict_scene`` runs the network in float32 (INFERENCE_DTYPE).
+
+``evaluate_model`` is the one evaluation path (``lfdepth eval``, epoch metrics,
+ablation); it predicts on a pool of LFDEPTH_THREADS threads (one: the calling
+thread), and training steps always run in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmfa import DROPOUT_RATE
 from .errors import ConfigError, FormatError, NumericalCheckError, UsageError
 from .jsonio import read_fields, read_json
 from .metrics import COLUMN_NAMES, DepthMetrics, aggregate, evaluate
 from .model import PLAIN_STACK_DEPTH, DepthNet, NetworkConfig, ladder_config, prediction_loss
+from .ops import DROPOUT_RATE
 from .params import load_params, save_params
 from .synthdata import Scene, augment
 from .tensor import Tensor, no_grad
@@ -165,11 +171,31 @@ def predict_scene(model: DepthNet, scene: Scene) -> np.ndarray:
     return depth.data.astype(np.float64)
 
 
+def worker_count() -> int:
+    """The evaluation pool size, LFDEPTH_THREADS (default 1); a malformed value is a ConfigError."""
+    raw = os.environ.get("LFDEPTH_THREADS", "1")
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ConfigError(f"LFDEPTH_THREADS must be an integer, got {raw!r}") from None
+    if n < 1:
+        raise ConfigError(f"LFDEPTH_THREADS must be >= 1, got {n}")
+    return n
+
+
 def evaluate_model(model: DepthNet, scenes: list[Scene]):
-    """Per-scene metrics and their unweighted mean."""
+    """Per-scene metrics, in scene order, and their unweighted mean; the same
+    for any pool size, since each prediction depends only on its scene."""
     if not scenes:
         raise UsageError("cannot evaluate on an empty scene list")
-    per_scene = [evaluate(predict_scene(model, sc), sc.depth[None]) for sc in scenes]
+    workers = worker_count()
+    if workers == 1:
+        # on the calling thread: a one-thread pool raised eval-full's peak RSS from 189 to 208 MB
+        preds = [predict_scene(model, sc) for sc in scenes]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            preds = list(pool.map(lambda sc: predict_scene(model, sc), scenes))
+    per_scene = [evaluate(p, sc.depth[None]) for p, sc in zip(preds, scenes)]
     return per_scene, aggregate(per_scene)
 
 
@@ -193,13 +219,16 @@ def train_model(
     ``until_epoch`` epochs total (default: the config's epoch cap) or
     ``max_steps`` optimizer steps, whichever comes first.  ``eval_every``
     controls how often epoch metrics are computed (0 disables; negative is a
-    UsageError).  A non-finite loss raises NumericalCheckError before its
-    backward pass.
+    UsageError); when it is on, a malformed LFDEPTH_THREADS is a ConfigError
+    before the first step.  A non-finite loss raises NumericalCheckError
+    before its backward pass.
     """
     if not scenes:
         raise UsageError("training needs at least one scene")
     if eval_every < 0:
         raise UsageError(f"eval_every must be >= 0, got {eval_every}")
+    if eval_every:
+        worker_count()
     if state is None:
         if config is None:
             raise UsageError("pass a config or a state to train from")
@@ -403,10 +432,12 @@ def ablation_run(
 ) -> list[AblationResult]:
     """Train each named variant with a shared seed and schedule.
 
-    Every name is resolved before the first variant trains, so an unknown
-    name raises UsageError without any training.
+    Every name and LFDEPTH_THREADS are checked before the first variant
+    trains, so an unknown name is a UsageError, and a malformed thread count a
+    ConfigError, without any training.
     """
     configs = [ladder_config(base_config, name) for name in names]
+    worker_count()
     results = []
     for name, config in zip(names, configs):
         if verbose:

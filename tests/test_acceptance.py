@@ -81,7 +81,7 @@ def test_criterion_1_gradients_match_finite_differences():
     reports = []
     for scope in SCOPES:
         scoped = check_scope(scope, seed=0)
-        assert_all_pass(scoped, tolerance=GRAD_TOLERANCE)
+        assert_all_pass(scoped)
         reports += scoped
     elapsed = time.monotonic() - t0
     worst = max(r.max_rel_err for r in reports)

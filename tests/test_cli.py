@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import lfdepth.cli as cli
-from lfdepth.cli import main, worker_count
+from lfdepth.cli import main
 from lfdepth.errors import ConfigError
 from lfdepth.gradcheck import GroupReport
 from lfdepth.params import load_params, save_params
 from lfdepth.pnm import read_pgm16, write_ppm
 from lfdepth.synthdata import GenSpec, generate_dataset
+from lfdepth.train import worker_count
 
 
 def make_dataset(root, scenes=3, size=16, slices=2):
@@ -301,6 +302,17 @@ def test_train_negative_eval_every_exits_1_before_any_checkpoint(tmp_path, capsy
     assert not out.exists()
 
 
+def test_train_config_with_resume_exits_1_before_reading(tmp_path, capsys):
+    # neither the dataset, the config nor the checkpoint exists: nothing is read
+    out = tmp_path / "o"
+    code = main(["train", "--data", str(tmp_path / "no-ds"), "--config", str(tmp_path / "run.json"),
+                 "--resume", str(tmp_path / "ck.lfdp"), "--out", str(out), "--quiet"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--config" in err and "--resume" in err
+    assert not out.exists()
+
+
 def test_train_needs_config_or_resume(tmp_path, capsys):
     data = tmp_path / "ds"
     make_dataset(data)
@@ -497,6 +509,31 @@ def test_ablate_negative_seed_exits_1_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ablate_empty_train_split_exits_1_before_writing(tmp_path, capsys):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    (data / "manifest.json").write_text(json.dumps({"train": [], "test": ["scene_0002"]}))
+    out = tmp_path / "ab"
+    code = main(["ablate", "--data", str(data), "--ladder", "Baseline", "--epochs", "1",
+                 "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "train split is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["zero", "0"])
+def test_ablate_bad_thread_env_exits_1_before_writing(tmp_path, monkeypatch, capsys, threads):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    out = tmp_path / "ab"
+    monkeypatch.setenv("LFDEPTH_THREADS", threads)
+    code = main(["ablate", "--data", str(data), "--ladder", "Baseline", "--epochs", "1",
+                 "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "LFDEPTH_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_rejects_empty_ladder(tmp_path):
     data = tmp_path / "ds"
     make_dataset(data)
@@ -577,3 +614,17 @@ def test_bad_thread_env_is_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("LFDEPTH_THREADS", "-2")
     code = main(["eval", "--data", str(data), "--ckpt", str(out / "checkpoint.lfdp")])
     assert code == 1
+
+
+@pytest.mark.parametrize("threads", ["zero", "0"])
+def test_train_bad_thread_env_exits_1_before_any_checkpoint(tmp_path, monkeypatch, capsys, threads):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json", eval_every=1)
+    out = tmp_path / "run"
+    monkeypatch.setenv("LFDEPTH_THREADS", threads)
+    code = main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"])
+    assert code == 1
+    assert "LFDEPTH_THREADS" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lfdepth.errors import EvaluationError, ShapeError, UsageError
-from lfdepth.metrics import COLUMN_NAMES, DepthMetrics, aggregate, evaluate
+from lfdepth.metrics import COLUMN_NAMES, MASK_EPS, DepthMetrics, aggregate, evaluate
 from lfdepth.tensor import Tensor
 
 
@@ -90,17 +90,17 @@ def test_evaluate_errors():
         evaluate(np.zeros(3), np.zeros(4))
     with pytest.raises(EvaluationError):
         evaluate(np.ones(4), np.zeros(4))
-    with pytest.raises(UsageError):
-        evaluate(np.ones(4), np.ones(4), eps=0.0)
 
 
 def test_eps_controls_the_mask():
-    gt = np.array([0.05, 0.5])
-    pred = np.array([0.5, 0.5])
-    loose = evaluate(pred, gt, eps=1e-3)     # both pixels count
-    tight = evaluate(pred, gt, eps=0.1)      # only the second does
-    assert loose.abs_rel > 0
-    assert tight.row() == (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+    pred = np.array([0.5, 0.5, 0.5])
+    # at and just below MASK_EPS a pixel is masked out
+    masked = evaluate(pred, np.array([MASK_EPS, 0.999 * MASK_EPS, 0.5]))
+    assert masked.row() == (0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+    # just above it the pixel counts
+    counted = evaluate(pred, np.array([1.001 * MASK_EPS, MASK_EPS, 0.5]))
+    assert counted.abs_rel > 0
+    assert counted.d1 == pytest.approx(0.5)
 
 
 def test_aggregate_is_fieldwise_mean():

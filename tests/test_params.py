@@ -188,7 +188,7 @@ def test_container_rejects_non_utf8_name():
 def test_container_roundtrip_through_module_params(tmp_path):
     params = small_tree()
     path = tmp_path / "m.bin"
-    save_params(path, params)
+    save_params(path, params.state())
     loaded = load_params(path)
     fresh = small_tree()
     for _, t in fresh.named():

@@ -15,7 +15,6 @@ from lfdepth.pnm import read_pgm16, read_ppm, write_pgm16, write_ppm
 from lfdepth.synthdata import (
     DEPTH_STYLES,
     TEXTURE_STYLES,
-    AugmentPolicy,
     GenSpec,
     Scene,
     augment,
@@ -315,30 +314,49 @@ def test_in_focus_pixels_stay_sharp():
 # -- augmentation --------------------------------------------------------------------
 
 
-def flip_only_policy():
-    return AugmentPolicy(flip_chance=1.0, max_rotation_deg=0.0, color_low=1.0, color_high=1.0)
+def set_augment(monkeypatch, flip, rotation, color_low, color_high):
+    """Run ``augment`` at other settings than its constants."""
+    monkeypatch.setattr(synthdata, "FLIP_CHANCE", flip)
+    monkeypatch.setattr(synthdata, "MAX_ROTATION_DEG", rotation)
+    monkeypatch.setattr(synthdata, "COLOR_LOW", color_low)
+    monkeypatch.setattr(synthdata, "COLOR_HIGH", color_high)
 
 
-def test_flip_is_a_horizontal_mirror():
+def test_augment_output_is_pinned():
+    """SHA-256 of the augmented maps: the draw order and the settings are fixed."""
+    scene = generate_scene(small_spec(seed=13))
+    out = augment(scene, np.random.default_rng(0))
+    digests = {name: hashlib.sha256(getattr(out, name).tobytes()).hexdigest()
+               for name in ("rgb", "focal", "depth")}
+    assert digests == {
+        "rgb": "23b26a09d17ab9e9e4fc9a50848559acafe6cf8dfda33a86946a2ede000dc010",
+        "focal": "365c8ec7ad1fa07aa44c00f779e6b27b1722f27773975d77726be50dcac79a86",
+        "depth": "91651cc8117d6ab47d2158a4413cfe0aca5ac1af051c91adf073968091ff46b0",
+    }
+
+
+def test_flip_is_a_horizontal_mirror(monkeypatch):
+    set_augment(monkeypatch, flip=1.0, rotation=0.0, color_low=1.0, color_high=1.0)
     scene = generate_scene(small_spec(seed=5))
-    out = augment(scene, np.random.default_rng(0), flip_only_policy())
+    out = augment(scene, np.random.default_rng(0))
     np.testing.assert_array_equal(out.depth, scene.depth[:, :, ::-1])
     np.testing.assert_allclose(out.rgb, scene.rgb[:, :, ::-1], atol=1e-14, rtol=0)
     np.testing.assert_allclose(out.focal, scene.focal[:, :, :, ::-1], atol=1e-14, rtol=0)
 
 
-def test_double_flip_restores_depth_exactly():
+def test_double_flip_restores_depth_exactly(monkeypatch):
+    set_augment(monkeypatch, flip=1.0, rotation=0.0, color_low=1.0, color_high=1.0)
     scene = generate_scene(small_spec(seed=6))
-    once = augment(scene, np.random.default_rng(1), flip_only_policy())
-    twice = augment(once, np.random.default_rng(2), flip_only_policy())
+    once = augment(scene, np.random.default_rng(1))
+    twice = augment(once, np.random.default_rng(2))
     np.testing.assert_array_equal(twice.depth, scene.depth)
     np.testing.assert_allclose(twice.rgb, scene.rgb, atol=1e-13, rtol=0)
 
 
-def test_jitter_never_touches_depth():
+def test_jitter_never_touches_depth(monkeypatch):
+    set_augment(monkeypatch, flip=0.0, rotation=0.0, color_low=0.5, color_high=1.5)
     scene = generate_scene(small_spec(seed=9))
-    policy = AugmentPolicy(flip_chance=0.0, max_rotation_deg=0.0, color_low=0.5, color_high=1.5)
-    out = augment(scene, np.random.default_rng(3), policy)
+    out = augment(scene, np.random.default_rng(3))
     np.testing.assert_array_equal(out.depth, scene.depth)
     assert np.any(out.rgb != scene.rgb)
     assert out.rgb.min() >= 0 and out.rgb.max() <= 1
@@ -354,10 +372,10 @@ def test_augment_is_deterministic_per_rng_state():
     np.testing.assert_array_equal(a.depth, b.depth)
 
 
-def test_rotation_keeps_shapes_and_depth_range():
+def test_rotation_keeps_shapes_and_depth_range(monkeypatch):
+    set_augment(monkeypatch, flip=0.0, rotation=5.0, color_low=1.0, color_high=1.0)
     scene = generate_scene(small_spec(seed=11))
-    policy = AugmentPolicy(flip_chance=0.0, max_rotation_deg=5.0, color_low=1.0, color_high=1.0)
-    out = augment(scene, np.random.default_rng(4), policy)
+    out = augment(scene, np.random.default_rng(4))
     assert out.rgb.shape == scene.rgb.shape
     assert out.focal.shape == scene.focal.shape
     assert out.depth.shape == scene.depth.shape

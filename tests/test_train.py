@@ -267,6 +267,42 @@ def test_negative_eval_every_is_a_usage_error():
         train_model([tiny_scene()], tiny_config(), eval_every=-3)
 
 
+@pytest.mark.parametrize("threads", ["zero", "0"])
+def test_bad_thread_env_is_a_config_error_before_the_first_step(monkeypatch, threads):
+    monkeypatch.setenv("LFDEPTH_THREADS", threads)
+    state = init_state(tiny_config(), 0)
+    with pytest.raises(ConfigError, match="LFDEPTH_THREADS"):
+        train_model([tiny_scene()], state=state, eval_every=1)
+    assert state.log.step_losses == [] and state.optimizer.step_count == 0
+    # with epoch metrics off there is no evaluation, so the variable is not read
+    train_model([tiny_scene()], state=state, until_epoch=1, eval_every=0)
+
+    def train_model_stub(*args, **kwargs):
+        raise AssertionError("a rung trained before LFDEPTH_THREADS was checked")
+
+    monkeypatch.setattr(train_module, "train_model", train_model_stub)
+    with pytest.raises(ConfigError, match="LFDEPTH_THREADS"):
+        ablation_run([tiny_scene()], ["Baseline"], tiny_config(), until_epoch=1)
+
+
+def test_epoch_metrics_and_ablation_do_not_depend_on_the_thread_count(monkeypatch):
+    scenes = [tiny_scene(0), tiny_scene(1)]
+    held_out = [tiny_scene(2), tiny_scene(3), tiny_scene(4)]
+    runs = []
+    for threads in (None, "2"):
+        if threads is None:
+            monkeypatch.delenv("LFDEPTH_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LFDEPTH_THREADS", threads)
+        state = train_model(scenes, tiny_config(), until_epoch=2, eval_scenes=held_out)
+        results = ablation_run(scenes, ["Baseline", "+CRU+CMFA(Ours)"], tiny_config(),
+                               until_epoch=1, eval_scenes=held_out, eval_every=1)
+        runs.append((state.log.epoch_metrics,
+                     [(r.name, r.metrics, r.log.epoch_metrics) for r in results]))
+    assert len(runs[0][0]) == 2
+    assert runs[0] == runs[1]
+
+
 # -- float32 inference -----------------------------------------------------------------
 
 
