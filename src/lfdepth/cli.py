@@ -113,21 +113,24 @@ def cmd_train(args) -> int:
     test_scenes = _load_scenes(args.data, "test")
     if args.resume:
         state = load_checkpoint(args.resume)
-        state = train_model(
-            train_scenes, state=state,
-            eval_scenes=test_scenes or None,
-            eval_every=args.eval_every if args.eval_every is not None else 1,
-            verbose=not args.quiet,
-        )
+        for key in ("augment", "eval_every"):
+            if getattr(state, key) is None:
+                raise FormatError(f"{args.resume}.json: no {key!r} setting (written by an "
+                                  "older version), so the run cannot resume as it was; "
+                                  "eval and infer still read this checkpoint")
+        start = {"state": state}
+        augment, eval_every = state.augment, state.eval_every
     else:
         run = load_run_config(args.config)
-        state = train_model(
-            train_scenes, run["network"], run["seed"],
-            eval_scenes=test_scenes or None,
-            eval_every=run["eval_every"] if args.eval_every is None else args.eval_every,
-            augment_data=run["augment"],
-            verbose=not args.quiet,
-        )
+        start = {"config": run["network"], "seed": run["seed"]}
+        augment, eval_every = run["augment"], run["eval_every"]
+    state = train_model(
+        train_scenes, **start,
+        eval_scenes=test_scenes or None,
+        eval_every=eval_every if args.eval_every is None else args.eval_every,
+        augment_data=augment,
+        verbose=not args.quiet,
+    )
     _write_train_outputs(args.out, state)
     return 0
 

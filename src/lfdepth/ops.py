@@ -400,7 +400,14 @@ concat = concat_tensors
 # -- parameterized layers -----------------------------------------------------
 
 
-def kaiming_normal(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
+def kaiming_normal(rng: np.random.Generator | None, shape, fan_in: int) -> np.ndarray:
+    """He-normal init values of ``shape``, the one place a layer draws them.
+
+    With ``rng`` None it draws nothing and returns zeros: a model built that
+    way has every parameter path and shape, for values that are loaded next.
+    """
+    if rng is None:
+        return np.zeros(shape)
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 

@@ -101,7 +101,13 @@ class ModuleParams:
         return {path: t.data for path, t in self.tensors()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Assign arrays by path; the key sets must match."""
+        """Assign arrays by path; the key sets and shapes must match.
+
+        The tree takes ownership: an array that is already writable C-contiguous
+        float64 (as ``read_container`` returns them) becomes its tensor's data
+        without a copy, so the caller must not keep using it.  Pass copies to
+        load another tree's ``state()``, whose arrays are that tree's own.
+        """
         own = dict(self.tensors())
         missing = sorted(set(own) - set(state))
         extra = sorted(set(state) - set(own))
@@ -113,7 +119,7 @@ class ModuleParams:
             t = own[path]
             if arr.shape != t.shape:
                 raise FormatError(f"shape mismatch for {path!r}: {arr.shape} vs {t.shape}")
-            t.data = np.array(arr, dtype=np.float64, order="C")  # private copy
+            t.data = np.require(arr, np.float64, "CW")
 
 
 # -- container IO -------------------------------------------------------------
@@ -128,7 +134,7 @@ def write_container(fh: BinaryIO, entries: dict[str, np.ndarray]) -> None:
         if len(raw) > 0xFFFF:
             raise UsageError(f"parameter name too long: {name[:32]!r}...")
         # np.ascontiguousarray would promote rank-0 arrays to rank 1
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(arr, dtype="<f8")
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         if arr.ndim > 0xFF:
@@ -138,19 +144,29 @@ def write_container(fh: BinaryIO, entries: dict[str, np.ndarray]) -> None:
         fh.write(struct.pack("<B", arr.ndim))
         for n in arr.shape:
             fh.write(struct.pack("<I", n))
-        fh.write(arr.tobytes())
+        fh.write(arr)  # the array's own buffer, not a bytes copy
 
 
 def read_container(fh: BinaryIO) -> dict[str, np.ndarray]:
-    """Parse a container from a seekable stream; malformed bytes raise FormatError."""
+    """Parse a container from a seekable stream; malformed bytes raise FormatError.
+
+    Each entry's data is read straight into a fresh writable float64 array,
+    which the returned map holds as its only reference.
+    """
     start = fh.tell()
     end = fh.seek(0, io.SEEK_END)
     fh.seek(start)
 
-    def take(n: int, what: str) -> bytes:
-        if n > end - fh.tell():
-            raise FormatError(f"truncated container: {what} at offset {fh.tell()}")
-        return fh.read(n)
+    def take(n: int, what: str, shape=None):
+        """The next ``n`` bytes, or with ``shape`` a new float64 array read from
+        them; a stream that ends first is a truncation FormatError."""
+        offset = fh.tell()
+        if n > end - offset:  # checked before anything of size n is allocated
+            raise FormatError(f"truncated container: {what} at offset {offset}")
+        buf = bytearray(n) if shape is None else np.empty(shape, dtype="<f8")
+        if fh.readinto(buf) != n:
+            raise FormatError(f"truncated container: {what} at offset {offset}")
+        return buf
 
     if take(4, "magic") != MAGIC:
         raise FormatError("bad magic: not a parameter container")
@@ -170,10 +186,9 @@ def read_container(fh: BinaryIO) -> dict[str, np.ndarray]:
         shape = tuple(
             struct.unpack("<I", take(4, f"extent of {name!r}"))[0] for _ in range(rank)
         )
-        data = np.frombuffer(take(8 * math.prod(shape), f"data of {name!r}"), dtype="<f8")
         if name in entries:
             raise FormatError(f"duplicate entry {name!r} in container")
-        entries[name] = data.reshape(shape).copy()
+        entries[name] = take(8 * math.prod(shape), f"data of {name!r}", shape)
     return entries
 
 

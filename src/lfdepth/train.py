@@ -4,9 +4,12 @@ The optimizer is adaptive-moment descent (beta1 0.9, beta2 0.999, eps 1e-8)
 with batch size 1 and a step learning-rate schedule that drops once at a
 configured epoch.  A checkpoint is the parameter container with the
 optimizer moments stored alongside under "adam." keys, plus a JSON sidecar
-holding the config, epoch counter, generator state, and metric history, so
-a resumed run replays bit for bit.  Training and checkpoints are float64;
-``predict_scene`` runs the network in float32 (INFERENCE_DTYPE).
+holding the config, the run settings (augmentation, evaluation period), epoch
+counter, generator state, and metric history, so a resumed run replays bit
+for bit.  Loading reads each entry once, into the array the restored state
+keeps, and builds the model without drawing init values.  Training and
+checkpoints are float64; ``predict_scene`` runs the network in float32
+(INFERENCE_DTYPE).
 
 ``evaluate_model`` is the one evaluation path (``lfdepth eval``, epoch metrics,
 ablation); it predicts on a pool of LFDEPTH_THREADS threads (one: the calling
@@ -82,7 +85,11 @@ class Adam:
         return out
 
     def load_state_entries(self, entries: dict[str, np.ndarray]) -> None:
-        """Restore ``state_entries`` output; a malformed step or moment set is a FormatError."""
+        """Restore ``state_entries`` output; a malformed step or moment set is a FormatError.
+
+        The optimizer takes ownership: each moment array is kept as given, not
+        copied, so the caller must not keep using it.
+        """
         if "adam.step" not in entries:
             raise FormatError("checkpoint is missing the optimizer step counter")
         step = np.asarray(entries["adam.step"])
@@ -96,7 +103,7 @@ class Adam:
             kind, _, path = key[len("adam.") :].partition(".")
             if kind not in moments or not path:
                 raise FormatError(f"unknown optimizer entry {key!r}")
-            moments[kind][path] = np.array(arr)
+            moments[kind][path] = arr
         unpaired = sorted(set(moments["m"]) ^ set(moments["v"]))
         if unpaired:
             raise FormatError(f"optimizer moments without their partner: {unpaired[:4]}")
@@ -124,6 +131,10 @@ class TrainState:
     epoch: int            # epochs completed so far
     log: TrainLog
     config: NetworkConfig
+    # the settings train_model last ran with, which a resumed run reuses; None
+    # when loaded from a sidecar written before they were stored
+    augment: bool | None = True
+    eval_every: int | None = 1
 
 
 def init_state(config: NetworkConfig, seed: int) -> TrainState:
@@ -220,8 +231,9 @@ def train_model(
     ``max_steps`` optimizer steps, whichever comes first.  ``eval_every``
     controls how often epoch metrics are computed (0 disables; negative is a
     UsageError); when it is on, a malformed LFDEPTH_THREADS is a ConfigError
-    before the first step.  A non-finite loss raises NumericalCheckError
-    before its backward pass.
+    before the first step.  ``augment_data`` and ``eval_every`` are recorded
+    in the state, so its checkpoint resumes with them.  A non-finite loss
+    raises NumericalCheckError before its backward pass.
     """
     if not scenes:
         raise UsageError("training needs at least one scene")
@@ -234,6 +246,7 @@ def train_model(
             raise UsageError("pass a config or a state to train from")
         state = init_state(config, seed)
     config = state.config
+    state.augment, state.eval_every = augment_data, eval_every
     if until_epoch is None:
         until_epoch = config.epochs
     held_out = eval_scenes if eval_scenes is not None else scenes
@@ -345,6 +358,7 @@ def save_checkpoint(path, state: TrainState) -> None:
         "metrics": metrics_to_doc(state.log.epoch_metrics),
         "step_losses": state.log.step_losses,
         "epoch_losses": state.log.epoch_losses,
+        **{key: getattr(state, key) for key in _RUN_SETTINGS if getattr(state, key) is not None},
     }
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh)
@@ -352,10 +366,18 @@ def save_checkpoint(path, state: TrainState) -> None:
 
 _SIDECAR_KINDS = {"config": dict, "epoch": int, "rng_state": dict, "metrics": list,
                   "step_losses": tuple[float, ...], "epoch_losses": tuple[float, ...]}
+# optional in the sidecar: older versions did not store them
+_RUN_SETTINGS = {"augment": bool, "eval_every": int}
 
 
 def load_checkpoint(path) -> TrainState:
-    """The run ``save_checkpoint`` wrote; a malformed or non-finite checkpoint is a FormatError."""
+    """The run ``save_checkpoint`` wrote; a malformed or non-finite checkpoint is a FormatError.
+
+    The container is read once: its arrays become the parameters and moments
+    of the returned state, and the model is built with no init draws.  A
+    sidecar without run settings loads with ``augment`` and ``eval_every``
+    None.
+    """
     sidecar_path = str(path) + ".json"
     sidecar = read_json(sidecar_path)
     rng = np.random.default_rng(0)
@@ -363,6 +385,9 @@ def load_checkpoint(path) -> TrainState:
         sidecar = read_fields(
             sidecar, _SIDECAR_KINDS, {"metrics": [], "step_losses": [], "epoch_losses": []}
         )
+        read_fields(sidecar, {k: v for k, v in _RUN_SETTINGS.items() if k in sidecar}, {})
+        if sidecar.get("eval_every", 0) < 0:
+            raise FormatError(f"eval_every must be >= 0, got {sidecar['eval_every']}")
         config = config_from_dict(sidecar["config"])
         epoch_metrics = _metrics_from_doc(sidecar["metrics"])
         try:
@@ -384,7 +409,7 @@ def load_checkpoint(path) -> TrainState:
     param_entries = {k: v for k, v in entries.items() if not k.startswith("adam.")}
     adam_entries = {k: v for k, v in entries.items() if k.startswith("adam.")}
 
-    model = DepthNet(config, np.random.default_rng(0))  # init overwritten below
+    model = DepthNet(config, None)  # zeros, no draws: load_state replaces every value
     model.params.load_state(param_entries)
     optimizer = Adam()
     optimizer.load_state_entries(adam_entries)
@@ -404,7 +429,8 @@ def load_checkpoint(path) -> TrainState:
         epoch_metrics=epoch_metrics,
     )
     return TrainState(model=model, optimizer=optimizer, rng=rng,
-                      epoch=sidecar["epoch"], log=log, config=config)
+                      epoch=sidecar["epoch"], log=log, config=config,
+                      augment=sidecar.get("augment"), eval_every=sidecar.get("eval_every"))
 
 
 # -- ablation harness -----------------------------------------------------------

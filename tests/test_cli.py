@@ -197,6 +197,60 @@ def test_train_resume_from_checkpoint(tmp_path):
     assert len(log["epoch_losses"]) == 2
 
 
+@pytest.mark.parametrize("augment", [False, True])
+def test_train_resume_replays_a_straight_run(tmp_path, augment):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    straight = tmp_path / "straight"
+    config = write_network_keys(write_run_config(tmp_path / "two.json", augment=augment),
+                                epochs=2)
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(straight), "--quiet"]) == 0
+
+    first = tmp_path / "first"
+    config = write_run_config(tmp_path / "one.json", augment=augment)
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(first), "--quiet"]) == 0
+    edit_sidecar(first / "checkpoint.lfdp", {"epochs": 2})
+    resumed = tmp_path / "resumed"
+    assert main(["train", "--data", str(data), "--resume", str(first / "checkpoint.lfdp"),
+                 "--out", str(resumed), "--quiet"]) == 0
+
+    for name in ("train_log.json", "checkpoint.lfdp.json"):
+        assert (json.loads((resumed / name).read_text())
+                == json.loads((straight / name).read_text()))
+    log = json.loads((resumed / "train_log.json").read_text())
+    assert len(log["step_losses"]) == 4 and log["epoch_metrics"] == []
+    assert (resumed / "checkpoint.lfdp").read_bytes() == (straight / "checkpoint.lfdp").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["augment", "eval_every"])
+def test_train_resume_without_a_stored_setting_exits_2(tmp_path, capsys, key):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"]) == 0
+    ckpt = out / "checkpoint.lfdp"
+    sidecar = out / "checkpoint.lfdp.json"
+    doc = json.loads(sidecar.read_text())
+    del doc[key]
+    doc["config"]["epochs"] = 2
+    sidecar.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out2 = tmp_path / "run2"
+    code = main(["train", "--data", str(data), "--resume", str(ckpt),
+                 "--out", str(out2), "--quiet", "--eval-every", "1"])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out2.exists()
+    # the older checkpoint still serves evaluation and prediction
+    assert main(["eval", "--data", str(data), "--ckpt", str(ckpt)]) == 0
+    assert main(["infer", "--scene", str(data / "scene_0000"), "--ckpt", str(ckpt),
+                 "--out", str(tmp_path / "pred.pgm")]) == 0
+
+
 def test_train_resume_with_corrupt_optimizer_state_exits_2(tmp_path, capsys):
     data = tmp_path / "ds"
     make_dataset(data)

@@ -225,6 +225,13 @@ def test_default_init_container_is_pinned():
     )
 
 
+def test_model_built_without_init_draws_has_the_same_parameter_layout():
+    drawn = DepthNet(NetworkConfig(), np.random.default_rng(0)).params.tensors()
+    blank = DepthNet(NetworkConfig(), None).params.tensors()
+    assert [(p, t.shape) for p, t in blank] == [(p, t.shape) for p, t in drawn]
+    assert all(not np.any(t.data) for _, t in blank)
+
+
 def test_forward_rejects_wrong_shapes():
     cfg = small_config()
     model = DepthNet(cfg, np.random.default_rng(0))

@@ -85,6 +85,28 @@ def test_state_roundtrip_strict():
         np.testing.assert_array_equal(t.data, dict(params.named())[name].data)
 
 
+def test_load_state_takes_ownership():
+    state = {path: t.data.copy() for path, t in small_tree().named()}
+    other = small_tree()
+    other.load_state(state)
+    for path, t in other.named():
+        assert t.data is state[path]
+
+
+def test_load_state_copies_what_it_cannot_own():
+    state = {path: t.data.copy() for path, t in small_tree().named()}
+    state["gain"].flags.writeable = False
+    state["conv.weight"] = np.asfortranarray(state["conv.weight"])
+    state["conv.bias"] = state["conv.bias"].astype(np.float32)
+    other = small_tree()
+    other.load_state(state)
+    for path in ("gain", "conv.weight", "conv.bias"):
+        data = other.get(path).data
+        assert data is not state[path]
+        assert data.dtype == np.float64 and data.flags.c_contiguous and data.flags.writeable
+        np.testing.assert_array_equal(data, state[path])
+
+
 def test_load_state_strict_errors():
     params = small_tree()
     state = params.state()
@@ -135,6 +157,54 @@ def test_container_rejects_truncation():
     with pytest.raises(FormatError) as err:
         read_container(io.BytesIO(blob[:-5]))
     assert "offset" in str(err.value)
+
+
+class ShortReads(io.BytesIO):
+    """A stream whose size looks whole but whose reads of ``limit`` bytes or
+    more stop one byte short, as a file cut while it is read."""
+
+    limit = 64
+
+    def readinto(self, buf):
+        n = memoryview(buf).nbytes
+        if n < self.limit:
+            return super().readinto(buf)
+        return super().readinto(memoryview(buf).cast("B")[: n - 1])
+
+
+def test_container_data_cut_short_names_its_entry():
+    buf = io.BytesIO()
+    write_container(buf, {"a": np.ones(2), "conv.weight": np.ones((4, 4))})
+    blob = buf.getvalue()
+    with pytest.raises(FormatError, match=r"data of 'conv\.weight' at offset"):
+        read_container(io.BytesIO(blob[:-20]))
+    with pytest.raises(FormatError, match=r"truncated container: data of 'conv\.weight'"):
+        read_container(ShortReads(blob))
+
+
+def test_container_arrays_are_fresh_writable_float64():
+    buf = io.BytesIO()
+    write_container(buf, {"w": np.ones((3, 2)), "s": np.array(2.0), "v": np.arange(4.0)})
+    first = read_container(io.BytesIO(buf.getvalue()))
+    second = read_container(io.BytesIO(buf.getvalue()))
+    arrays = list(first.values()) + list(second.values())
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert arr.flags.c_contiguous and arr.flags.writeable
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+def test_container_writes_views_as_their_values():
+    base = np.arange(24.0).reshape(4, 6)
+    entries = {"t": base.T, "col": base[:, 1], "s": base[2, 3]}
+    buf = io.BytesIO()
+    write_container(buf, entries)
+    back = read_container(io.BytesIO(buf.getvalue()))
+    for k, arr in entries.items():
+        np.testing.assert_array_equal(back[k], arr)
+        assert back[k].shape == np.shape(arr)
 
 
 def test_container_rejects_wrong_version():

@@ -1,4 +1,6 @@
 import json
+import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from lfdepth.errors import ConfigError, FormatError, NumericalCheckError, UsageError
 from lfdepth.metrics import DepthMetrics, evaluate
 from lfdepth.model import NetworkConfig
+from lfdepth.ops import kaiming_normal
 from lfdepth.params import ModuleParams, load_params, save_params
 from lfdepth.synthdata import GenSpec, generate_scene
 from lfdepth.tensor import Tensor, no_grad
@@ -473,13 +476,19 @@ def test_corrupt_optimizer_state_is_a_format_error(tmp_path, one_epoch_checkpoin
         load_checkpoint(path)
 
 
+def copy_with_sidecar(src, dst_dir, edit):
+    """A copy of checkpoint ``src`` in ``dst_dir`` whose sidecar document ``edit`` changed."""
+    path = dst_dir / "ckpt.lfdp"
+    path.write_bytes(src.read_bytes())
+    doc = json.loads((src.parent / (src.name + ".json")).read_text())
+    edit(doc)
+    (dst_dir / "ckpt.lfdp.json").write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize("epoch", [-5, 0, 2])
 def test_sidecar_epoch_must_count_its_epoch_losses(tmp_path, one_epoch_checkpoint, epoch):
-    path = tmp_path / "ckpt.lfdp"
-    path.write_bytes(one_epoch_checkpoint.read_bytes())
-    doc = json.loads((one_epoch_checkpoint.parent / "ckpt.lfdp.json").read_text())
-    doc["epoch"] = epoch
-    (tmp_path / "ckpt.lfdp.json").write_text(json.dumps(doc))
+    path = copy_with_sidecar(one_epoch_checkpoint, tmp_path, lambda doc: doc.update(epoch=epoch))
     with pytest.raises(FormatError, match="epoch"):
         load_checkpoint(path)
 
@@ -491,6 +500,80 @@ def test_checkpoint_stopped_mid_epoch_loads(tmp_path):
     path = tmp_path / "ckpt.lfdp"
     save_checkpoint(path, state)
     assert load_checkpoint(path).epoch == 2
+
+
+def test_load_checkpoint_draws_no_init_values(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.lfdp"
+    save_checkpoint(path, init_state(tiny_config(), 0))
+    calls = []
+
+    def spy(rng, shape, fan_in, real=kaiming_normal):
+        calls.append(rng)
+        return real(rng, shape, fan_in)
+
+    # every module that imported the init function calls it by its own name
+    for mod in list(sys.modules.values()):
+        if mod is not None and getattr(mod, "kaiming_normal", None) is kaiming_normal:
+            monkeypatch.setattr(mod, "kaiming_normal", spy)
+    load_checkpoint(path)
+    assert calls and all(rng is None for rng in calls)
+
+
+def test_load_checkpoint_peak_memory_stays_near_the_container_size(tmp_path):
+    path = tmp_path / "ckpt.lfdp"
+    # one step, so the container holds the Adam moments as well as the parameters
+    save_checkpoint(path, train_model([generate_scene(GenSpec())], NetworkConfig(),
+                                      max_steps=1, eval_every=0))
+    tracemalloc.start()
+    try:
+        state = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.model.params.count() > 2_000_000
+    assert peak < 1.5 * path.stat().st_size
+
+
+def test_loaded_arrays_are_writable_and_unshared(tmp_path, one_epoch_checkpoint):
+    arrays = []
+    for _ in range(2):
+        state = load_checkpoint(one_epoch_checkpoint)
+        arrays += [t.data for _, t in state.model.params.tensors()]
+        arrays += list(state.optimizer.m.values()) + list(state.optimizer.v.values())
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert arr.flags.c_contiguous and arr.flags.writeable
+    # bounds overlap is exact here: every array is its own allocation
+    for i, a in enumerate(arrays):
+        assert not any(np.may_share_memory(a, b) for b in arrays[i + 1 :])
+
+
+@pytest.mark.parametrize("augment, eval_every", [(False, 0), (True, 3)])
+def test_checkpoint_keeps_the_run_settings(tmp_path, augment, eval_every):
+    state = train_model([tiny_scene(0)], tiny_config(), until_epoch=1,
+                        augment_data=augment, eval_every=eval_every)
+    path = tmp_path / "ckpt.lfdp"
+    save_checkpoint(path, state)
+    back = load_checkpoint(path)
+    assert (back.augment, back.eval_every) == (augment, eval_every)
+
+
+def test_sidecar_without_run_settings_loads_without_them(tmp_path, one_epoch_checkpoint):
+    def drop_settings(doc):
+        del doc["augment"], doc["eval_every"]
+
+    back = load_checkpoint(copy_with_sidecar(one_epoch_checkpoint, tmp_path, drop_settings))
+    assert (back.augment, back.eval_every) == (None, None)
+
+
+@pytest.mark.parametrize("key, value", [("augment", 1), ("augment", None),
+                                        ("eval_every", True), ("eval_every", -1),
+                                        ("eval_every", 1.5)])
+def test_sidecar_with_malformed_run_setting_is_a_format_error(tmp_path, one_epoch_checkpoint,
+                                                              key, value):
+    path = copy_with_sidecar(one_epoch_checkpoint, tmp_path, lambda doc: doc.update({key: value}))
+    with pytest.raises(FormatError, match=key):
+        load_checkpoint(path)
 
 
 def test_negative_seed_is_a_config_error_before_training(monkeypatch):
