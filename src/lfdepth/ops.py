@@ -5,11 +5,12 @@ Convolutions are cross-correlations (no kernel flip).  ``conv2d`` and
 ``_conv``, over [N, C, *spatial].  The core is an im2col GEMM (Chellapilla
 et al. 2006) in blocks of at most ``_BLOCK_BYTES`` of columns: each block is
 copied out of one strided window view of the padded input and multiplied by
-the [C_out, C*K] weight matrix.  Backward walks the columns of the
-stride-spread, padded g once: the input gradient is the forward GEMM of those
-columns with the flipped kernel (Dumoulin & Visin 2016, section 4), and the
-weight gradient multiplies the input by the same columns.  All operators
-register gradients on the tape.
+the [C_out, C*K] weight matrix.  A 1x1 stride-1 kernel's columns are the
+input itself, so its blocks are views of the input and nothing is copied.
+Backward walks the columns of the stride-spread, padded g once: the input
+gradient is the forward GEMM of those columns with the flipped kernel
+(Dumoulin & Visin 2016, section 4), and the weight gradient multiplies the
+input by the same columns.  All operators register gradients on the tape.
 
 ``conv2d(..., relu=True)`` (and ``Conv2d(..., relu=True)``) applies the ReLU
 in place on the convolution's output, and its backward recovers the ReLU
@@ -122,6 +123,9 @@ def _columns(xp: np.ndarray, kernel, stride: int, dilation: int, out_sp):
     _BLOCK_BYTES, a run of rows of the first output axis of one item.
     ``cols`` is [n, C, *kernel, rows, *rest], the input under each tap,
     copied into one reused buffer: it is valid until the next block is drawn.
+    A 1x1 kernel at stride 1 has the input itself as its columns, so there
+    ``cols`` is a read-only view of ``xp``, with no buffer and no copy.  The
+    blocks are the same either way, so sums over them keep their order.
     """
     N, C = xp.shape[:2]
     D = len(kernel)
@@ -138,13 +142,17 @@ def _columns(xp: np.ndarray, kernel, stride: int, dilation: int, out_sp):
     block_rows = max(1, _BLOCK_BYTES // (xp.itemsize * CK * row_len))
     per = max(1, min(N, block_rows // rows))
     block_rows = min(block_rows, rows)
-    buf = np.empty(per * CK * block_rows * row_len, xp.dtype)
+    view = stride == 1 and CK == C
+    buf = None if view else np.empty(per * CK * block_rows * row_len, xp.dtype)
     for n in range(0, N, per):
         for r in range(0, rows, block_rows):
             items, rs = slice(n, n + per), slice(r, r + block_rows)
             src = win[(items,) + (slice(None),) * (1 + D) + (rs,)]
-            cols = buf[: src.size].reshape(src.shape)
-            np.copyto(cols, src)
+            if view:
+                cols = src
+            else:
+                cols = buf[: src.size].reshape(src.shape)
+                np.copyto(cols, src)
             yield items, rs, cols
 
 
@@ -179,15 +187,16 @@ def _conv(
 
     The one core behind conv2d and conv3d; forward and backward share the
     im2col blocks of ``_columns``.  The ReLU runs in place on the fresh
-    output, as np.where(out > 0, out, 0.0) would (NaN and -0 become +0), and
-    backward masks g with out > 0, so the tape keeps neither the
-    pre-activation nor a mask.  Backward takes one walk over the columns of
-    g, spread by the stride and padded by dilation*(k-1) - pad, at stride 1
-    over the input extent.  The input gradient is the transpose of the
-    convolution: the kernel, flipped and with its channel axes swapped, times
-    those columns, as ``_correlate`` computes it.  The weight gradient reads
-    the same columns: it sums cols @ x^T over the blocks, which is the
-    flipped kernel gradient as [C_out*K, C].
+    output, as np.where(out > 0, out, 0.0) would: fmax maps NaN to 0, and
+    adding +0.0 maps -0 to +0.  Backward masks g with out > 0, so the tape
+    keeps neither the pre-activation nor a mask.  Backward takes one walk
+    over the columns of g, spread by the stride and padded by
+    dilation*(k-1) - pad, at stride 1 over the input extent.  The input
+    gradient is the transpose of the convolution: the kernel, flipped and
+    with its channel axes swapped, times those columns, as ``_correlate``
+    computes it.  The weight gradient reads the same columns: it sums
+    cols @ x^T over the blocks, which is the flipped kernel gradient as
+    [C_out*K, C].
     """
     N, C, *spatial = x.shape
     CO, CI, *kernel = weight.shape
@@ -205,7 +214,8 @@ def _conv(
     b = None if bias is None else bias.data.astype(dtype, copy=False)
     out = _correlate(xp, weight.data.astype(dtype, copy=False), b, stride, dilation, out_sp)
     if relu:
-        np.copyto(out, 0.0, where=~(out > 0))
+        np.fmax(out, 0.0, out=out)  # NaN -> 0
+        out += 0.0  # -0 -> +0
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     # the closure holds x, weight, bias and out, and no other array

@@ -4,8 +4,10 @@ Every tensor wraps a row-major numpy array: float64 for training, float32
 for inference.  Operations build a dynamic tape: each result remembers its
 parents and a closure that routes the incoming gradient back to them.
 ``Tensor.backward()`` walks the tape once in reverse topological order,
-accumulates gradients on trainable leaves and frees intermediate gradients
-as it goes.
+accumulates gradients on trainable leaves and frees the tape as it goes: an
+interior node's gradient and edges go once its backward has run, and its
+data with it unless the caller still holds the tensor.  A graph is
+differentiated once; a second ``backward()`` through it is a UsageError.
 
 An op computes in its input's dtype.  A float32 operand casts the other
 operand of a binary op to float32, so float64 parameters and Python scalars
@@ -143,7 +145,13 @@ class Tensor:
         """Backpropagate from a scalar loss.
 
         Populates ``grad`` on every trainable leaf reachable from this
-        tensor; gradients of interior nodes are freed once consumed.
+        tensor.  The walk pops each node off the topological order as it
+        runs it; once an interior node's backward has run, its gradient,
+        edges and closure are dropped, so its data is freed as soon as every
+        consumer's backward has run (all of them run before it), unless the
+        caller holds the tensor, which then keeps its ``data``.  The graph is
+        consumed: a later ``backward()`` through any of its interior nodes
+        raises UsageError before any gradient changes.
         """
         if self.size != 1:
             raise UsageError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -162,18 +170,28 @@ class Tensor:
                     stack.append((p, iter(p._parents)))
                     break
             else:
+                if node._backward_fn is _CONSUMED:
+                    raise UsageError(
+                        "backward() through a graph whose backward has already run: "
+                        "run the forward pass again"
+                    )
                 topo.append(node)
                 stack.pop()
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
             if node._parents:
                 # interior node: gradient fully consumed, release the tape edge
                 node.grad = None
                 node._parents = ()
-                node._backward_fn = None
+                node._backward_fn = _CONSUMED
+
+
+# The ``_backward_fn`` of an interior node whose backward has run.
+_CONSUMED = object()
 
 
 def _track(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -408,7 +426,12 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
 
 
 def narrow(x: Tensor, key) -> Tensor:
-    """Basic slicing (slices / ints only); the gradient scatters back."""
+    """Basic slicing (slices / ints only); the gradient scatters back.
+
+    The result's data is numpy's basic-slice view of ``x.data``, not a copy:
+    it shares memory with ``x`` (tensors are immutable by convention), and on
+    the tape it costs no bytes of its own.
+    """
     x = as_tensor(x)
     if not isinstance(key, tuple):
         key = (key,)
@@ -421,7 +444,7 @@ def narrow(x: Tensor, key) -> Tensor:
         full[key] = g
         _accum(x, full, fresh=True)
 
-    return _track(x.data[key].copy(), (x,), backward)
+    return _track(x.data[key], (x,), backward)
 
 
 def concat_tensors(xs: Sequence[Tensor], axis: int) -> Tensor:

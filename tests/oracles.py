@@ -195,6 +195,49 @@ def conv_backward_two_walks(x, w, g, stride, dilation, pads):
     return dx, dw.reshape(w.shape)
 
 
+def columns_copied(xp, kernel, stride, dilation, out_sp):
+    """``ops._columns`` with every block copied, as it was before 1x1 kernels yielded views.
+
+    The blocks and their plan are the package's; each is copied into a
+    C-contiguous array, the layout the reused buffer gave, so a convolution
+    run on this walker must agree with the package bit for bit.
+    """
+    for items, rs, cols in _columns(xp, kernel, stride, dilation, out_sp):
+        yield items, rs, np.ascontiguousarray(cols)
+
+
+def backward_keep_all(loss):
+    """``Tensor.backward`` as it was before it freed the tape while walking it.
+
+    The same postorder and the same per-node steps, but the walk runs over
+    ``reversed(topo)``, so the list keeps every node, and with it every
+    forward activation, until the last node has run.  It calls the
+    package's backward closures, so gradients must agree with
+    ``loss.backward()`` bit for bit.
+    """
+    topo = []
+    visited = {id(loss)}
+    stack = [(loss, iter(loss._parents))]
+    while stack:
+        node, parents = stack[-1]
+        for p in parents:
+            if p.requires_grad and id(p) not in visited:
+                visited.add(id(p))
+                stack.append((p, iter(p._parents)))
+                break
+        else:
+            topo.append(node)
+            stack.pop()
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward_fn is not None:
+            node._backward_fn(node.grad)
+        if node._parents:
+            node.grad = None
+            node._parents = ()
+            node._backward_fn = None
+
+
 def relu(x):
     """The unfused ReLU tape op: np.where(x > 0, x, 0.0), backward g * (x > 0).
 

@@ -21,10 +21,11 @@ from lfdepth.ops import (
     upsample_bilinear,
 )
 from lfdepth.params import ModuleParams
-from lfdepth.tensor import Tensor, no_grad
+from lfdepth.tensor import Tensor, narrow, no_grad
 
 from oracles import (
     bilinear_direct,
+    columns_copied,
     conv2d_direct,
     conv_backward_two_walks,
     conv3d_direct,
@@ -741,3 +742,46 @@ def test_columns_size_blocks_by_itemsize(monkeypatch):
         blocks = list(ops._columns(xp, (3, 3), 1, 1, (6, 6)))
         assert [(items.start, rs.start) for items, rs, _ in blocks] == want
         assert all(cols.dtype == dtype for *_, cols in blocks)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_columns_of_a_1x1_kernel_are_views_of_the_input(dtype, monkeypatch):
+    """A 1x1 kernel's blocks share memory with the input, in the plan of any kernel of that C*K."""
+    x = np.random.default_rng(25).standard_normal((3, 9, 6, 5)).astype(dtype)
+    one = np.zeros((3, 1, 6, 5), dtype)  # a 3x3 kernel over one channel has C*K = 9 too
+    for block_bytes in (ops._BLOCK_BYTES, 2 * 9 * 6 * 5 * x.itemsize, 2 * 9 * 5 * x.itemsize):
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+        blocks = list(ops._columns(x, (1, 1), 1, 1, (6, 5)))
+        plan = [(items, rs) for items, rs, _ in
+                ops._columns(ops._pad(one, (1, 1)), (3, 3), 1, 1, (6, 5))]
+        assert [(items, rs) for items, rs, _ in blocks] == plan
+        for items, rs, cols in blocks:
+            assert np.shares_memory(cols, x)
+            assert cols.shape == (len(range(3)[items]), 9, 1, 1, len(range(6)[rs]), 5)
+            assert cols[:, :, 0, 0].tobytes() == x[items, :, rs].tobytes()
+
+
+def test_1x1_conv_on_views_matches_the_copying_walker_bitwise(monkeypatch):
+    """Forward and all gradients of 1x1 convolutions equal those of copied columns bit for bit."""
+    rng = np.random.default_rng(26)
+    base = rng.standard_normal((3, 6, 8, 9))
+    w, b = rng.standard_normal((4, 5, 1, 1)), rng.standard_normal(4)
+    g = rng.standard_normal((3, 4, 8, 8))
+    key = (slice(None), slice(1, 6), slice(None), slice(1, 9))
+
+    def run(data, strided, relu):
+        # a C-contiguous input, or a strided narrow view of the same values
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (data, w, b))
+        out = conv2d(narrow(xt, key) if strided else xt, wt, bt, relu=relu)
+        (out * Tensor(g)).sum().backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in (xt, wt, bt)]
+
+    for block_bytes in block_sizes(5, (1, 1), g.shape) + block_sizes(4, (1, 1), g.shape):
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+        for data, strided in ((np.ascontiguousarray(base[key]), False), (base, True)):
+            for relu in (False, True):
+                got = run(data, strided, relu)
+                with monkeypatch.context() as m:
+                    m.setattr(ops, "_columns", columns_copied)
+                    want = run(data, strided, relu)
+                assert got == want

@@ -176,6 +176,23 @@ def test_narrow_int_index_drops_axis():
     assert a.grad[0].sum() == 0.0
 
 
+def test_narrow_is_a_view_and_its_gradient_scatters():
+    rng = np.random.default_rng(23)
+    a = leaf(rng, 3, 4, 5)
+    g = rng.standard_normal((3, 2, 4))
+    keys = ((slice(None), slice(1, 3), slice(0, -1)),
+            (slice(None), slice(None, 2), slice(1, None)))
+    for key in keys:
+        a.zero_grad()
+        out = narrow(a, key)
+        assert np.shares_memory(out.data, a.data)
+        assert out.data.tobytes() == a.data[key].tobytes()
+        (out * Tensor(g)).sum().backward()
+        want = np.zeros_like(a.data)
+        want[key] = g
+        assert a.grad.tobytes() == want.tobytes()
+
+
 def test_concat_mismatch_raises():
     with pytest.raises(ShapeError):
         concat_tensors([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=0)
@@ -315,6 +332,28 @@ def test_zero_grad_and_repeat_backward():
     assert x.grad is None
     (x * x).backward()
     assert x.grad.item() == first
+
+
+def test_backward_through_a_consumed_graph_is_a_usage_error():
+    x = Tensor(np.array(3.0), requires_grad=True)
+    y = x * x
+    y.backward()
+    x.zero_grad()
+    with pytest.raises(UsageError, match="already run"):
+        y.backward()
+    assert x.grad is None
+    # a new graph on top of a consumed one is refused before any gradient changes
+    w = Tensor(np.array(2.0), requires_grad=True)
+    with pytest.raises(UsageError, match="already run"):
+        (y * w).backward()
+    assert x.grad is None and w.grad is None
+
+
+def test_backward_on_a_leaf_may_repeat():
+    x = Tensor(np.array(3.0), requires_grad=True)
+    for _ in range(2):
+        x.backward()
+        assert x.grad.item() == 1.0
 
 
 def test_as_tensor_passthrough_and_wrap():

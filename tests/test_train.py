@@ -1,6 +1,7 @@
 import json
 import sys
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from lfdepth.errors import ConfigError, FormatError, NumericalCheckError, UsageError
 from lfdepth.metrics import DepthMetrics, evaluate
-from lfdepth.model import NetworkConfig
+from lfdepth.model import NetworkConfig, prediction_loss
 from lfdepth.ops import kaiming_normal
 from lfdepth.params import ModuleParams, load_params, save_params
 from lfdepth.synthdata import GenSpec, generate_scene
@@ -34,7 +35,7 @@ from lfdepth.train import (
     train_model,
 )
 
-from oracles import is_monotone_decreasing, moving_average
+from oracles import backward_keep_all, is_monotone_decreasing, moving_average
 
 
 def tiny_config(**kw):
@@ -304,6 +305,85 @@ def test_epoch_metrics_and_ablation_do_not_depend_on_the_thread_count(monkeypatc
                      [(r.name, r.metrics, r.log.epoch_metrics) for r in results]))
     assert len(runs[0][0]) == 2
     assert runs[0] == runs[1]
+
+
+# -- backward memory -------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def default_scene():
+    return train_module._scene_tensors(generate_scene(GenSpec(seed=5)))
+
+
+def default_loss(state, scene):
+    """The loss of one training step of the default network, before its backward."""
+    rgb, focal, gt = scene
+    pred = state.model(rgb, focal, mode="train", rng=np.random.default_rng(1))
+    return prediction_loss(pred, gt, state.config.loss_weights)
+
+
+def test_freeing_backward_matches_the_keep_all_walk_bitwise(default_scene):
+    runs = []
+    for walk in (Tensor.backward, backward_keep_all):
+        state = init_state(NetworkConfig(), 0)
+        loss = default_loss(state, default_scene)
+        walk(loss)
+        grads = state.model.params.gradients()
+        runs.append((loss.data.tobytes(), {path: g.tobytes() for path, g in grads.items()}))
+    assert len(runs[0][1]) == len(state.model.params.tensors())
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("walk", [Tensor.backward, backward_keep_all])
+def test_decoder_activations_are_freed_before_the_first_focal_conv_runs_backward(
+        default_scene, walk):
+    state = init_state(NetworkConfig(), 0)
+    net = state.model
+    decoder, alive = [], []  # weakrefs to the decoder's conv outputs; how many live
+
+    def record(layer):
+        def call(x):
+            out = layer(x)
+            decoder.append(weakref.ref(out.data))
+            return out
+        return call
+
+    for name in ("p5_conv", "p4_conv", "p3_conv", "head"):
+        setattr(net, name, record(getattr(net, name)))
+    first, second = net.focal_backbone.convs[0]
+
+    def first_conv(x):
+        out = first(x)
+        run = out._backward_fn
+
+        def backward(g):
+            alive.append(sum(ref() is not None for ref in decoder))
+            run(g)
+
+        out._backward_fn = backward
+        return out
+
+    net.focal_backbone.convs[0] = (first_conv, second)
+    walk(default_loss(state, default_scene))
+    assert len(decoder) == 4
+    # the walk that keeps its whole order shows that the weakrefs see live arrays
+    assert alive == ([0] if walk is Tensor.backward else [4])
+
+
+def test_backward_peak_memory_stays_near_the_tape(default_scene):
+    state = init_state(NetworkConfig(), 0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = default_loss(state, default_scene)
+        tape = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert tape > 50e6
+    assert peak < 1.1 * tape
 
 
 # -- float32 inference -----------------------------------------------------------------
