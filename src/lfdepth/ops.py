@@ -15,8 +15,11 @@ input by the same columns.  All operators register gradients on the tape.
 ``conv2d(..., relu=True)`` (and ``Conv2d(..., relu=True)``) applies the ReLU
 in place on the convolution's output, and its backward recovers the ReLU
 mask from that output, so the tape keeps no pre-activation.  The model
-applies every ReLU this way.  Backward passes hand the gradients they
-allocate to ``tensor._accum`` as ``fresh``, which takes them without a copy.
+applies every ReLU this way.  Each backward closure holds its inputs' tape
+entries (``tensor._entry``), never the input tensors, and only the arrays
+it reads: a convolution keeps its input and weight, and its output only
+with the fused ReLU.  Backward passes hand the gradients they allocate to
+``tensor._accum`` as ``fresh``, which takes them without a copy.
 
 Every operator computes and allocates in its input's dtype.  Convolutions
 and ``fc`` cast a float64 weight and bias to a float32 input's dtype where
@@ -37,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, UsageError
 from .params import ModuleParams
-from .tensor import Tensor, _accum, _track, as_tensor, concat_tensors, reduce
+from .tensor import Tensor, _accum, _entry, _track, as_tensor, concat_tensors, reduce
 
 
 # -- activations ---------------------------------------------------------------
@@ -50,9 +53,10 @@ def relu(x: Tensor) -> Tensor:
     """
     x = as_tensor(x)
     mask = x.data > 0
+    nx = _entry(x)
 
     def backward(g):
-        _accum(x, g * mask, fresh=True)
+        _accum(nx, g * mask, fresh=True)
 
     return _track(np.where(mask, x.data, 0.0), (x,), backward)
 
@@ -67,9 +71,10 @@ def sigmoid(x: Tensor) -> Tensor:
     # one is the smallest normal number, so that upsampling the map cannot underflow to 0
     info = np.finfo(s.dtype)
     s = np.clip(s, info.tiny, 1 - info.epsneg)
+    nx = _entry(x)
 
     def backward(g):
-        _accum(x, g * s * (1.0 - s), fresh=True)
+        _accum(nx, g * s * (1.0 - s), fresh=True)
 
     return _track(s, (x,), backward)
 
@@ -82,9 +87,10 @@ def dropout(x: Tensor, rng: np.random.Generator) -> Tensor:
     x = as_tensor(x)
     keep = rng.random(x.shape) >= DROPOUT_RATE
     scale = (keep / (1.0 - DROPOUT_RATE)).astype(x.data.dtype, copy=False)
+    nx = _entry(x)
 
     def backward(g):
-        _accum(x, g * scale, fresh=True)
+        _accum(nx, g * scale, fresh=True)
 
     return _track(x.data * scale, (x,), backward)
 
@@ -217,14 +223,17 @@ def _conv(
         np.fmax(out, 0.0, out=out)  # NaN -> 0
         out += 0.0  # -0 -> +0
     parents = (x, weight) if bias is None else (x, weight, bias)
+    nx, nw, nb = _entry(x), _entry(weight), None if bias is None else _entry(bias)
+    xd, wd, kept = x.data, weight.data, out if relu else None
 
-    # the closure holds x, weight, bias and out, and no other array
+    # the closure holds the inputs' tape entries, x's and the weight's data,
+    # and the output only when it recovers the ReLU mask from it
     def backward(g):
         if relu:
-            g *= out > 0  # g is this node's own gradient buffer (see tensor._accum)
-        if bias is not None:
-            _accum(bias, g.sum(axis=(0,) + tuple(range(2, g.ndim))), fresh=True)
-        if not (x.requires_grad or weight.requires_grad):
+            g *= kept > 0  # g is this entry's own gradient buffer (see tensor._accum)
+        if nb is not None:
+            _accum(nb, g.sum(axis=(0,) + tuple(range(2, g.ndim))), fresh=True)
+        if not (nx.requires_grad or nw.requires_grad):
             return
         if starts != out_sp:
             spread = np.zeros((N, CO) + starts)
@@ -233,22 +242,22 @@ def _conv(
         back = tuple(dilation * (k - 1) - p for k, p in zip(kernel, pads))
         taps = tuple(range(2, 2 + D))
         # [C, CO*K]: the flipped kernel with its channel axes swapped
-        wt = np.flip(weight.data, taps).swapaxes(0, 1).reshape(C, -1)
-        dx = np.empty(x.shape) if x.requires_grad else None
-        dw = np.zeros(wt.shape[::-1]) if weight.requires_grad else None
+        wt = np.flip(wd, taps).swapaxes(0, 1).reshape(C, -1)
+        dx = np.empty(xd.shape) if nx.requires_grad else None
+        dw = np.zeros(wt.shape[::-1]) if nw.requires_grad else None
         for items, rs, cols in _columns(_pad(g, back), kernel, 1, dilation, spatial):
             cols = cols.reshape(len(cols), wt.shape[1], -1)
             if dx is not None:
                 np.matmul(wt, cols, out=dx[items, :, rs].reshape(len(cols), C, -1))
             if dw is not None:
-                xb = x.data[items, :, rs].reshape(len(cols), C, -1)
+                xb = xd[items, :, rs].reshape(len(cols), C, -1)
                 dw += np.matmul(cols, xb.transpose(0, 2, 1)).sum(axis=0)
         if dw is not None:
             # [CO*K, C] -> [CO, C, *kernel], taps flipped back
             dw = np.moveaxis(dw.reshape((CO, *kernel, C)), -1, 1)
-            _accum(weight, np.flip(dw, taps))
+            _accum(nw, np.flip(dw, taps))
         if dx is not None:
-            _accum(x, dx, fresh=True)
+            _accum(nx, dx, fresh=True)
 
     return _track(out, parents, backward)
 
@@ -310,13 +319,15 @@ def fc(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = out + bias.data.astype(xf.dtype, copy=False)
     parents = (x, weight) if bias is None else (x, weight, bias)
+    nx, nw, nb = _entry(x), _entry(weight), None if bias is None else _entry(bias)
+    wd = weight.data
 
     def backward(g):
         gf = g.reshape(-1, L)
-        if bias is not None:
-            _accum(bias, gf.sum(axis=0), fresh=True)
-        _accum(weight, xf.T @ gf, fresh=True)
-        _accum(x, (gf @ weight.data.T).reshape(x.shape), fresh=True)
+        if nb is not None:
+            _accum(nb, gf.sum(axis=0), fresh=True)
+        _accum(nw, xf.T @ gf, fresh=True)
+        _accum(nx, (gf @ wd.T).reshape(nx.shape), fresh=True)
 
     return _track(out.reshape(lead + (L,)), parents, backward)
 
@@ -347,6 +358,7 @@ def max_pool2(x: Tensor) -> Tensor:
     offsets = [(i, j) for i in (0, 1) for j in (0, 1)]
     views = [x.data[:, :, i::2, j::2] for i, j in offsets]
     out = np.maximum(np.maximum(views[3], views[2]), np.maximum(views[1], views[0]))
+    nx = _entry(x)
 
     def backward(g):
         dx = np.zeros((S, C, H, W))
@@ -355,7 +367,7 @@ def max_pool2(x: Tensor) -> Tensor:
             hit = free & (v == out)
             np.copyto(dx[:, :, i::2, j::2], g, where=hit)
             free &= ~hit
-        _accum(x, dx, fresh=True)
+        _accum(nx, dx, fresh=True)
 
     return _track(out, (x,), backward)
 
@@ -392,6 +404,7 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     out = np.zeros((S, C, H * factor, W * factor), dtype)
     for ii, jj, w in corners:
         out += w * x.data[:, :, ii[:, None], jj[None, :]]
+    nx = _entry(x)
 
     def backward(g):
         dx = np.zeros((H * W, S * C))
@@ -399,7 +412,7 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
         for ii, jj, w in corners:
             flat = (ii[:, None] * W + jj[None, :]).ravel()
             np.add.at(dx, flat, (w.ravel() * gf).T)
-        _accum(x, dx.T.reshape(S, C, H, W))
+        _accum(nx, dx.T.reshape(S, C, H, W))
 
     return _track(out, (x,), backward)
 

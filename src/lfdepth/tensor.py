@@ -1,12 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every tensor wraps a row-major numpy array: float64 for training, float32
-for inference.  Operations build a dynamic tape: each result remembers its
-parents and a closure that routes the incoming gradient back to them.
-``Tensor.backward()`` walks the tape once in reverse topological order,
-accumulates gradients on trainable leaves and frees the tape as it goes: an
-interior node's gradient and edges go once its backward has run, and its
-data with it unless the caller still holds the tensor.  A graph is
+for inference.  Operations build a dynamic tape of entries (``_Node``), kept
+apart from the tensors: a tracked result's entry holds its parents' entries,
+a closure that routes the incoming gradient back to them, its gradient, shape
+and dtype, and no data.  A leaf is its own entry.  Each closure keeps only
+the arrays its backward reads (a product keeps both operands, a sum keeps
+none), so an activation that no backward reads is freed as soon as the
+forward code drops its tensor.  ``Tensor.backward()`` walks the entries once
+in reverse topological order, accumulates gradients on trainable leaves and
+frees the tape as it goes: an entry's gradient, edges and closure go once its
+backward has run, and with the closure the arrays it kept.  A graph is
 differentiated once; a second ``backward()`` through it is a UsageError.
 
 An op computes in its input's dtype.  A float32 operand casts the other
@@ -56,23 +60,58 @@ def _as_array(data) -> np.ndarray:
     return arr
 
 
-class Tensor:
-    """A dense float64 or float32 array, optionally tracked for differentiation."""
+class _Node:
+    """The tape entry of a tracked result: its gradient and edges, and no data."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward_fn", "shape", "dtype")
+
+    def __init__(self, parents: tuple, backward_fn, shape: tuple[int, ...], dtype):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = True
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self.shape = shape
+        self.dtype = dtype
+
+
+class Tensor:
+    """A dense float64 or float32 array, optionally tracked for differentiation.
+
+    A tracked result holds its tape entry in ``_node``; ``_parents`` and
+    ``_backward_fn`` read (and ``_backward_fn`` also sets) that entry.  A
+    leaf has no entry of its own: it is its own entry, with no parents and
+    no closure, and its ``grad`` is where backward accumulates.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward_fn = None
+        self._node: _Node | None = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self):
+        return None if self._node is None else self._node._backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn) -> None:
+        self._node._backward_fn = fn
 
     # -- basic introspection ------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     @property
     def ndim(self) -> int:
@@ -145,12 +184,14 @@ class Tensor:
         """Backpropagate from a scalar loss.
 
         Populates ``grad`` on every trainable leaf reachable from this
-        tensor.  The walk pops each node off the topological order as it
-        runs it; once an interior node's backward has run, its gradient,
-        edges and closure are dropped, so its data is freed as soon as every
-        consumer's backward has run (all of them run before it), unless the
-        caller holds the tensor, which then keeps its ``data``.  The graph is
-        consumed: a later ``backward()`` through any of its interior nodes
+        tensor.  The walk runs over tape entries, not tensors: an interior
+        entry holds no data, only the arrays its closure reads.  It pops each
+        entry off the topological order as it runs it; once an interior
+        entry's backward has run, its gradient, edges and closure are
+        dropped, and with the closure every array that only it kept, so an
+        activation is freed as soon as the backward of each of its readers
+        has run.  A tensor the caller holds keeps its ``data``.  The graph is
+        consumed: a later ``backward()`` through any of its interior entries
         raises UsageError before any gradient changes.
         """
         if self.size != 1:
@@ -159,9 +200,10 @@ class Tensor:
             raise UsageError("backward() on a tensor that does not require grad")
 
         # Iterative postorder so deep tapes cannot hit the recursion limit.
-        topo: list[Tensor] = []
-        visited = {id(self)}
-        stack: list[tuple[Tensor, Iterable[Tensor]]] = [(self, iter(self._parents))]
+        root = _entry(self)
+        topo: list = []
+        visited = {id(root)}
+        stack: list[tuple[object, Iterable]] = [(root, iter(root._parents))]
         while stack:
             node, parents = stack[-1]
             for p in parents:
@@ -178,23 +220,33 @@ class Tensor:
                 topo.append(node)
                 stack.pop()
 
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones(root.shape, root.dtype)
         while topo:
             node = topo.pop()
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
             if node._parents:
-                # interior node: gradient fully consumed, release the tape edge
+                # interior entry: gradient fully consumed, release its edges and closure
                 node.grad = None
                 node._parents = ()
                 node._backward_fn = _CONSUMED
 
 
-# The ``_backward_fn`` of an interior node whose backward has run.
+# The ``_backward_fn`` of an interior entry whose backward has run.
 _CONSUMED = object()
 
 
+def _entry(t: Tensor):
+    """The tape entry of ``t``: its ``_node`` when it is a tracked result, else ``t`` itself."""
+    return t if t._node is None else t._node
+
+
 def _track(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """Wrap ``data``; record an entry with the parents' entries when any parent is tracked.
+
+    ``backward_fn`` should hold its inputs' entries (``_entry``), not the
+    input tensors, and only the arrays it reads.
+    """
     out = Tensor(data)
     if _NO_GRAD_DEPTH.get() == 0 and any(p.requires_grad for p in parents):
         if out.data.dtype != np.float64:
@@ -202,31 +254,35 @@ def _track(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor
                 f"the tape records float64 only, got {out.data.dtype}: run float32 under no_grad"
             )
         out.requires_grad = True
-        out._parents = parents
-        out._backward_fn = backward_fn
+        out._node = _Node(tuple(_entry(p) for p in parents), backward_fn,
+                          out.data.shape, out.data.dtype)
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
-    """Add ``g`` into ``t.grad``, so that every ``grad`` is a buffer no other tensor holds.
+def _accum(t, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` into the gradient of ``t``, a tape entry or a tensor.
 
-    The first gradient is copied in the layout of ``t.data``, as
-    zeros_like(t.data) + g gave.  A ``fresh`` ``g`` is an array the calling
+    A tracked tensor's gradient goes to its entry, so a closure that holds
+    the tensor itself cannot lose it.  Every gradient is a buffer no other
+    entry holds, C-contiguous in the entry's shape and dtype: the first one
+    is copied into such a buffer.  A ``fresh`` ``g`` is an array the calling
     backward allocated itself and keeps no reference to, never handed to
-    another parent: it becomes ``t.grad`` without a copy when it already has
-    that layout (both C-contiguous, same shape and dtype).  A ``g`` that
-    flows through an op unchanged, or a view of one, is never fresh.  Since
-    ``grad`` is owned, a backward closure may overwrite the ``g`` it receives.
+    another parent: it becomes the gradient without a copy when it already
+    is such a buffer, whatever the layout of the tensor's ``data``.  A ``g``
+    that flows through an op unchanged, or a view of one, is never fresh.
+    Since a gradient is owned, a backward closure may overwrite the ``g`` it
+    receives.
     """
+    if isinstance(t, Tensor):
+        t = _entry(t)
     if not t.requires_grad:
         return
     if t.grad is not None:
         t.grad += g
-    elif (fresh and g.flags.c_contiguous and t.data.flags.c_contiguous
-          and g.shape == t.data.shape and g.dtype == t.data.dtype):
+    elif fresh and g.flags.c_contiguous and g.shape == t.shape and g.dtype == t.dtype:
         t.grad = g
     else:
-        t.grad = np.empty_like(t.data)
+        t.grad = np.empty(t.shape, t.dtype)
         np.copyto(t.grad, g)
 
 
@@ -267,10 +323,11 @@ def _common(a: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.shape, b.shape)
+    na, nb = _entry(a), _entry(b)
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(na, _unbroadcast(g, na.shape))
+        _accum(nb, _unbroadcast(g, nb.shape))
 
     return _track(np.add(*_common(a, b)), (a, b), backward)
 
@@ -278,10 +335,11 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.shape, b.shape)
+    na, nb = _entry(a), _entry(b)
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape), fresh=True)
+        _accum(na, _unbroadcast(g, na.shape))
+        _accum(nb, _unbroadcast(-g, nb.shape), fresh=True)
 
     return _track(np.subtract(*_common(a, b)), (a, b), backward)
 
@@ -289,10 +347,11 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.shape, b.shape)
+    na, nb, ad, bd = _entry(a), _entry(b), a.data, b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape), fresh=True)
-        _accum(b, _unbroadcast(g * a.data, b.shape), fresh=True)
+        _accum(na, _unbroadcast(g * bd, na.shape), fresh=True)
+        _accum(nb, _unbroadcast(g * ad, nb.shape), fresh=True)
 
     return _track(np.multiply(*_common(a, b)), (a, b), backward)
 
@@ -303,18 +362,21 @@ def div(a, b) -> Tensor:
     if np.any(b.data == 0.0):
         raise DomainError("division by exact zero")
 
+    na, nb, ad, bd = _entry(a), _entry(b), a.data, b.data
+
     def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape), fresh=True)
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape), fresh=True)
+        _accum(na, _unbroadcast(g / bd, na.shape), fresh=True)
+        _accum(nb, _unbroadcast(-g * ad / (bd * bd), nb.shape), fresh=True)
 
     return _track(np.divide(*_common(a, b)), (a, b), backward)
 
 
 def absolute(a: Tensor) -> Tensor:
     a = as_tensor(a)
+    na, ad = _entry(a), a.data
 
     def backward(g):
-        _accum(a, g * np.sign(a.data), fresh=True)
+        _accum(na, g * np.sign(ad), fresh=True)
 
     return _track(np.abs(a.data), (a,), backward)
 
@@ -324,9 +386,10 @@ def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0.0):
         raise DomainError("sqrt of a negative value")
     root = np.sqrt(a.data)
+    na = _entry(a)
 
     def backward(g):
-        _accum(a, g / (2.0 * root), fresh=True)
+        _accum(na, g / (2.0 * root), fresh=True)
 
     return _track(root, (a,), backward)
 
@@ -342,10 +405,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     _check_broadcast(a.shape[:-2], b.shape[:-2])
+    na, nb, ad, bd = _entry(a), _entry(b), a.data, b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape), fresh=True)
-        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape), fresh=True)
+        _accum(na, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), na.shape), fresh=True)
+        _accum(nb, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), nb.shape), fresh=True)
 
     return _track(np.matmul(*_common(a, b)), (a, b), backward)
 
@@ -377,12 +441,14 @@ def reduce(x: Tensor, axes, op: str, keepdims: bool = False) -> Tensor:
     if op == "mean":
         data = data / count
 
+    nx = _entry(x)
+
     def backward(g):
         gk = g.reshape(kept)
         if op == "mean":
             gk = gk / count
-        # a read-only view: _accum copies it into, or adds it to, x.grad
-        _accum(x, np.broadcast_to(gk, x.shape))
+        # a read-only view: _accum copies it into, or adds it to, the gradient
+        _accum(nx, np.broadcast_to(gk, nx.shape))
 
     if not keepdims:
         data = data.reshape(tuple(n for i, n in enumerate(x.shape) if i not in axes))
@@ -395,8 +461,10 @@ def reshape(x: Tensor, shape) -> Tensor:
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
 
+    nx = _entry(x)
+
     def backward(g):
-        _accum(x, g.reshape(x.shape))
+        _accum(nx, g.reshape(nx.shape))
 
     return _track(x.data.reshape(shape), (x,), backward)
 
@@ -408,8 +476,10 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
         raise ShapeError(f"invalid permutation {axes} for rank {x.ndim}")
     inverse = np.argsort(axes)
 
+    nx = _entry(x)
+
     def backward(g):
-        _accum(x, g.transpose(inverse))
+        _accum(nx, g.transpose(inverse))
 
     return _track(x.data.transpose(axes), (x,), backward)
 
@@ -419,8 +489,10 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     _check_broadcast(x.shape, shape)
 
+    nx = _entry(x)
+
     def backward(g):
-        _accum(x, _unbroadcast(g, x.shape))
+        _accum(nx, _unbroadcast(g, nx.shape))
 
     return _track(np.broadcast_to(x.data, shape).copy(), (x,), backward)
 
@@ -439,10 +511,12 @@ def narrow(x: Tensor, key) -> Tensor:
         if not isinstance(k, (slice, int)):
             raise UsageError("only basic slice/int indexing is supported")
 
+    nx = _entry(x)
+
     def backward(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(nx.shape, nx.dtype)
         full[key] = g
-        _accum(x, full, fresh=True)
+        _accum(nx, full, fresh=True)
 
     return _track(x.data[key], (x,), backward)
 
@@ -462,9 +536,11 @@ def concat_tensors(xs: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [t.shape[axis] for t in xs]
     offsets = np.cumsum([0] + sizes)
 
+    entries = [_entry(t) for t in xs]
+
     def backward(g):
-        for t, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
-            sel = tuple(slice(lo, hi) if i == axis else slice(None) for i in range(t.ndim))
+        for t, lo, hi in zip(entries, offsets[:-1], offsets[1:]):
+            sel = tuple(slice(lo, hi) if i == axis else slice(None) for i in range(len(t.shape)))
             _accum(t, g[sel])
 
     dtype = np.float32 if any(t.data.dtype == np.float32 for t in xs) else np.float64

@@ -266,13 +266,14 @@ def train_model(
             if augment_data:
                 scene = augment(scene, state.rng)
             rgb, focal, gt = _scene_tensors(scene)
+            # freed before the forward, so the last step's gradients do not live through it
+            state.model.params.zero_grad()
             pred = state.model(rgb, focal, mode="train", rng=state.rng)
             loss = prediction_loss(pred, gt, config.loss_weights)
             value = float(loss.data)
             if not np.isfinite(value):
                 step = len(state.log.step_losses) + 1
                 raise NumericalCheckError(f"non-finite loss {value} at step {step}")
-            state.model.params.zero_grad()
             loss.backward()
             state.optimizer.step(state.model.params, lr)
             state.log.step_losses.append(value)

@@ -14,7 +14,7 @@ import numpy as np
 
 from lfdepth.errors import UsageError
 from lfdepth.ops import _columns, _correlate, _pad
-from lfdepth.tensor import _accum, _track, as_tensor
+from lfdepth.tensor import _accum, _entry, _track, as_tensor
 
 
 def fd_gradients(loss_fn, tensors, step=1e-5):
@@ -209,15 +209,16 @@ def columns_copied(xp, kernel, stride, dilation, out_sp):
 def backward_keep_all(loss):
     """``Tensor.backward`` as it was before it freed the tape while walking it.
 
-    The same postorder and the same per-node steps, but the walk runs over
-    ``reversed(topo)``, so the list keeps every node, and with it every
-    forward activation, until the last node has run.  It calls the
-    package's backward closures, so gradients must agree with
-    ``loss.backward()`` bit for bit.
+    The same postorder over tape entries and the same per-entry steps, but
+    the walk runs over ``reversed(topo)`` and keeps every closure it has run
+    until the last entry has run, so the list and the closures keep every
+    array the tape holds to the end.  It calls the package's backward
+    closures, so gradients must agree with ``loss.backward()`` bit for bit.
     """
+    root = _entry(loss)
     topo = []
-    visited = {id(loss)}
-    stack = [(loss, iter(loss._parents))]
+    visited = {id(root)}
+    stack = [(root, iter(root._parents))]
     while stack:
         node, parents = stack[-1]
         for p in parents:
@@ -228,11 +229,13 @@ def backward_keep_all(loss):
         else:
             topo.append(node)
             stack.pop()
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones(root.shape, root.dtype)
+    ran = []
     for node in reversed(topo):
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
         if node._parents:
+            ran.append(node._backward_fn)  # held, with the arrays it keeps, to the end
             node.grad = None
             node._parents = ()
             node._backward_fn = None

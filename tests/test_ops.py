@@ -21,7 +21,7 @@ from lfdepth.ops import (
     upsample_bilinear,
 )
 from lfdepth.params import ModuleParams
-from lfdepth.tensor import Tensor, narrow, no_grad
+from lfdepth.tensor import Tensor, _Node, narrow, no_grad
 
 from oracles import (
     bilinear_direct,
@@ -413,16 +413,21 @@ def test_fused_relu_float32_forward_matches_oracle_bitwise(monkeypatch):
 
 def test_fused_conv_closure_holds_only_its_inputs_and_output():
     rng = np.random.default_rng(23)
-    x, w, b = leaf(rng, 2, 3, 9, 9), leaf(rng, 4, 3, 3, 3), leaf(rng, 4)
-    for kwargs in ({}, {"stride": 2, "dilation": 2, "padding": "valid"}):
-        out = conv2d(x, w, b, relu=True, **kwargs)
-        cells = [c.cell_contents for c in out._backward_fn.__closure__]
-        arrays = [v for v in cells if isinstance(v, np.ndarray)]
-        tensors = [v for v in cells if isinstance(v, Tensor)]
-        assert len(arrays) == 1 and arrays[0] is out.data
-        assert {id(t) for t in tensors} == {id(x), id(w), id(b)}
-        assert not any(isinstance(v, (list, tuple, dict)) and any(
-            isinstance(e, (np.ndarray, Tensor)) for e in v) for v in cells)
+    base, w, b = leaf(rng, 2, 3, 9, 9), leaf(rng, 4, 3, 3, 3), leaf(rng, 4)
+    x = base * 1.0  # a tracked result, whose entry is not the tensor
+    for relu in (True, False):
+        for kwargs in ({}, {"stride": 2, "dilation": 2, "padding": "valid"}):
+            out = conv2d(x, w, b, relu=relu, **kwargs)
+            cells = [c.cell_contents for c in out._backward_fn.__closure__]
+            arrays = {id(v) for v in cells if isinstance(v, np.ndarray)}
+            held = {id(v) for v in cells if isinstance(v, (Tensor, _Node))}
+            # the inputs' tape entries (a leaf is its own), and no tensor with an entry
+            assert held == {id(x._node), id(w), id(b)}
+            assert not any(isinstance(v, Tensor) and v._node is not None for v in cells)
+            # the output only when backward recovers the ReLU mask from it
+            assert arrays == {id(x.data), id(w.data)} | ({id(out.data)} if relu else set())
+            assert not any(isinstance(v, (list, tuple, dict)) and any(
+                isinstance(e, (np.ndarray, Tensor, _Node)) for e in v) for v in cells)
 
 
 def test_input_feeding_two_convs_owns_its_gradient():
