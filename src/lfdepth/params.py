@@ -8,7 +8,8 @@ container format is a flat little-endian binary file:
     entry = u16 name-length | UTF-8 name | u8 rank | u32 extents[rank]
             | f64 data[product(extents)]
 
-Round-trips are bit-exact.
+Round-trips are bit-exact.  A reader may leave chosen entries on disk
+(``DiskEntry``) and read them back later with ``read_entries``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import io
 import math
 import struct
-from typing import BinaryIO, Iterator
+import zlib
+from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,6 +27,8 @@ from .tensor import Tensor
 
 MAGIC = b"LFDP"
 VERSION = 1
+# bytes of a left-on-disk entry that read_container checks at a time
+_STREAM_CHUNK = 1 << 16
 
 
 class ModuleParams:
@@ -147,15 +151,28 @@ def write_container(fh: BinaryIO, entries: dict[str, np.ndarray]) -> None:
         fh.write(arr)  # the array's own buffer, not a bytes copy
 
 
-def read_container(fh: BinaryIO) -> dict[str, np.ndarray]:
+class DiskEntry(NamedTuple):
+    """An entry ``read_container`` left on disk: where its data starts, its
+    shape, and the CRC-32 of its data bytes."""
+
+    offset: int
+    shape: tuple[int, ...]
+    crc: int
+
+
+def read_container(fh: BinaryIO, defer: tuple[str, ...] = ()) -> dict[str, np.ndarray | DiskEntry]:
     """Parse a container from a seekable stream; malformed bytes raise FormatError.
 
     Each entry's data is read straight into a fresh writable float64 array,
-    which the returned map holds as its only reference.
+    which the returned map holds as its only reference.  An entry whose name
+    starts with one of the ``defer`` prefixes is not kept: its data streams
+    through one small reused buffer, which checks that it is all there and
+    finite (a FormatError otherwise), and the map holds its ``DiskEntry``.
     """
     start = fh.tell()
     end = fh.seek(0, io.SEEK_END)
     fh.seek(start)
+    chunk = np.empty(_STREAM_CHUNK // 8, dtype="<f8")
 
     def take(n: int, what: str, shape=None):
         """The next ``n`` bytes, or with ``shape`` a new float64 array read from
@@ -168,13 +185,30 @@ def read_container(fh: BinaryIO) -> dict[str, np.ndarray]:
             raise FormatError(f"truncated container: {what} at offset {offset}")
         return buf
 
+    def stream(name: str, shape) -> DiskEntry:
+        offset = fh.tell()
+        what = f"data of {name!r}"
+        left = 8 * math.prod(shape)
+        if left > end - offset:
+            raise FormatError(f"truncated container: {what} at offset {offset}")
+        crc = 0
+        while left:
+            part = chunk[: min(left, _STREAM_CHUNK) // 8]
+            if fh.readinto(part) != part.nbytes:
+                raise FormatError(f"truncated container: {what} at offset {offset}")
+            if not np.all(np.isfinite(part)):
+                raise FormatError(f"entry {name!r} holds non-finite values")
+            crc = zlib.crc32(part, crc)
+            left -= part.nbytes
+        return DiskEntry(offset, shape, crc)
+
     if take(4, "magic") != MAGIC:
         raise FormatError("bad magic: not a parameter container")
     version = struct.unpack("<I", take(4, "version"))[0]
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
     count = struct.unpack("<I", take(4, "entry count"))[0]
-    entries: dict[str, np.ndarray] = {}
+    entries: dict[str, np.ndarray | DiskEntry] = {}
     for _ in range(count):
         name_len = struct.unpack("<H", take(2, "name length"))[0]
         offset = fh.tell()
@@ -188,8 +222,35 @@ def read_container(fh: BinaryIO) -> dict[str, np.ndarray]:
         )
         if name in entries:
             raise FormatError(f"duplicate entry {name!r} in container")
-        entries[name] = take(8 * math.prod(shape), f"data of {name!r}", shape)
+        if name.startswith(defer):
+            entries[name] = stream(name, shape)
+        else:
+            entries[name] = take(8 * math.prod(shape), f"data of {name!r}", shape)
     return entries
+
+
+def read_entries(path, records: dict[str, DiskEntry]) -> dict[str, np.ndarray]:
+    """Read entries that ``read_container`` left on disk back from the file at
+    ``path``, each into a fresh writable float64 array.
+
+    A file that is gone, ends early or whose bytes no longer match an entry's
+    CRC-32 is a FormatError naming the file and the entry.
+    """
+    out = {}
+    if not records:
+        return out
+    name = next(iter(records))
+    try:
+        with open(path, "rb") as fh:
+            for name, rec in records.items():
+                arr = np.empty(rec.shape, dtype="<f8")
+                fh.seek(rec.offset)
+                if fh.readinto(arr) != arr.nbytes or zlib.crc32(arr) != rec.crc:
+                    raise FormatError(f"{path}: entry {name!r} changed on disk since it was loaded")
+                out[name] = arr
+    except OSError as err:
+        raise FormatError(f"{path}: cannot read entry {name!r} back ({err.strerror})") from None
+    return out
 
 
 def save_params(path, entries: dict[str, np.ndarray]) -> None:
@@ -198,6 +259,7 @@ def save_params(path, entries: dict[str, np.ndarray]) -> None:
         write_container(fh, entries)
 
 
-def load_params(path) -> dict[str, np.ndarray]:
+def load_params(path, defer: tuple[str, ...] = ()) -> dict[str, np.ndarray | DiskEntry]:
+    """``read_container`` of the file at ``path``."""
     with open(path, "rb") as fh:
-        return read_container(fh)
+        return read_container(fh, defer)

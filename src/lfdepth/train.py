@@ -6,10 +6,12 @@ configured epoch.  A checkpoint is the parameter container with the
 optimizer moments stored alongside under "adam." keys, plus a JSON sidecar
 holding the config, the run settings (augmentation, evaluation period), epoch
 counter, generator state, and metric history, so a resumed run replays bit
-for bit.  Loading reads each entry once, into the array the restored state
-keeps, and builds the model without drawing init values.  Training and
-checkpoints are float64; ``predict_scene`` runs the network in float32
-(INFERENCE_DTYPE).
+for bit.  Loading reads each parameter once, into the array the restored
+model keeps, and builds the model without drawing init values.  The
+optimizer moments are checked and stay in the file until the optimizer
+first needs them, so evaluation and inference hold only the weights.
+Training and checkpoints are float64; ``predict_scene`` runs the network in
+float32 (INFERENCE_DTYPE).
 
 ``evaluate_model`` is the one evaluation path (``lfdepth eval``, epoch metrics,
 ablation); it predicts on a pool of LFDEPTH_THREADS threads (one: the calling
@@ -32,7 +34,7 @@ from .jsonio import read_fields, read_json
 from .metrics import COLUMN_NAMES, DepthMetrics, aggregate, evaluate
 from .model import PLAIN_STACK_DEPTH, DepthNet, NetworkConfig, ladder_config, prediction_loss
 from .ops import DROPOUT_RATE
-from .params import load_params, save_params
+from .params import DiskEntry, load_params, read_entries, save_params
 from .synthdata import Scene, augment
 from .tensor import Tensor, no_grad
 
@@ -46,35 +48,73 @@ class Adam:
 
     First and second moments are kept per parameter path and created on the
     first step, so a freshly built optimizer serializes to just the step
-    counter.  A step whose gradients are not all finite raises
-    NumericalCheckError before it changes any moment or weight.
+    counter.  Moments restored from a checkpoint can stay in its file
+    (``DiskEntry`` records) until the first ``step``, ``state_entries`` or
+    read of ``m`` or ``v``; if the file is gone or its bytes changed by then,
+    that call raises FormatError naming the file and the entry.  A step whose
+    gradients are not all finite, or whose moments cannot be read, raises
+    before it changes any moment or weight.  A step updates the moment
+    arrays and the weights in place.
     """
 
     def __init__(self):
         self.step_count = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self._moments: dict[str, dict[str, np.ndarray | DiskEntry]] = {"m": {}, "v": {}}
+        self._source = None  # the container that holds the DiskEntry moments
+
+    @property
+    def m(self) -> dict[str, np.ndarray]:
+        self._read_moments()
+        return self._moments["m"]
+
+    @property
+    def v(self) -> dict[str, np.ndarray]:
+        self._read_moments()
+        return self._moments["v"]
+
+    def _read_moments(self) -> None:
+        """Replace every moment left on disk by its array, in place so the order stays."""
+        if self._source is None:
+            return
+        records = {f"adam.{kind}.{path}": rec for kind, moments in self._moments.items()
+                   for path, rec in moments.items() if isinstance(rec, DiskEntry)}
+        for key, arr in read_entries(self._source, records).items():
+            kind, _, path = key[len("adam.") :].partition(".")
+            self._moments[kind][path] = arr
+        self._source = None
 
     def step(self, params, lr: float) -> None:
         graded = [(path, t) for path, t in params.tensors() if t.grad is not None]
         for path, t in graded:
             if not np.all(np.isfinite(t.grad)):
                 raise NumericalCheckError(f"non-finite gradient for parameter {path!r}")
+        self._read_moments()
         self.step_count += 1
         bc1 = 1.0 - ADAM_BETA1**self.step_count
         bc2 = 1.0 - ADAM_BETA2**self.step_count
         for path, t in graded:
             g = t.grad
-            m = self.m.get(path)
-            v = self.v.get(path)
+            m = self._moments["m"].get(path)
             if m is None:
-                m = np.zeros_like(t.data)
-                v = np.zeros_like(t.data)
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            self.m[path] = m
-            self.v[path] = v
-            t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+                m = self._moments["m"][path] = np.zeros_like(t.data)
+                self._moments["v"][path] = np.zeros_like(t.data)
+            v = self._moments["v"][path]
+            # in place, in the operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
+            # and data -= lr * (m/bc1) / (sqrt(v/bc2) + eps), so it rounds as they do
+            m *= ADAM_BETA1
+            tmp = (1.0 - ADAM_BETA1) * g
+            m += tmp
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            d = v / bc2
+            np.sqrt(d, out=d)
+            d += ADAM_EPS
+            np.divide(m, bc1, out=tmp)
+            tmp *= lr
+            tmp /= d
+            t.data -= tmp
 
     def state_entries(self) -> dict[str, np.ndarray]:
         out = {"adam.step": np.asarray(float(self.step_count))}
@@ -84,11 +124,13 @@ class Adam:
             out[f"adam.v.{path}"] = v
         return out
 
-    def load_state_entries(self, entries: dict[str, np.ndarray]) -> None:
+    def load_state_entries(self, entries: dict[str, np.ndarray | DiskEntry], source=None) -> None:
         """Restore ``state_entries`` output; a malformed step or moment set is a FormatError.
 
-        The optimizer takes ownership: each moment array is kept as given, not
-        copied, so the caller must not keep using it.
+        A moment may be a ``DiskEntry`` of the container file ``source``,
+        which is read when first needed.  The optimizer takes ownership: a
+        moment array that is already writable C-contiguous float64 is kept as
+        given, not copied, so the caller must not keep using it.
         """
         if "adam.step" not in entries:
             raise FormatError("checkpoint is missing the optimizer step counter")
@@ -96,19 +138,21 @@ class Adam:
         # written so that NaN fails the check
         if step.shape != () or not (0 <= step < np.inf and step == np.floor(step)):
             raise FormatError(f"optimizer step must be a non-negative integer, got {step}")
-        moments: dict[str, dict[str, np.ndarray]] = {"m": {}, "v": {}}
+        moments: dict[str, dict[str, np.ndarray | DiskEntry]] = {"m": {}, "v": {}}
         for key, arr in entries.items():
             if key == "adam.step":
                 continue
             kind, _, path = key[len("adam.") :].partition(".")
             if kind not in moments or not path:
                 raise FormatError(f"unknown optimizer entry {key!r}")
+            if not isinstance(arr, DiskEntry):
+                arr = np.require(arr, np.float64, "CW")
             moments[kind][path] = arr
         unpaired = sorted(set(moments["m"]) ^ set(moments["v"]))
         if unpaired:
             raise FormatError(f"optimizer moments without their partner: {unpaired[:4]}")
         self.step_count = int(step)
-        self.m, self.v = moments["m"], moments["v"]
+        self._moments, self._source = moments, source
 
 
 def learning_rate_for(config: NetworkConfig, epoch: int) -> float:
@@ -374,10 +418,12 @@ _RUN_SETTINGS = {"augment": bool, "eval_every": int}
 def load_checkpoint(path) -> TrainState:
     """The run ``save_checkpoint`` wrote; a malformed or non-finite checkpoint is a FormatError.
 
-    The container is read once: its arrays become the parameters and moments
-    of the returned state, and the model is built with no init draws.  A
-    sidecar without run settings loads with ``augment`` and ``eval_every``
-    None.
+    The container is read once: its arrays become the parameters of the
+    returned state, and the model is built with no init draws.  The optimizer
+    moments are checked as they stream past (length, finiteness, shape) and
+    left in the file with their CRC-32; the optimizer reads them at its first
+    step or save, and a file changed by then is a FormatError.  A sidecar
+    without run settings loads with ``augment`` and ``eval_every`` None.
     """
     sidecar_path = str(path) + ".json"
     sidecar = read_json(sidecar_path)
@@ -403,9 +449,13 @@ def load_checkpoint(path) -> TrainState:
     except FormatError as err:
         raise FormatError(f"{sidecar_path}: {err}") from None
 
-    entries = load_params(path)
+    try:
+        entries = load_params(path, defer=("adam.m.", "adam.v."))
+    except FormatError as err:
+        raise FormatError(f"{path}: {err}") from None
     for key, arr in entries.items():
-        if not np.all(np.isfinite(arr)):
+        # read_container checked the moments it left on disk
+        if not isinstance(arr, DiskEntry) and not np.all(np.isfinite(arr)):
             raise FormatError(f"{path}: entry {key!r} holds non-finite values")
     param_entries = {k: v for k, v in entries.items() if not k.startswith("adam.")}
     adam_entries = {k: v for k, v in entries.items() if k.startswith("adam.")}
@@ -413,15 +463,17 @@ def load_checkpoint(path) -> TrainState:
     model = DepthNet(config, None)  # zeros, no draws: load_state replaces every value
     model.params.load_state(param_entries)
     optimizer = Adam()
-    optimizer.load_state_entries(adam_entries)
+    optimizer.load_state_entries(adam_entries, source=os.path.abspath(path))
     shapes = {p: t.shape for p, t in model.params.tensors()}
-    for p, m in optimizer.m.items():
+    for key, moment in adam_entries.items():
+        if key == "adam.step":
+            continue
+        p = key[len("adam.m.") :]  # load_state_entries rejected keys of any other kind
         if p not in shapes:
-            raise FormatError(f"{path}: optimizer moments for {p!r} name no model parameter")
-        if m.shape != shapes[p] or optimizer.v[p].shape != shapes[p]:
+            raise FormatError(f"{path}: optimizer moment {key!r} names no model parameter")
+        if moment.shape != shapes[p]:
             raise FormatError(
-                f"{path}: optimizer moments for {p!r} are {m.shape} and "
-                f"{optimizer.v[p].shape}, the parameter is {shapes[p]}"
+                f"{path}: optimizer moment {key!r} is {moment.shape}, the parameter is {shapes[p]}"
             )
 
     log = TrainLog(

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from lfdepth.errors import FormatError, UsageError
 from lfdepth.params import (
     MAGIC,
+    DiskEntry,
     ModuleParams,
     load_params,
     read_container,
+    read_entries,
     save_params,
     write_container,
 )
@@ -180,6 +182,70 @@ def test_container_data_cut_short_names_its_entry():
         read_container(io.BytesIO(blob[:-20]))
     with pytest.raises(FormatError, match=r"truncated container: data of 'conv\.weight'"):
         read_container(ShortReads(blob))
+
+
+def deferred_blob() -> bytes:
+    """A container whose deferred entry spans several of the reader's chunks."""
+    buf = io.BytesIO()
+    rng = np.random.default_rng(5)
+    write_container(buf, {"w": np.ones(3), "later.big": rng.standard_normal((3, 5000)),
+                          "later.s": np.array(0.25), "b": np.arange(2.0)})
+    return buf.getvalue()
+
+
+def test_container_leaves_deferred_entries_on_disk(tmp_path):
+    path = tmp_path / "c.bin"
+    path.write_bytes(deferred_blob())
+    kept = load_params(path, defer=("later.",))
+    whole = load_params(path)
+    assert list(kept) == list(whole)
+    for name in ("w", "b"):
+        assert kept[name].tobytes() == whole[name].tobytes()
+    records = {name: kept[name] for name in ("later.big", "later.s")}
+    for name, rec in records.items():
+        assert isinstance(rec, DiskEntry) and rec.shape == whole[name].shape
+    back = read_entries(path, records)
+    for name, arr in back.items():
+        assert arr.tobytes() == whole[name].tobytes()
+        assert arr.flags.c_contiguous and arr.flags.writeable
+
+
+def test_deferred_entry_cut_short_names_its_entry():
+    blob = deferred_blob()
+    end = read_container(io.BytesIO(blob), defer=("later.",))["later.big"].offset + 8 * 15000
+    with pytest.raises(FormatError, match=r"data of 'later\.big' at offset"):
+        read_container(io.BytesIO(blob[: end - 1]), defer=("later.",))
+    with pytest.raises(FormatError, match=r"truncated container: data of 'later\.big'"):
+        read_container(ShortReads(blob), defer=("later.",))
+
+
+def test_deferred_entry_must_be_finite():
+    buf = io.BytesIO()
+    big = np.zeros(9000)
+    big[-1] = np.nan  # in the second chunk
+    write_container(buf, {"w": np.ones(2), "later.big": big})
+    assert np.isnan(read_container(io.BytesIO(buf.getvalue()))["later.big"][-1])
+    with pytest.raises(FormatError, match=r"'later\.big' holds non-finite values"):
+        read_container(io.BytesIO(buf.getvalue()), defer=("later.",))
+
+
+@pytest.mark.parametrize("change", ["byte", "truncate", "delete"])
+def test_deferred_entry_changed_on_disk_names_file_and_entry(tmp_path, change):
+    path = tmp_path / "c.bin"
+    path.write_bytes(deferred_blob())
+    records = {k: v for k, v in load_params(path, defer=("later.",)).items()
+               if isinstance(v, DiskEntry)}
+    blob = bytearray(path.read_bytes())
+    if change == "byte":
+        blob[records["later.s"].offset] ^= 1
+        path.write_bytes(bytes(blob))
+    elif change == "truncate":
+        path.write_bytes(bytes(blob[: records["later.s"].offset + 4]))
+    else:
+        path.unlink()
+    named = "later.big" if change == "delete" else "later.s"
+    with pytest.raises(FormatError, match=rf"c\.bin: .*'{named}'"):
+        read_entries(path, records)
 
 
 def test_container_arrays_are_fresh_writable_float64():

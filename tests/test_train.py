@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import sys
 import tracemalloc
 import weakref
@@ -13,7 +15,7 @@ from lfdepth.errors import ConfigError, FormatError, NumericalCheckError, UsageE
 from lfdepth.metrics import DepthMetrics, evaluate
 from lfdepth.model import NetworkConfig, prediction_loss
 from lfdepth.ops import kaiming_normal
-from lfdepth.params import ModuleParams, load_params, save_params
+from lfdepth.params import DiskEntry, ModuleParams, load_params, read_entries, save_params
 from lfdepth.synthdata import GenSpec, generate_scene
 from lfdepth.tensor import Tensor, no_grad
 import lfdepth.ops as ops_module
@@ -128,6 +130,23 @@ def test_adam_rejects_non_finite_gradient_without_changing_state():
         assert moments.keys() == before[key].keys()
         for path, arr in moments.items():
             np.testing.assert_array_equal(arr, before[key][path])
+
+
+def test_adam_updates_moments_in_place_even_when_restored_read_only():
+    params = ModuleParams()
+    t = params.add("w", np.ones(4))
+    frozen = {f"adam.{kind}.w": np.full(4, 0.5) for kind in "mv"}
+    for arr in frozen.values():
+        arr.flags.writeable = False
+    opt = Adam()
+    opt.load_state_entries({"adam.step": np.asarray(1.0), **frozen})
+    t.grad = np.array([0.5, -2.0, 0.01, 3.0])
+    opt.step(params, 0.1)
+    m, v, data = opt.m["w"], opt.v["w"], t.data
+    opt.step(params, 0.1)
+    assert opt.m["w"] is m and opt.v["w"] is v and t.data is data
+    for arr in frozen.values():
+        np.testing.assert_array_equal(arr, np.full(4, 0.5))
 
 
 def test_train_model_stops_on_non_finite_gradient_before_adam():
@@ -619,6 +638,15 @@ def test_corrupt_optimizer_state_is_a_format_error(tmp_path, one_epoch_checkpoin
         load_checkpoint(path)
 
 
+def test_checkpoint_cut_inside_a_moment_is_a_format_error_at_load(tmp_path, one_epoch_checkpoint):
+    path = copy_with_sidecar(one_epoch_checkpoint, tmp_path, lambda doc: None)
+    key = list(load_params(path))[-1]
+    assert key.startswith("adam.v.")
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(FormatError, match=re.escape(f"{path}: truncated container: data of {key!r}")):
+        load_checkpoint(path)
+
+
 def copy_with_sidecar(src, dst_dir, edit):
     """A copy of checkpoint ``src`` in ``dst_dir`` whose sidecar document ``edit`` changed."""
     path = dst_dir / "ckpt.lfdp"
@@ -689,6 +717,68 @@ def test_loaded_arrays_are_writable_and_unshared(tmp_path, one_epoch_checkpoint)
     # bounds overlap is exact here: every array is its own allocation
     for i, a in enumerate(arrays):
         assert not any(np.may_share_memory(a, b) for b in arrays[i + 1 :])
+
+
+def test_load_checkpoint_leaves_the_optimizer_moments_on_disk(tmp_path):
+    path = tmp_path / "ckpt.lfdp"
+    save_checkpoint(path, train_model([generate_scene(GenSpec())], NetworkConfig(),
+                                      max_steps=1, eval_every=0))
+    tracemalloc.start()
+    try:
+        state = load_checkpoint(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    # the parameters are a third of the container, the moments the rest
+    assert kept < 0.4 * size and peak < 0.75 * size
+    assert len(state.optimizer.m) == len(state.model.params.tensors())
+
+
+def weights_digest(state):
+    digest = hashlib.sha256()
+    for _, t in state.model.params.tensors():
+        digest.update(t.data.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("change", ["overwrite", "delete"])
+def test_evaluation_never_reads_the_optimizer_moments(tmp_path, one_epoch_checkpoint, change):
+    path = copy_with_sidecar(one_epoch_checkpoint, tmp_path, lambda doc: None)
+    state = load_checkpoint(path)
+    scenes = [tiny_scene(0), tiny_scene(1)]
+    metrics = evaluate_model(state.model, scenes)
+    preds = [predict_scene(state.model, sc).tobytes() for sc in scenes]
+    weights = weights_digest(state)
+    records = {k: v for k, v in load_params(path, defer=("adam.m.", "adam.v.")).items()
+               if isinstance(v, DiskEntry)}
+    if change == "overwrite":
+        key = list(records)[-1]
+        value = read_entries(path, {key: records[key]})[key].flat[0] + 1.0
+        with open(path, "r+b") as fh:
+            fh.seek(records[key].offset)
+            fh.write(np.float64(value).tobytes())
+    else:
+        key = next(iter(records))  # the first one read back
+        path.unlink()
+
+    assert evaluate_model(state.model, scenes) == metrics
+    assert [predict_scene(state.model, sc).tobytes() for sc in scenes] == preds
+    names = re.escape(str(path)) + ".*" + re.escape(repr(key))
+    with pytest.raises(FormatError, match=names):
+        state.optimizer.m
+    with pytest.raises(FormatError, match=names):
+        train_model([tiny_scene(0)], state=state, until_epoch=2, eval_every=0)
+    assert weights_digest(state) == weights
+    assert state.optimizer.step_count == 1
+
+
+def test_saving_over_the_checkpoint_just_loaded_keeps_its_bytes(tmp_path, one_epoch_checkpoint):
+    path = copy_with_sidecar(one_epoch_checkpoint, tmp_path, lambda doc: None)
+    sidecar = tmp_path / "ckpt.lfdp.json"
+    before = path.read_bytes(), sidecar.read_bytes()
+    save_checkpoint(path, load_checkpoint(path))
+    assert (path.read_bytes(), sidecar.read_bytes()) == before
 
 
 @pytest.mark.parametrize("augment, eval_every", [(False, 0), (True, 3)])
