@@ -34,7 +34,17 @@ import math
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UsageError
-from .ops import Conv2d, Linear, concat, conv2d, dropout, global_avg_pool, kaiming_normal, sigmoid
+from .ops import (
+    Conv2d,
+    Linear,
+    concat,
+    conv2d,
+    dropout,
+    global_avg_pool,
+    kaiming_normal,
+    sigmoid,
+    zeros,
+)
 from .params import ModuleParams
 from .tensor import Tensor, broadcast_to, reduce, reshape, transpose
 
@@ -54,7 +64,7 @@ class Cmfa:
         self.comp_weight = comp.add(
             "weight", kaiming_normal(rng, (C1, C1) + COMP_KERNEL, C1 * math.prod(COMP_KERNEL))
         )
-        self.comp_bias = comp.add("bias", np.zeros(C1))
+        self.comp_bias = comp.add("bias", zeros(rng, C1))
         self.rgb_to_focal = Conv2d(scope, "rgb_to_focal", C1, C1, 3, rng)
         self.post_rgb = Conv2d(scope, "post_rgb", C1, C1, 1, rng)
         self.post_focal = Conv2d(scope, "post_focal", C1, C1, 1, rng)

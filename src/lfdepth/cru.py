@@ -74,8 +74,9 @@ class GraphBranch:
         self.expand = Conv2d(self.scope, "expand", Ci, channels, 1, rng)
         # the branch output is cubic in the feature scale (B enters twice,
         # psi(x) once); a small expansion keeps it from drowning the block's
-        # residual path early in training
-        self.expand.weight.data *= 0.1
+        # residual path early in training (a blank placeholder is zero already)
+        if rng is not None:
+            self.expand.weight.data *= 0.1
 
     def add_nodes(self, size: tuple[int, int], rng: np.random.Generator) -> None:
         """Register phi and the node-mixing matrix for features of ``size`` = (H, W)."""
@@ -88,7 +89,8 @@ class GraphBranch:
         # init the branch output grows like sqrt(n*H*W) and swamps the
         # residual path.  Scaling phi by (n*H*W)^(-1/4) puts the branch
         # at O(1) where gradient descent can balance it.
-        self.phi.weight.data *= float(n * h * w) ** -0.25
+        if rng is not None:
+            self.phi.weight.data *= float(n * h * w) ** -0.25
         self.node_mix = self.scope.add(f"node_mix_{h}x{w}", kaiming_normal(rng, (n, n), n))
 
     def project(self, x: Tensor) -> tuple[Tensor, Tensor]:

@@ -154,7 +154,12 @@ class FlattenFusion:
 
 
 class DepthNet:
-    """The assembled network; owns its parameter tree."""
+    """The assembled network; owns its parameter tree.
+
+    With ``rng`` None it draws and allocates no parameter values: each is a
+    read-only zero placeholder (``ops.kaiming_normal``) until
+    ``params.load_state`` puts a loaded array in its place.
+    """
 
     def __init__(self, config: NetworkConfig, rng: np.random.Generator):
         self.config = config
@@ -191,8 +196,10 @@ class DepthNet:
                     # start as identity: the graph branch multiplies activation
                     # matrices and is orders of magnitude too hot at random
                     # init, which would park the prediction head's sigmoid in
-                    # saturation; the fusion conv un-zeroes after one step
-                    zero_fuse(block)
+                    # saturation; the fusion conv un-zeroes after one step.
+                    # A blank model's placeholders are zero and read-only.
+                    if rng is not None:
+                        zero_fuse(block)
                 else:
                     block = PlainStack(
                         self.params.child("plain").child(stream),

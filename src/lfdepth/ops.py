@@ -7,10 +7,19 @@ et al. 2006) in blocks of at most ``_BLOCK_BYTES`` of columns: each block is
 copied out of one strided window view of the padded input and multiplied by
 the [C_out, C*K] weight matrix.  A 1x1 stride-1 kernel's columns are the
 input itself, so its blocks are views of the input and nothing is copied.
+A block is at most 2 MiB, the L2 cache of one core, so the GEMM reads
+columns that the copy has just left in cache; larger blocks spill to L3
+between the two.  At 1 MiB the small GEMMs cost more than the cache saves.
+Each output element is one dot product over C*K whichever block holds it, so
+the forward does not depend on the block size (a test pins 8 MiB against the
+default); the weight gradient's per-block sums do, by rounding.
 Backward walks the columns of the stride-spread, padded g once: the input
 gradient is the forward GEMM of those columns with the flipped kernel
 (Dumoulin & Visin 2016, section 4), and the weight gradient multiplies the
-input by the same columns.  All operators register gradients on the tape.
+input by the same columns.  When the input takes no gradient (a backbone's
+first convolution reads the image), the weight gradient walks the columns of
+the input instead, C*K rows where g's have C_out*K.  All operators register
+gradients on the tape.
 
 ``conv2d(..., relu=True)`` (and ``Conv2d(..., relu=True)``) applies the ReLU
 in place on the convolution's output, and its backward recovers the ReLU
@@ -109,8 +118,9 @@ def _pads(padding: str, kernel, dilation: int) -> tuple[int, ...]:
     return tuple(dilation * (k - 1) // 2 for k in kernel)
 
 
-# Upper bound on the bytes of one block of im2col columns.
-_BLOCK_BYTES = 8 << 20
+# Upper bound on the bytes of one block of im2col columns: the 2 MiB L2 of a
+# core, so a block is still cached when its GEMM reads it (see the module notes).
+_BLOCK_BYTES = 2 << 20
 
 
 def _pad(a: np.ndarray, pads) -> np.ndarray:
@@ -202,7 +212,10 @@ def _conv(
     with its channel axes swapped, times those columns, as ``_correlate``
     computes it.  The weight gradient reads the same columns: it sums
     cols @ x^T over the blocks, which is the flipped kernel gradient as
-    [C_out*K, C].
+    [C_out*K, C].  When x takes no gradient, the weight gradient instead
+    sums g @ cols^T over the forward's blocks of the padded x's columns,
+    already [C_out, C*K]: C*K column rows where g's have C_out*K, fewer
+    wherever C < C_out (a backbone's first conv reads the 3-channel image).
     """
     N, C, *spatial = x.shape
     CO, CI, *kernel = weight.shape
@@ -233,7 +246,16 @@ def _conv(
             g *= kept > 0  # g is this entry's own gradient buffer (see tensor._accum)
         if nb is not None:
             _accum(nb, g.sum(axis=(0,) + tuple(range(2, g.ndim))), fresh=True)
-        if not (nx.requires_grad or nw.requires_grad):
+        if not nx.requires_grad:
+            if nw.requires_grad:
+                CK = C * math.prod(kernel)
+                dw = np.zeros((CO, CK))
+                xp = _pad(xd, pads)
+                for items, rs, cols in _columns(xp, kernel, stride, dilation, out_sp):
+                    gb = g[items, :, rs].reshape(len(cols), CO, -1)
+                    cols = cols.reshape(len(cols), CK, -1)
+                    dw += np.matmul(gb, cols.transpose(0, 2, 1)).sum(axis=0)
+                _accum(nw, dw.reshape(wd.shape), fresh=True)
             return
         if starts != out_sp:
             spread = np.zeros((N, CO) + starts)
@@ -426,12 +448,22 @@ concat = concat_tensors
 def kaiming_normal(rng: np.random.Generator | None, shape, fan_in: int) -> np.ndarray:
     """He-normal init values of ``shape``, the one place a layer draws them.
 
-    With ``rng`` None it draws nothing and returns zeros: a model built that
-    way has every parameter path and shape, for values that are loaded next.
+    With ``rng`` None it draws nothing and allocates nothing: it returns a
+    read-only zero view of ``shape`` (``np.broadcast_to`` of one scalar).  A
+    model built that way has every parameter path and shape for values that
+    ``ModuleParams.load_state`` puts in place next; it never fills a buffer
+    that the load throws away.  A placeholder that is never loaded stays
+    read-only, so writing to it (an optimizer step, say) raises.
     """
     if rng is None:
-        return np.zeros(shape)
+        return np.broadcast_to(np.float64(0.0), shape)
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+
+
+def zeros(rng: np.random.Generator | None, shape) -> np.ndarray:
+    """Zero init values of ``shape`` (biases); with ``rng`` None the read-only
+    placeholder of ``kaiming_normal``.  Draws nothing either way."""
+    return kaiming_normal(None, shape, 1) if rng is None else np.zeros(shape)
 
 
 class Conv2d:
@@ -450,7 +482,7 @@ class Conv2d:
             kaiming_normal(rng, (out_channels, in_channels, kernel, kernel),
                            in_channels * kernel * kernel),
         )
-        self.bias = scope.add("bias", np.zeros(out_channels))
+        self.bias = scope.add("bias", zeros(rng, out_channels))
         self.dilation = dilation
         self.relu = relu
 
@@ -462,7 +494,7 @@ class Linear:
     def __init__(self, params: ModuleParams, name: str, in_features: int, out_features: int, rng):
         scope = params.child(name)
         self.weight = scope.add("weight", kaiming_normal(rng, (in_features, out_features), in_features))
-        self.bias = scope.add("bias", np.zeros(out_features))
+        self.bias = scope.add("bias", zeros(rng, out_features))
 
     def __call__(self, x: Tensor) -> Tensor:
         return fc(x, self.weight, self.bias)

@@ -419,7 +419,9 @@ def load_checkpoint(path) -> TrainState:
     """The run ``save_checkpoint`` wrote; a malformed or non-finite checkpoint is a FormatError.
 
     The container is read once: its arrays become the parameters of the
-    returned state, and the model is built with no init draws.  The optimizer
+    returned state.  The model is built blank, with no init draws and no
+    parameter bytes (read-only zero placeholders that the load replaces), so
+    a load holds little more than the parameters it reads.  The optimizer
     moments are checked as they stream past (length, finiteness, shape) and
     left in the file with their CRC-32; the optimizer reads them at its first
     step or save, and a file changed by then is a FormatError.  A sidecar
@@ -460,7 +462,7 @@ def load_checkpoint(path) -> TrainState:
     param_entries = {k: v for k, v in entries.items() if not k.startswith("adam.")}
     adam_entries = {k: v for k, v in entries.items() if k.startswith("adam.")}
 
-    model = DepthNet(config, None)  # zeros, no draws: load_state replaces every value
+    model = DepthNet(config, None)  # placeholders, no draws: load_state replaces every value
     model.params.load_state(param_entries)
     optimizer = Adam()
     optimizer.load_state_entries(adam_entries, source=os.path.abspath(path))

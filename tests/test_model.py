@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,26 @@ def test_model_built_without_init_draws_has_the_same_parameter_layout():
     blank = DepthNet(NetworkConfig(), None).params.tensors()
     assert [(p, t.shape) for p, t in blank] == [(p, t.shape) for p, t in drawn]
     assert all(not np.any(t.data) for _, t in blank)
+
+
+def test_model_built_without_init_draws_holds_no_parameter_bytes():
+    tracemalloc.start()
+    try:
+        blank = DepthNet(NetworkConfig(), None)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20  # the drawn parameters are 16.4 MB
+    tensors = blank.params.tensors()
+    assert len(tensors) > 300
+    for path, t in tensors:
+        assert t.data.dtype == np.float64 and not np.any(t.data), path
+        assert not t.data.flags.writeable, path
+    weight = blank.params.get("decoder.head.weight")
+    with pytest.raises(ValueError, match="read-only"):
+        weight.data -= 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        weight.data[...] = 1.0
 
 
 def test_forward_rejects_wrong_shapes():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfdepth.errors import ConfigError, FormatError, NumericalCheckError, UsageError
+from lfdepth.gradcheck import DEFAULT_TOLERANCE
 from lfdepth.metrics import DepthMetrics, evaluate
 from lfdepth.model import NetworkConfig, prediction_loss
 from lfdepth.ops import kaiming_normal
@@ -39,7 +40,7 @@ from lfdepth.train import (
     train_model,
 )
 
-from oracles import backward_keep_all, is_monotone_decreasing, moving_average
+from oracles import backward_keep_all, is_monotone_decreasing, max_rel_err, moving_average
 
 
 def tiny_config(**kw):
@@ -501,6 +502,30 @@ def test_predict_scene_matches_the_float64_forward(monkeypatch):
         assert t.data.tobytes() == before[path].tobytes(), path
 
 
+def test_forward_does_not_depend_on_the_block_size(monkeypatch):
+    """predict_scene and the default float64 forward are bitwise equal with
+    8 MiB im2col blocks and with the default; the weight gradients' per-block
+    sums are cut in other places, so they agree within the gradcheck tolerance."""
+    default = ops_module._BLOCK_BYTES
+    assert default < 8 << 20
+    state = init_state(NetworkConfig(), 0)
+    scenes = [generate_scene(GenSpec(seed=seed)) for seed in range(3)]
+    rgb, focal, gt = train_module._scene_tensors(scenes[0])
+    runs = []
+    for block_bytes in (8 << 20, default):
+        monkeypatch.setattr(ops_module, "_BLOCK_BYTES", block_bytes)
+        preds = [predict_scene(state.model, sc).tobytes() for sc in scenes]
+        state.model.params.zero_grad()
+        loss = prediction_loss(state.model(rgb, focal), gt)
+        loss.backward()
+        runs.append((preds, loss.data.tobytes(), state.model.params.gradients()))
+    (preds8, loss8, grads8), (preds, loss, grads) = runs
+    assert preds == preds8 and loss == loss8
+    assert grads.keys() == grads8.keys() and len(grads) == len(state.model.params.tensors())
+    for path, g in grads.items():
+        assert max_rel_err(g, grads8[path]) < DEFAULT_TOLERANCE, path
+
+
 @pytest.mark.parametrize("bias", [50.0, -50.0, -200.0])
 def test_predict_scene_stays_inside_the_open_interval_when_saturated(bias):
     state = init_state(tiny_config(), 0)
@@ -703,6 +728,21 @@ def test_load_checkpoint_peak_memory_stays_near_the_container_size(tmp_path):
         tracemalloc.stop()
     assert state.model.params.count() > 2_000_000
     assert peak < 1.5 * path.stat().st_size
+
+
+def test_load_checkpoint_peaks_near_the_parameters_it_keeps(tmp_path):
+    """The blank model allocates nothing, so a load peaks at the parameters'
+    third of the container and the small buffer that checks the moments."""
+    path = tmp_path / "ckpt.lfdp"
+    save_checkpoint(path, train_model([generate_scene(GenSpec())], NetworkConfig(),
+                                      max_steps=1, eval_every=0))
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.45 * path.stat().st_size
 
 
 def test_loaded_arrays_are_writable_and_unshared(tmp_path, one_epoch_checkpoint):
