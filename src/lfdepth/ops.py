@@ -1,25 +1,32 @@
 """Differentiable neural operators built on the tensor core.
 
+Only the convolutions, ``max_pool2``, ``sigmoid`` and ``relu`` write their
+own backward pass; the other operators are compositions of tape ops, which
+differentiate them.  ``fc`` is reshape, ``matmul`` and add; ``dropout`` is a
+product with a constant mask; ``upsample_bilinear`` is Uy @ x @ Ux^T with
+constant interpolation matrices.  A strided ``conv2d`` is the stride-1 one
+at every stride-th row and column (Dumoulin & Visin 2016, section 4): a
+``narrow``, whose backward scatters g back into zeros.
+
 Convolutions are cross-correlations (no kernel flip).  ``conv2d`` and
-``conv3d`` only check shapes and resolve padding; both run one N-d core,
-``_conv``, over [N, C, *spatial].  The core is an im2col GEMM (Chellapilla
+``conv3d`` only check shapes and resolve padding; both run one N-d stride-1
+core, ``_conv``, over [N, C, *spatial].  The core is an im2col GEMM (Chellapilla
 et al. 2006) in blocks of at most ``_BLOCK_BYTES`` of columns: each block is
-copied out of one strided window view of the padded input and multiplied by
-the [C_out, C*K] weight matrix.  A 1x1 stride-1 kernel's columns are the
-input itself, so its blocks are views of the input and nothing is copied.
+copied out of one window view of the padded input and multiplied by the
+[C_out, C*K] weight matrix.  A 1x1 kernel's columns are the input itself, so
+its blocks are views of the input and nothing is copied.
 A block is at most 2 MiB, the L2 cache of one core, so the GEMM reads
 columns that the copy has just left in cache; larger blocks spill to L3
 between the two.  At 1 MiB the small GEMMs cost more than the cache saves.
 Each output element is one dot product over C*K whichever block holds it, so
 the forward does not depend on the block size (a test pins 8 MiB against the
 default); the weight gradient's per-block sums do, by rounding.
-Backward walks the columns of the stride-spread, padded g once: the input
-gradient is the forward GEMM of those columns with the flipped kernel
-(Dumoulin & Visin 2016, section 4), and the weight gradient multiplies the
-input by the same columns.  When the input takes no gradient (a backbone's
-first convolution reads the image), the weight gradient walks the columns of
-the input instead, C*K rows where g's have C_out*K.  All operators register
-gradients on the tape.
+Backward walks the columns of the padded g once: the input gradient is the
+forward GEMM of those columns with the flipped kernel, and the weight
+gradient multiplies the input by the same columns.  When the input takes no
+gradient (a backbone's first convolution reads the image), the weight
+gradient walks the columns of the input instead, C*K rows where g's have
+C_out*K.
 
 ``conv2d(..., relu=True)`` (and ``Conv2d(..., relu=True)``) applies the ReLU
 in place on the convolution's output, and its backward recovers the ReLU
@@ -31,10 +38,10 @@ with the fused ReLU.  Backward passes hand the gradients they allocate to
 ``tensor._accum`` as ``fresh``, which takes them without a copy.
 
 Every operator computes and allocates in its input's dtype.  Convolutions
-and ``fc`` cast a float64 weight and bias to a float32 input's dtype where
-they read them (a no-op in float64), so one parameter tree serves float64
-training and float32 inference without being changed.  ``dropout`` always
-drops at DROPOUT_RATE, the rate of CMFA's attention heads.
+cast a float64 weight and bias to a float32 input's dtype where they read
+them (a no-op in float64), as the tape ops do, so one parameter tree serves
+float64 training and float32 inference without being changed.  ``dropout``
+always drops at DROPOUT_RATE, the rate of CMFA's attention heads.
 
 Axis conventions: 2-D feature maps are [slices, channels, height, width];
 3-D convolution inputs are [batch, channels, slices, height, width].
@@ -49,7 +56,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, UsageError
 from .params import ModuleParams
-from .tensor import Tensor, _accum, _entry, _track, as_tensor, concat_tensors, reduce
+from .tensor import (Tensor, _accum, _entry, _track, as_tensor, concat_tensors, matmul, reduce,
+                     reshape)
 
 
 # -- activations ---------------------------------------------------------------
@@ -92,16 +100,9 @@ DROPOUT_RATE = 0.5  # CMFA's, on the pooled features of both attention heads
 
 
 def dropout(x: Tensor, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout at DROPOUT_RATE, kept values scaled by 1/(1-rate); training only."""
+    """Train-time inverted dropout at DROPOUT_RATE: x times a constant mask of 0 or 1/(1-rate)."""
     x = as_tensor(x)
-    keep = rng.random(x.shape) >= DROPOUT_RATE
-    scale = (keep / (1.0 - DROPOUT_RATE)).astype(x.data.dtype, copy=False)
-    nx = _entry(x)
-
-    def backward(g):
-        _accum(nx, g * scale, fresh=True)
-
-    return _track(x.data * scale, (x,), backward)
+    return x * ((rng.random(x.shape) >= DROPOUT_RATE) / (1.0 - DROPOUT_RATE))
 
 
 # -- convolutions ----------------------------------------------------------------
@@ -132,33 +133,31 @@ def _pad(a: np.ndarray, pads) -> np.ndarray:
     return out
 
 
-def _columns(xp: np.ndarray, kernel, stride: int, dilation: int, out_sp):
-    """Yield (items, rows, cols): the im2col columns of padded ``xp`` in blocks.
+def _columns(xp: np.ndarray, kernel, dilation: int):
+    """Yield (items, rows, cols): the stride-1 im2col columns of padded ``xp`` in blocks.
 
     A block is a run of whole items or, when one item's columns exceed
     _BLOCK_BYTES, a run of rows of the first output axis of one item.
     ``cols`` is [n, C, *kernel, rows, *rest], the input under each tap,
     copied into one reused buffer: it is valid until the next block is drawn.
-    A 1x1 kernel at stride 1 has the input itself as its columns, so there
-    ``cols`` is a read-only view of ``xp``, with no buffer and no copy.  The
-    blocks are the same either way, so sums over them keep their order.
+    A 1x1 kernel has the input itself as its columns, so there ``cols`` is a
+    read-only view of ``xp``, with no buffer and no copy.  The blocks are the
+    same either way, so sums over them keep their order.
     """
     N, C = xp.shape[:2]
     D = len(kernel)
     CK = C * math.prod(kernel)
     win = sliding_window_view(
         xp, tuple(dilation * (k - 1) + 1 for k in kernel), tuple(range(2, 2 + D))
-    )[
-        (slice(None),) * 2
-        + tuple(slice(0, stride * (m - 1) + 1, stride) for m in out_sp)
-        + (slice(None, None, dilation),) * D
-    ].transpose((0, 1) + tuple(range(2 + D, 2 + 2 * D)) + tuple(range(2, 2 + D)))
+    )[(Ellipsis,) + (slice(None, None, dilation),) * D]
+    out_sp = win.shape[2 : 2 + D]
+    win = win.transpose((0, 1) + tuple(range(2 + D, 2 + 2 * D)) + tuple(range(2, 2 + D)))
 
     rows, row_len = out_sp[0], math.prod(out_sp[1:])
     block_rows = max(1, _BLOCK_BYTES // (xp.itemsize * CK * row_len))
     per = max(1, min(N, block_rows // rows))
     block_rows = min(block_rows, rows)
-    view = stride == 1 and CK == C
+    view = CK == C
     buf = None if view else np.empty(per * CK * block_rows * row_len, xp.dtype)
     for n in range(0, N, per):
         for r in range(0, rows, block_rows):
@@ -172,16 +171,17 @@ def _columns(xp: np.ndarray, kernel, stride: int, dilation: int, out_sp):
             yield items, rs, cols
 
 
-def _correlate(xp: np.ndarray, w: np.ndarray, bias, stride: int, dilation: int, out_sp):
-    """Cross-correlation of padded ``xp`` [N, C, *] with ``w`` [C_out, C, *kernel].
+def _correlate(xp: np.ndarray, w: np.ndarray, bias, dilation: int):
+    """Stride-1 cross-correlation of padded ``xp`` [N, C, *] with ``w`` [C_out, C, *kernel].
 
     One [C_out, C*K] x [C*K, L] matmul per item of each block, written
     straight into the output, plus ``bias`` unless it is None.
     """
-    CO = w.shape[0]
+    CO, _, *kernel = w.shape
     w2 = w.reshape(CO, -1)
-    out = np.empty((xp.shape[0], CO) + tuple(out_sp), xp.dtype)
-    for items, rs, cols in _columns(xp, w.shape[2:], stride, dilation, out_sp):
+    out_sp = tuple(n - dilation * (k - 1) for n, k in zip(xp.shape[2:], kernel))
+    out = np.empty((xp.shape[0], CO) + out_sp, xp.dtype)
+    for items, rs, cols in _columns(xp, kernel, dilation):
         # whole items, or rows of one item: a view of ``out`` either way
         dst = out[items, :, rs].reshape(len(cols), CO, -1)
         np.matmul(w2, cols.reshape(len(cols), w2.shape[1], -1), out=dst)
@@ -194,44 +194,39 @@ def _conv(
     x: Tensor,
     weight: Tensor,
     bias: Tensor | None,
-    stride: int,
     dilation: int,
     pads: tuple[int, ...],
     relu: bool = False,
 ) -> Tensor:
-    """Cross-correlation of [N, C, *spatial] with [C_out, C, *kernel], then ReLU if ``relu``.
+    """Stride-1 cross-correlation of [N, C, *spatial] with [C_out, C, *kernel], ReLU if ``relu``.
 
     The one core behind conv2d and conv3d; forward and backward share the
     im2col blocks of ``_columns``.  The ReLU runs in place on the fresh
     output, as np.where(out > 0, out, 0.0) would: fmax maps NaN to 0, and
     adding +0.0 maps -0 to +0.  Backward masks g with out > 0, so the tape
     keeps neither the pre-activation nor a mask.  Backward takes one walk
-    over the columns of g, spread by the stride and padded by
-    dilation*(k-1) - pad, at stride 1 over the input extent.  The input
-    gradient is the transpose of the convolution: the kernel, flipped and
-    with its channel axes swapped, times those columns, as ``_correlate``
-    computes it.  The weight gradient reads the same columns: it sums
-    cols @ x^T over the blocks, which is the flipped kernel gradient as
-    [C_out*K, C].  When x takes no gradient, the weight gradient instead
-    sums g @ cols^T over the forward's blocks of the padded x's columns,
-    already [C_out, C*K]: C*K column rows where g's have C_out*K, fewer
-    wherever C < C_out (a backbone's first conv reads the 3-channel image).
+    over the columns of g padded by dilation*(k-1) - pad, over the input
+    extent.  The input gradient is the transpose of the convolution: the
+    kernel, flipped and with its channel axes swapped, times those columns,
+    as ``_correlate`` computes it.  The weight gradient reads the same
+    columns: it sums cols @ x^T over the blocks, which is the flipped kernel
+    gradient as [C_out*K, C].  When x takes no gradient, the weight gradient
+    instead sums g @ cols^T over the forward's blocks of the padded x's
+    columns, already [C_out, C*K]: C*K column rows where g's have C_out*K,
+    fewer wherever C < C_out (a backbone's first conv reads the 3-channel image).
     """
-    N, C, *spatial = x.shape
+    _, C, *spatial = x.shape
     CO, CI, *kernel = weight.shape
     if C != CI:
         raise ShapeError(f"convolution channel mismatch: input {C}, kernel {CI}")
-    # positions where a window may start; the output takes every stride-th one
-    starts = tuple(n + 2 * p - dilation * (k - 1) for n, k, p in zip(spatial, kernel, pads))
-    out_sp = tuple((s - 1) // stride + 1 for s in starts)
-    if min(out_sp) < 1:
+    if bias is not None and bias.shape != (CO,):
+        raise ShapeError(f"convolution bias must be [{CO}], got {bias.shape}")
+    if any(n + 2 * p <= dilation * (k - 1) for n, k, p in zip(spatial, kernel, pads)):
         raise ShapeError(f"convolution of input {x.shape} with kernel {tuple(kernel)} is empty")
 
-    D = len(kernel)
     dtype = x.data.dtype
-    xp = _pad(x.data, pads)
     b = None if bias is None else bias.data.astype(dtype, copy=False)
-    out = _correlate(xp, weight.data.astype(dtype, copy=False), b, stride, dilation, out_sp)
+    out = _correlate(_pad(x.data, pads), weight.data.astype(dtype, copy=False), b, dilation)
     if relu:
         np.fmax(out, 0.0, out=out)  # NaN -> 0
         out += 0.0  # -0 -> +0
@@ -250,24 +245,19 @@ def _conv(
             if nw.requires_grad:
                 CK = C * math.prod(kernel)
                 dw = np.zeros((CO, CK))
-                xp = _pad(xd, pads)
-                for items, rs, cols in _columns(xp, kernel, stride, dilation, out_sp):
+                for items, rs, cols in _columns(_pad(xd, pads), kernel, dilation):
                     gb = g[items, :, rs].reshape(len(cols), CO, -1)
                     cols = cols.reshape(len(cols), CK, -1)
                     dw += np.matmul(gb, cols.transpose(0, 2, 1)).sum(axis=0)
                 _accum(nw, dw.reshape(wd.shape), fresh=True)
             return
-        if starts != out_sp:
-            spread = np.zeros((N, CO) + starts)
-            spread[(slice(None),) * 2 + (slice(None, None, stride),) * D] = g
-            g = spread
         back = tuple(dilation * (k - 1) - p for k, p in zip(kernel, pads))
-        taps = tuple(range(2, 2 + D))
+        taps = tuple(range(2, 2 + len(kernel)))
         # [C, CO*K]: the flipped kernel with its channel axes swapped
         wt = np.flip(wd, taps).swapaxes(0, 1).reshape(C, -1)
         dx = np.empty(xd.shape) if nx.requires_grad else None
         dw = np.zeros(wt.shape[::-1]) if nw.requires_grad else None
-        for items, rs, cols in _columns(_pad(g, back), kernel, 1, dilation, spatial):
+        for items, rs, cols in _columns(_pad(g, back), kernel, dilation):
             cols = cols.reshape(len(cols), wt.shape[1], -1)
             if dx is not None:
                 np.matmul(wt, cols, out=dx[items, :, rs].reshape(len(cols), C, -1))
@@ -302,7 +292,7 @@ def conv2d(
 
     ``weight`` is [C_out, C_in, kh, kw]; zero padding keeps H, W under
     'same' padding with stride 1.  ``stride`` and ``dilation`` are integers
-    >= 1.
+    >= 1; a stride-s result is every s-th row and column of the stride-1 one.
     """
     x = as_tensor(x)
     if x.ndim != 4 or weight.ndim != 4:
@@ -311,8 +301,8 @@ def conv2d(
         )
     _check_step("stride", stride)
     _check_step("dilation", dilation)
-    return _conv(x, weight, bias, stride, dilation, _pads(padding, weight.shape[2:], dilation),
-                 relu)
+    out = _conv(x, weight, bias, dilation, _pads(padding, weight.shape[2:], dilation), relu)
+    return out if stride == 1 else out[:, :, ::stride, ::stride]
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -326,32 +316,19 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(
             f"conv3d expects [B, C, S, H, W] and a 5-D kernel, got {x.shape} and {weight.shape}"
         )
-    return _conv(x, weight, bias, 1, 1, _pads("same", weight.shape[2:], 1))
+    return _conv(x, weight, bias, 1, _pads("same", weight.shape[2:], 1))
 
 
 def fc(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map over the last axis: [*, K] -> [*, L] with weight [K, L]."""
     x = as_tensor(x)
-    K, L = weight.shape
-    if x.shape[-1] != K:
-        raise ShapeError(f"fc expects last extent {K}, got {x.shape}")
+    if weight.ndim != 2 or x.ndim < 1 or x.shape[-1] != weight.shape[0]:
+        raise ShapeError(f"fc expects [*, K] and a [K, L] weight, got {x.shape} and {weight.shape}")
     lead = x.shape[:-1]
-    xf = x.data.reshape(-1, K)
-    out = xf @ weight.data.astype(xf.dtype, copy=False)
+    out = matmul(reshape(x, (math.prod(lead), x.shape[-1])), weight)
     if bias is not None:
-        out = out + bias.data.astype(xf.dtype, copy=False)
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    nx, nw, nb = _entry(x), _entry(weight), None if bias is None else _entry(bias)
-    wd = weight.data
-
-    def backward(g):
-        gf = g.reshape(-1, L)
-        if nb is not None:
-            _accum(nb, gf.sum(axis=0), fresh=True)
-        _accum(nw, xf.T @ gf, fresh=True)
-        _accum(nx, (gf @ wd.T).reshape(nx.shape), fresh=True)
-
-    return _track(out.reshape(lead + (L,)), parents, backward)
+        out = out + bias
+    return reshape(out, lead + weight.shape[1:])
 
 
 # -- pooling / resampling ---------------------------------------------------------
@@ -374,6 +351,8 @@ def max_pool2(x: Tensor) -> Tensor:
     goes second.  The gradient goes to the first view equal to the output.
     """
     x = as_tensor(x)
+    if x.ndim != 4:
+        raise ShapeError(f"max_pool2 expects [S, C, H, W], got {x.shape}")
     S, C, H, W = x.shape
     if H % 2 or W % 2:
         raise ShapeError(f"max_pool2 needs even spatial extents, got {H}x{W}")
@@ -394,49 +373,33 @@ def max_pool2(x: Tensor) -> Tensor:
     return _track(out, (x,), backward)
 
 
-def _bilinear_axis(n_in: int, factor: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # align-corners-false source coordinates, clamped at the low edge;
-    # the high edge degenerates to i0 == i1 so any fraction is harmless
+def _bilinear_matrix(n_in: int, factor: int) -> np.ndarray:
+    """[n_in * factor, n_in]: row i interpolates output position i from the input.
+
+    Align-corners-false source coordinates, clamped at the low edge; at the
+    high edge both taps fall on the last input, so their weights sum to 1.
+    """
     dst = np.arange(n_in * factor)
     src = np.maximum((dst + 0.5) / factor - 0.5, 0.0)
     i0 = np.floor(src).astype(np.int64)
     frac = src - i0
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    return i0, i1, frac
+    m = np.zeros((n_in * factor, n_in))
+    m[dst, i0] = 1 - frac
+    m[dst, np.minimum(i0 + 1, n_in - 1)] += frac
+    return m
 
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
-    """Bilinear upsampling by an integer factor (align-corners false)."""
+    """Bilinear upsampling of [S, C, H, W] by an integer factor (align-corners false)."""
     if not isinstance(factor, int) or factor < 1:
         raise UsageError(f"upsample factor must be an integer >= 1, got {factor}")
     x = as_tensor(x)
+    if x.ndim != 4:
+        raise ShapeError(f"upsample_bilinear expects [S, C, H, W], got {x.shape}")
     if factor == 1:
         return x
-    S, C, H, W = x.shape
-    i0, i1, fy = _bilinear_axis(H, factor)
-    j0, j1, fx = _bilinear_axis(W, factor)
-    dtype = x.data.dtype
-    wy, wx = fy[:, None].astype(dtype, copy=False), fx[None, :].astype(dtype, copy=False)
-    corners = (
-        (i0, j0, (1 - wy) * (1 - wx)),
-        (i0, j1, (1 - wy) * wx),
-        (i1, j0, wy * (1 - wx)),
-        (i1, j1, wy * wx),
-    )
-    out = np.zeros((S, C, H * factor, W * factor), dtype)
-    for ii, jj, w in corners:
-        out += w * x.data[:, :, ii[:, None], jj[None, :]]
-    nx = _entry(x)
-
-    def backward(g):
-        dx = np.zeros((H * W, S * C))
-        gf = g.reshape(S * C, -1)
-        for ii, jj, w in corners:
-            flat = (ii[:, None] * W + jj[None, :]).ravel()
-            np.add.at(dx, flat, (w.ravel() * gf).T)
-        _accum(nx, dx.T.reshape(S, C, H, W))
-
-    return _track(out, (x,), backward)
+    H, W = x.shape[2:]
+    return matmul(matmul(_bilinear_matrix(H, factor), x), _bilinear_matrix(W, factor).T)
 
 
 concat = concat_tensors

@@ -43,37 +43,49 @@ def _int_token(tok: bytes, what: str, path: str) -> int:
         raise FormatError(f"{path}: bad {what} token {tok!r}") from None
 
 
-def write_ppm(path, pixels: np.ndarray) -> None:
-    """pixels: uint8 [3,H,W]."""
-    if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[0] != 3:
-        raise UsageError(f"write_ppm wants uint8 [3,H,W], got {pixels.dtype} {pixels.shape}")
-    _, h, w = pixels.shape
+def _write(path, magic: str, maxval: int, h: int, w: int, pixels: np.ndarray) -> None:
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(pixels.transpose(1, 2, 0).tobytes())
+        fh.write(f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii"))
+        fh.write(pixels.tobytes())
 
 
-def read_ppm(path) -> np.ndarray:
-    """Returns uint8 [3,H,W]."""
-    blob = open(path, "rb").read()
+def _read(path, magic: bytes, maxval: int, depth: int) -> tuple[bytes, int, int]:
+    """The pixel bytes, height and width of a ``magic`` file of ``depth`` bytes per pixel."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
     spath = str(path)
     tokens, offset = _read_tokens(blob, 4, spath)
-    if tokens[0] != b"P6":
-        raise FormatError(f"{spath}: expected P6 magic, got {tokens[0]!r} at offset 0")
+    if tokens[0] != magic:
+        raise FormatError(
+            f"{spath}: expected {magic.decode()} magic, got {tokens[0]!r} at offset 0"
+        )
     w = _int_token(tokens[1], "width", spath)
     h = _int_token(tokens[2], "height", spath)
-    maxval = _int_token(tokens[3], "maxval", spath)
-    if maxval != 255:
-        raise FormatError(f"{spath}: only maxval 255 supported, got {maxval}")
+    got = _int_token(tokens[3], "maxval", spath)
+    if got != maxval:
+        raise FormatError(f"{spath}: only maxval {maxval} supported, got {got}")
     if w < 1 or h < 1:
         raise FormatError(f"{spath}: bad image size {w}x{h}")
-    need = 3 * w * h
+    need = depth * w * h
     data = blob[offset : offset + need]
     if len(data) != need:
         raise FormatError(
             f"{spath}: short pixel data at offset {offset + len(data)} "
             f"(expected {need} bytes)"
         )
+    return data, h, w
+
+
+def write_ppm(path, pixels: np.ndarray) -> None:
+    """pixels: uint8 [3,H,W]."""
+    if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[0] != 3:
+        raise UsageError(f"write_ppm wants uint8 [3,H,W], got {pixels.dtype} {pixels.shape}")
+    _write(path, "P6", 255, *pixels.shape[1:], pixels.transpose(1, 2, 0))
+
+
+def read_ppm(path) -> np.ndarray:
+    """Returns uint8 [3,H,W]."""
+    data, h, w = _read(path, b"P6", 255, 3)
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).transpose(2, 0, 1).copy()
 
 
@@ -81,31 +93,10 @@ def write_pgm16(path, values: np.ndarray) -> None:
     """values: uint16 [H,W], stored big-endian with maxval 65535."""
     if values.dtype != np.uint16 or values.ndim != 2:
         raise UsageError(f"write_pgm16 wants uint16 [H,W], got {values.dtype} {values.shape}")
-    h, w = values.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(values.astype(">u2").tobytes())
+    _write(path, "P5", 65535, *values.shape, values.astype(">u2"))
 
 
 def read_pgm16(path) -> np.ndarray:
     """Returns uint16 [H,W]."""
-    blob = open(path, "rb").read()
-    spath = str(path)
-    tokens, offset = _read_tokens(blob, 4, spath)
-    if tokens[0] != b"P5":
-        raise FormatError(f"{spath}: expected P5 magic, got {tokens[0]!r} at offset 0")
-    w = _int_token(tokens[1], "width", spath)
-    h = _int_token(tokens[2], "height", spath)
-    maxval = _int_token(tokens[3], "maxval", spath)
-    if maxval != 65535:
-        raise FormatError(f"{spath}: only maxval 65535 supported, got {maxval}")
-    if w < 1 or h < 1:
-        raise FormatError(f"{spath}: bad image size {w}x{h}")
-    need = 2 * w * h
-    data = blob[offset : offset + need]
-    if len(data) != need:
-        raise FormatError(
-            f"{spath}: short pixel data at offset {offset + len(data)} "
-            f"(expected {need} bytes)"
-        )
+    data, h, w = _read(path, b"P5", 65535, 2)
     return np.frombuffer(data, dtype=">u2").reshape(h, w).astype(np.uint16)

@@ -458,7 +458,7 @@ def reduce(x: Tensor, axes, op: str, keepdims: bool = False) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
     shape = tuple(shape)
-    if int(np.prod(shape)) != x.size:
+    if min(shape, default=1) < 1 or int(np.prod(shape)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
 
     nx = _entry(x)
@@ -507,6 +507,8 @@ def narrow(x: Tensor, key) -> Tensor:
     x = as_tensor(x)
     if not isinstance(key, tuple):
         key = (key,)
+    if len(key) > x.ndim:
+        raise ShapeError(f"{len(key)} indices for rank {x.ndim}")
     for k in key:
         if not isinstance(k, (slice, int)):
             raise UsageError("only basic slice/int indexing is supported")

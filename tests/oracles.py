@@ -161,48 +161,39 @@ def cmfa_relation_pairs(slices, f1, gamma, w, b):
     return lam, f2
 
 
-def conv_backward_two_walks(x, w, g, stride, dilation, pads):
+def conv_backward_two_walks(x, w, g, dilation, pads):
     """Input and weight gradients of ``ops._conv`` for output gradient ``g``, in two walks.
 
     ``ops._conv`` had this backward before it took both gradients from one
     walk.  The weight gradient walks the columns of the padded input and sums
-    g @ cols^T; the input gradient is ``_correlate`` of the stride-spread,
-    padded g with the flipped, channel-swapped kernel.  It runs on the
-    package's im2col walker and GEMM, which that change left as they were, so
-    the new input gradient must agree bit for bit and the weight gradient up
-    to summation order.  Returns (dx, dw).
+    g @ cols^T; the input gradient is ``_correlate`` of the padded g with the
+    flipped, channel-swapped kernel.  It runs on the package's im2col walker
+    and GEMM, which that change left as they were, so the new input gradient
+    must agree bit for bit and the weight gradient up to summation order.
+    Returns (dx, dw).
     """
-    N, C, *spatial = x.shape
+    C = x.shape[1]
     CO, _, *kernel = w.shape
-    starts = tuple(n + 2 * p - dilation * (k - 1) for n, k, p in zip(spatial, kernel, pads))
-    out_sp = tuple((s - 1) // stride + 1 for s in starts)
-    D = len(kernel)
-    xp = _pad(x, pads)
-
     CK = C * math.prod(kernel)
     dw = np.zeros((CO, CK))
-    for items, rs, cols in _columns(xp, kernel, stride, dilation, out_sp):
+    for items, rs, cols in _columns(_pad(x, pads), kernel, dilation):
         gb = g[items, :, rs].reshape(len(cols), CO, -1)
         dw += np.matmul(gb, cols.reshape(len(cols), CK, -1).transpose(0, 2, 1)).sum(axis=0)
 
-    if starts != out_sp:
-        spread = np.zeros((N, CO) + starts)
-        spread[(slice(None),) * 2 + (slice(None, None, stride),) * D] = g
-        g = spread
     back = tuple(dilation * (k - 1) - p for k, p in zip(kernel, pads))
-    flipped = np.flip(w, tuple(range(2, 2 + D))).swapaxes(0, 1)
-    dx = _correlate(_pad(g, back), flipped, None, 1, dilation, spatial)
+    flipped = np.flip(w, tuple(range(2, 2 + len(kernel)))).swapaxes(0, 1)
+    dx = _correlate(_pad(g, back), flipped, None, dilation)
     return dx, dw.reshape(w.shape)
 
 
-def columns_copied(xp, kernel, stride, dilation, out_sp):
+def columns_copied(xp, kernel, dilation):
     """``ops._columns`` with every block copied, as it was before 1x1 kernels yielded views.
 
     The blocks and their plan are the package's; each is copied into a
     C-contiguous array, the layout the reused buffer gave, so a convolution
     run on this walker must agree with the package bit for bit.
     """
-    for items, rs, cols in _columns(xp, kernel, stride, dilation, out_sp):
+    for items, rs, cols in _columns(xp, kernel, dilation):
         yield items, rs, np.ascontiguousarray(cols)
 
 

@@ -53,14 +53,22 @@ def block_sizes(channels, kernel, shape):
     return ops._BLOCK_BYTES, 2 * row * shape[2], 2 * row
 
 
+def spread(g, stride, shape):
+    """``g`` of a stride-``stride`` convolution, at every stride-th entry of the
+    stride-1 output ``shape`` and zero between: what ``narrow`` hands the core."""
+    full = np.zeros(shape)
+    full[(slice(None),) * 2 + (slice(None, None, stride),) * (len(shape) - 2)] = g
+    return full
+
+
 def adjoint_gaps(conv, x, w, b, g, needs=(True, True)):
     """Relative gaps of <x, dx> and <w, dw> from <conv(x, w, b) - b, g>.
 
     A convolution is bilinear in (x, w), so both inner products equal that
     one exactly up to rounding; this pins the input gradient's kernel flip,
-    back-padding and stride spread, not only its agreement with finite
-    differences.  ``needs`` says which of x and w require a gradient; only
-    their gaps are returned.
+    back-padding and a strided result's scatter, not only its agreement with
+    finite differences.  ``needs`` says which of x and w require a gradient;
+    only their gaps are returned.
     """
     xt, wt = (Tensor(a, requires_grad=r) for a, r in zip((x, w), needs))
     bt = Tensor(b, requires_grad=True)
@@ -187,6 +195,17 @@ def test_conv2d_rejects_bad_stride_or_dilation(key, value):
             Conv2d(ModuleParams(), "c", 1, 1, 3, np.random.default_rng(0), dilation=value)
 
 
+@pytest.mark.parametrize("conv, x_shape, w_shape", [
+    (conv2d, (1, 2, 5, 5), (3, 2, 3, 3)),
+    (conv3d, (1, 2, 3, 5, 5), (3, 2, 3, 3, 3)),
+], ids=["conv2d", "conv3d"])
+def test_conv_rejects_a_bias_that_is_not_one_per_output_channel(conv, x_shape, w_shape):
+    x, w = Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape))
+    for bias in (np.ones(2), np.ones(4), np.ones((1, 3))):
+        with pytest.raises(ShapeError, match="bias"):
+            conv(x, w, Tensor(bias))
+
+
 def test_conv2d_takes_numpy_integer_steps():
     x, w = Tensor(np.ones((1, 1, 9, 9))), Tensor(np.ones((1, 1, 3, 3)))
     want = conv2d(x, w, stride=2, dilation=2).data
@@ -294,13 +313,16 @@ def test_conv_backward_matches_two_walk_oracle(
     x = rng.standard_normal(shape)
     w = rng.standard_normal((co, shape[1]) + kernel)
     pads = ops._pads(padding, kernel, dilation)
+    # a stride-s case narrows the stride-1 core's output, as conv2d does
+    every = (slice(None),) * 2 + (slice(None, None, stride),) * len(kernel)
     for block_bytes in block_sizes(co, kernel, shape):
         monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        out = ops._conv(xt, wt, None, stride, dilation, pads)
+        core = ops._conv(xt, wt, None, dilation, pads)
+        out = core[every]
         g = rng.standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
-        dx, dw = conv_backward_two_walks(x, w, g, stride, dilation, pads)
+        dx, dw = conv_backward_two_walks(x, w, spread(g, stride, core.shape), dilation, pads)
         np.testing.assert_array_equal(xt.grad, dx)
         assert max_rel_err(wt.grad, dw) < 1e-13
 
@@ -335,7 +357,8 @@ def test_conv2d_one_sided_gradient(shape, co, kernel, stride, dilation, padding,
     else:
         # with no input gradient the weight gradient walks the columns of x
         pads = ops._pads(padding, kernel, dilation)
-        _, dw = conv_backward_two_walks(x, w, g, stride, dilation, pads)
+        full = ops._conv(Tensor(x), Tensor(w), None, dilation, pads).shape
+        _, dw = conv_backward_two_walks(x, w, spread(g, stride, full), dilation, pads)
         np.testing.assert_array_equal(wt.grad, dw)
         assert xt.grad is None
     gaps = adjoint_gaps(conv, x, w, b, g, needs)
@@ -350,12 +373,13 @@ def bitwise_equal(a, b):
 
 
 def plant_specials(monkeypatch):
-    """Make every convolution's pre-activation hold NaN, -0.0 and +0.0 at fixed entries."""
+    """Make every convolution's pre-activation hold NaN, -0.0 and +0.0 at fixed entries,
+    on even rows and columns, which a stride-2 result keeps."""
     correlate = ops._correlate
 
     def planted(*args):
         out = correlate(*args)
-        out.reshape(-1)[[0, 5, 11]] = (np.nan, -0.0, 0.0)
+        out[0, 0, 0, 0:5:2] = (np.nan, -0.0, 0.0)
         return out
 
     monkeypatch.setattr(ops, "_correlate", planted)
@@ -421,7 +445,7 @@ def test_fused_conv_closure_holds_only_its_inputs_and_output():
     base, w, b = leaf(rng, 2, 3, 9, 9), leaf(rng, 4, 3, 3, 3), leaf(rng, 4)
     x = base * 1.0  # a tracked result, whose entry is not the tensor
     for relu in (True, False):
-        for kwargs in ({}, {"stride": 2, "dilation": 2, "padding": "valid"}):
+        for kwargs in ({}, {"dilation": 2, "padding": "valid"}):
             out = conv2d(x, w, b, relu=relu, **kwargs)
             cells = [c.cell_contents for c in out._backward_fn.__closure__]
             arrays = {id(v) for v in cells if isinstance(v, np.ndarray)}
@@ -485,6 +509,11 @@ def test_fc_values_and_grad():
 def test_fc_extent_mismatch():
     with pytest.raises(ShapeError):
         fc(Tensor(np.zeros((2, 4))), Tensor(np.zeros((5, 3))))
+
+
+def test_fc_rejects_a_weight_that_is_not_a_matrix():
+    with pytest.raises(ShapeError, match="weight"):
+        fc(Tensor(np.zeros((2, 4))), Tensor(np.zeros(4)))
 
 
 def test_global_avg_pool():
@@ -591,6 +620,13 @@ def test_max_pool2_odd_extent_rejected():
         max_pool2(Tensor(np.zeros((1, 1, 5, 4))))
 
 
+@pytest.mark.parametrize("op", [max_pool2, lambda x: upsample_bilinear(x, 2)],
+                         ids=["max_pool2", "upsample_bilinear"])
+def test_pooling_and_upsampling_reject_a_map_that_is_not_4d(op):
+    with pytest.raises(ShapeError, match=r"\[S, C, H, W\]"):
+        op(Tensor(np.zeros((1, 4, 4))))
+
+
 def test_upsample_factor_one_is_identity():
     x = Tensor(np.ones((1, 1, 3, 3)))
     assert upsample_bilinear(x, 1) is x
@@ -607,9 +643,15 @@ def test_upsample_constant_stays_constant():
 def test_upsample_matches_direct_interpolation(factor):
     rng = np.random.default_rng(19 + factor)
     x = rng.standard_normal((2, 2, 3, 5))
-    got = upsample_bilinear(Tensor(x), factor)
+    xt = Tensor(x, requires_grad=True)
+    got = upsample_bilinear(xt, factor)
     want = bilinear_direct(x, factor)
     assert max_rel_err(got.data, want) < 1e-12
+    # upsampling is linear, so its input gradient is its exact adjoint: <up(x), g> = <x, dx>
+    g = rng.standard_normal(want.shape)
+    (got * Tensor(g)).sum().backward()
+    inner = np.vdot(got.data, g)
+    assert abs(np.vdot(x, xt.grad) - inner) / abs(inner) < 1e-12
 
 
 def test_upsample_gradcheck():
@@ -749,7 +791,7 @@ def test_columns_size_blocks_by_itemsize(monkeypatch):
     starts = {np.float32: [(0, 0), (1, 0)], np.float64: [(0, 0), (0, 3), (1, 0), (1, 3)]}
     for dtype, want in starts.items():
         xp = np.zeros((2, 4, 8, 8), dtype)
-        blocks = list(ops._columns(xp, (3, 3), 1, 1, (6, 6)))
+        blocks = list(ops._columns(xp, (3, 3), 1))
         assert [(items.start, rs.start) for items, rs, _ in blocks] == want
         assert all(cols.dtype == dtype for *_, cols in blocks)
 
@@ -761,9 +803,8 @@ def test_columns_of_a_1x1_kernel_are_views_of_the_input(dtype, monkeypatch):
     one = np.zeros((3, 1, 6, 5), dtype)  # a 3x3 kernel over one channel has C*K = 9 too
     for block_bytes in (ops._BLOCK_BYTES, 2 * 9 * 6 * 5 * x.itemsize, 2 * 9 * 5 * x.itemsize):
         monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
-        blocks = list(ops._columns(x, (1, 1), 1, 1, (6, 5)))
-        plan = [(items, rs) for items, rs, _ in
-                ops._columns(ops._pad(one, (1, 1)), (3, 3), 1, 1, (6, 5))]
+        blocks = list(ops._columns(x, (1, 1), 1))
+        plan = [(items, rs) for items, rs, _ in ops._columns(ops._pad(one, (1, 1)), (3, 3), 1)]
         assert [(items, rs) for items, rs, _ in blocks] == plan
         for items, rs, cols in blocks:
             assert np.shares_memory(cols, x)

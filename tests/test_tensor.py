@@ -193,6 +193,18 @@ def test_narrow_is_a_view_and_its_gradient_scatters():
         assert a.grad.tobytes() == want.tobytes()
 
 
+def test_reshape_rejects_negative_extents_whose_product_matches():
+    x = Tensor(np.zeros((3, 4)))
+    for shape in ((-1, -12), (12, 0)):
+        with pytest.raises(ShapeError, match="reshape"):
+            reshape(x, shape)
+
+
+def test_narrow_rejects_more_indices_than_axes():
+    with pytest.raises(ShapeError, match="rank 2"):
+        narrow(Tensor(np.zeros((2, 3))), (0, 1, slice(None)))
+
+
 def test_concat_mismatch_raises():
     with pytest.raises(ShapeError):
         concat_tensors([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=0)
