@@ -4,29 +4,37 @@ Only the convolutions, ``max_pool2``, ``sigmoid`` and ``relu`` write their
 own backward pass; the other operators are compositions of tape ops, which
 differentiate them.  ``fc`` is reshape, ``matmul`` and add; ``dropout`` is a
 product with a constant mask; ``upsample_bilinear`` is Uy @ x @ Ux^T with
-constant interpolation matrices.  A strided ``conv2d`` is the stride-1 one
-at every stride-th row and column (Dumoulin & Visin 2016, section 4): a
-``narrow``, whose backward scatters g back into zeros.
+constant interpolation matrices.
 
 Convolutions are cross-correlations (no kernel flip).  ``conv2d`` and
-``conv3d`` only check shapes and resolve padding; both run one N-d stride-1
-core, ``_conv``, over [N, C, *spatial].  The core is an im2col GEMM (Chellapilla
-et al. 2006) in blocks of at most ``_BLOCK_BYTES`` of columns: each block is
-copied out of one window view of the padded input and multiplied by the
-[C_out, C*K] weight matrix.  A 1x1 kernel's columns are the input itself, so
-its blocks are views of the input and nothing is copied.
+``conv3d`` check shapes and padding and run one N-d core, ``_conv``, over
+[N, C, *spatial].  The core computes only stride-1 correlations that keep
+the extent: ``_margins`` pads each axis by dilation*(k-1), half on each
+side, an even kernel's extra one high.  'valid' padding and a stride are a
+``narrow`` of its result, whose backward scatters g back into zeros
+(Dumoulin & Visin 2016, section 4).  The core is an im2col GEMM (Chellapilla
+et al. 2006) in blocks of at most ``_BLOCK_BYTES`` of columns.  Blocks are
+copied from a flat copy of the input, zero-padded along every spatial axis
+but the last and with the last axis's pads as margins at its two ends.  A
+tap's offset along the last axis is then a shift of the row-major run, so
+the column of each (item, channel, tap) is one contiguous run of rows x W
+elements: one strided view and one copy per block.  Entries that the shift
+carries past a row's edge (rows further, when it is wider than the map) are
+zeroed after the copy, where horizontal zero padding held zeros, so the
+columns are the padded input's byte for byte.  A 1x1 kernel's columns are
+the input itself: its blocks are views, and nothing is copied.
 A block is at most 2 MiB, the L2 cache of one core, so the GEMM reads
 columns that the copy has just left in cache; larger blocks spill to L3
 between the two.  At 1 MiB the small GEMMs cost more than the cache saves.
 Each output element is one dot product over C*K whichever block holds it, so
 the forward does not depend on the block size (a test pins 8 MiB against the
 default); the weight gradient's per-block sums do, by rounding.
-Backward walks the columns of the padded g once: the input gradient is the
-forward GEMM of those columns with the flipped kernel, and the weight
-gradient multiplies the input by the same columns.  When the input takes no
-gradient (a backbone's first convolution reads the image), the weight
-gradient walks the columns of the input instead, C*K rows where g's have
-C_out*K.
+Backward walks the columns of g, padded by the mirrored margins, once: the
+input gradient is the forward GEMM of those columns with the flipped kernel,
+and the weight gradient multiplies the input by the same columns.  When the
+input takes no gradient (a backbone's first convolution reads the image), the
+weight gradient walks the columns of the input instead, C*K rows where g's
+have C_out*K.
 
 ``conv2d(..., relu=True)`` (and ``Conv2d(..., relu=True)``) applies the ReLU
 in place on the convolution's output, and its backward recovers the ReLU
@@ -52,7 +60,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError, UsageError
 from .params import ModuleParams
@@ -108,15 +115,16 @@ def dropout(x: Tensor, rng: np.random.Generator) -> Tensor:
 # -- convolutions ----------------------------------------------------------------
 
 
-def _pads(padding: str, kernel, dilation: int) -> tuple[int, ...]:
-    """Per-axis zero padding: none for 'valid', extent-preserving for 'same'."""
-    if padding == "valid":
-        return (0,) * len(kernel)
-    if padding != "same":
+def _margins(kernel, dilation: int) -> tuple[tuple[int, int], ...]:
+    """Per-axis (low, high) zero padding that keeps the extent, an even kernel's extra one high."""
+    return tuple((r // 2, r - r // 2) for r in (dilation * (k - 1) for k in kernel))
+
+
+def _check_padding(padding: str, kernel) -> None:
+    if padding not in ("same", "valid"):
         raise ShapeError(f"unknown padding mode {padding!r}")
-    if any(k % 2 == 0 for k in kernel):
+    if padding == "same" and any(k % 2 == 0 for k in kernel):
         raise ShapeError(f"'same' padding needs odd kernel extents, got {tuple(kernel)}")
-    return tuple(dilation * (k - 1) // 2 for k in kernel)
 
 
 # Upper bound on the bytes of one block of im2col columns: the 2 MiB L2 of a
@@ -124,64 +132,63 @@ def _pads(padding: str, kernel, dilation: int) -> tuple[int, ...]:
 _BLOCK_BYTES = 2 << 20
 
 
-def _pad(a: np.ndarray, pads) -> np.ndarray:
-    """``a`` [N, C, *spatial] zero-padded by ``pads`` on both sides of each spatial axis."""
-    if not any(pads):
-        return a
-    out = np.zeros(a.shape[:2] + tuple(n + 2 * p for n, p in zip(a.shape[2:], pads)), a.dtype)
-    out[(slice(None),) * 2 + tuple(slice(p, p + n) for p, n in zip(pads, a.shape[2:]))] = a
-    return out
+def _columns(x: np.ndarray, kernel, dilation: int, pads):
+    """Yield (items, rows, cols): the im2col columns of ``x`` [N, C, *spatial] in blocks.
 
-
-def _columns(xp: np.ndarray, kernel, dilation: int):
-    """Yield (items, rows, cols): the stride-1 im2col columns of padded ``xp`` in blocks.
-
-    A block is a run of whole items or, when one item's columns exceed
-    _BLOCK_BYTES, a run of rows of the first output axis of one item.
-    ``cols`` is [n, C, *kernel, rows, *rest], the input under each tap,
-    copied into one reused buffer: it is valid until the next block is drawn.
-    A 1x1 kernel has the input itself as its columns, so there ``cols`` is a
-    read-only view of ``xp``, with no buffer and no copy.  The blocks are the
-    same either way, so sums over them keep their order.
+    ``pads`` is the (low, high) zero padding of each axis; each pair sums to
+    dilation*(k-1), so the output keeps the extent of ``x``.  A block is a
+    run of whole items or, when one item's columns exceed _BLOCK_BYTES, a run
+    of rows of the first axis of one item.  ``cols`` is [n, C, *kernel, rows,
+    *rest], copied in runs (see the module notes) into one reused buffer and
+    valid until the next block is drawn; the ndarray constructor checks that
+    the window of runs lies inside the flat copy.  A 1x1 kernel's ``cols`` is
+    a view of ``x`` in the same blocks, so sums over them keep their order.
     """
-    N, C = xp.shape[:2]
-    D = len(kernel)
-    CK = C * math.prod(kernel)
-    win = sliding_window_view(
-        xp, tuple(dilation * (k - 1) + 1 for k in kernel), tuple(range(2, 2 + D))
-    )[(Ellipsis,) + (slice(None, None, dilation),) * D]
-    out_sp = win.shape[2 : 2 + D]
-    win = win.transpose((0, 1) + tuple(range(2 + D, 2 + 2 * D)) + tuple(range(2, 2 + D)))
-
-    rows, row_len = out_sp[0], math.prod(out_sp[1:])
-    block_rows = max(1, _BLOCK_BYTES // (xp.itemsize * CK * row_len))
+    N, C, *sp = x.shape
+    D, CK = len(kernel), C * math.prod(kernel)
+    rows, row_len = sp[0], math.prod(sp[1:])
+    block_rows = max(1, _BLOCK_BYTES // (x.itemsize * CK * row_len))
     per = max(1, min(N, block_rows // rows))
     block_rows = min(block_rows, rows)
-    view = CK == C
-    buf = None if view else np.empty(per * CK * block_rows * row_len, xp.dtype)
+    win, wraps, buf = x[(slice(None),) * 2 + (None,) * D], [], None  # a 1x1 kernel's view
+    if CK > C:
+        *outer, (lo, hi) = pads
+        body = (N, C, *(n + a + b for n, (a, b) in zip(sp[:-1], outer)), sp[-1])
+        flat = np.zeros(lo + math.prod(body) + hi, x.dtype)
+        padded = flat[lo : lo + math.prod(body)].reshape(body)
+        padded[(slice(None),) * 2 + tuple(slice(a, a + n) for n, (a, _) in zip(sp[:-1], outer))] = x
+        win = np.ndarray((N, C, *kernel, *sp), x.dtype, flat, 0, padded.strides[:2]
+                         + tuple(dilation * s for s in padded.strides[2:]) + padded.strides[2:])
+        for t in range(kernel[-1]):  # the entries tap t shifts across a row edge
+            shift, W = dilation * t - lo, sp[-1]
+            if shift:
+                cut = slice(0, min(W, -shift)) if shift < 0 else slice(max(0, W - shift), W)
+                wraps.append((slice(None),) * (1 + D) + (t, Ellipsis, cut))
+        buf = np.empty(per * CK * block_rows * row_len, x.dtype)
     for n in range(0, N, per):
         for r in range(0, rows, block_rows):
             items, rs = slice(n, n + per), slice(r, r + block_rows)
             src = win[(items,) + (slice(None),) * (1 + D) + (rs,)]
-            if view:
+            if buf is None:
                 cols = src
             else:
                 cols = buf[: src.size].reshape(src.shape)
                 np.copyto(cols, src)
+                for key in wraps:
+                    cols[key] = 0
             yield items, rs, cols
 
 
-def _correlate(xp: np.ndarray, w: np.ndarray, bias, dilation: int):
-    """Stride-1 cross-correlation of padded ``xp`` [N, C, *] with ``w`` [C_out, C, *kernel].
+def _correlate(x: np.ndarray, w: np.ndarray, bias, dilation: int, pads):
+    """Cross-correlation of ``x`` [N, C, *] padded by ``pads`` with ``w`` [C_out, C, *kernel].
 
-    One [C_out, C*K] x [C*K, L] matmul per item of each block, written
-    straight into the output, plus ``bias`` unless it is None.
+    One [C_out, C*K] x [C*K, L] matmul per item of each block, written straight
+    into the output of ``x``'s extent, plus ``bias`` unless it is None.
     """
     CO, _, *kernel = w.shape
     w2 = w.reshape(CO, -1)
-    out_sp = tuple(n - dilation * (k - 1) for n, k in zip(xp.shape[2:], kernel))
-    out = np.empty((xp.shape[0], CO) + out_sp, xp.dtype)
-    for items, rs, cols in _columns(xp, kernel, dilation):
+    out = np.empty((x.shape[0], CO) + x.shape[2:], x.dtype)
+    for items, rs, cols in _columns(x, kernel, dilation, pads):
         # whole items, or rows of one item: a view of ``out`` either way
         dst = out[items, :, rs].reshape(len(cols), CO, -1)
         np.matmul(w2, cols.reshape(len(cols), w2.shape[1], -1), out=dst)
@@ -190,30 +197,21 @@ def _correlate(xp: np.ndarray, w: np.ndarray, bias, dilation: int):
     return out
 
 
-def _conv(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None,
-    dilation: int,
-    pads: tuple[int, ...],
-    relu: bool = False,
-) -> Tensor:
-    """Stride-1 cross-correlation of [N, C, *spatial] with [C_out, C, *kernel], ReLU if ``relu``.
+def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int, relu: bool = False):
+    """Extent-keeping stride-1 cross-correlation of [N, C, *spatial] with [C_out, C, *kernel].
 
-    The one core behind conv2d and conv3d; forward and backward share the
-    im2col blocks of ``_columns``.  The ReLU runs in place on the fresh
-    output, as np.where(out > 0, out, 0.0) would: fmax maps NaN to 0, and
-    adding +0.0 maps -0 to +0.  Backward masks g with out > 0, so the tape
-    keeps neither the pre-activation nor a mask.  Backward takes one walk
-    over the columns of g padded by dilation*(k-1) - pad, over the input
-    extent.  The input gradient is the transpose of the convolution: the
-    kernel, flipped and with its channel axes swapped, times those columns,
-    as ``_correlate`` computes it.  The weight gradient reads the same
-    columns: it sums cols @ x^T over the blocks, which is the flipped kernel
-    gradient as [C_out*K, C].  When x takes no gradient, the weight gradient
-    instead sums g @ cols^T over the forward's blocks of the padded x's
-    columns, already [C_out, C*K]: C*K column rows where g's have C_out*K,
-    fewer wherever C < C_out (a backbone's first conv reads the 3-channel image).
+    The one core behind conv2d and conv3d, then a ReLU if ``relu``; forward
+    and backward share the im2col blocks of ``_columns``, padded by
+    ``_margins``.  The ReLU runs in place on the fresh output, as
+    np.where(out > 0, out, 0.0) would: fmax maps NaN to 0, and adding +0.0
+    maps -0 to +0.  Backward masks g with out > 0, so the tape keeps neither
+    the pre-activation nor a mask.  Backward takes one walk over the columns
+    of g under the mirrored margins.  The input gradient is the transpose of
+    the convolution: the kernel, flipped and with its channel axes swapped,
+    times those columns.  The weight gradient sums cols @ x^T over the same
+    blocks, the flipped kernel gradient as [C_out*K, C].  When x takes no
+    gradient, it instead sums g @ cols^T over the forward's blocks of x's
+    columns, already [C_out, C*K]: C*K column rows where g's have C_out*K.
     """
     _, C, *spatial = x.shape
     CO, CI, *kernel = weight.shape
@@ -221,12 +219,13 @@ def _conv(
         raise ShapeError(f"convolution channel mismatch: input {C}, kernel {CI}")
     if bias is not None and bias.shape != (CO,):
         raise ShapeError(f"convolution bias must be [{CO}], got {bias.shape}")
-    if any(n + 2 * p <= dilation * (k - 1) for n, k, p in zip(spatial, kernel, pads)):
+    if not all(spatial):
         raise ShapeError(f"convolution of input {x.shape} with kernel {tuple(kernel)} is empty")
 
     dtype = x.data.dtype
+    pads = _margins(kernel, dilation)
     b = None if bias is None else bias.data.astype(dtype, copy=False)
-    out = _correlate(_pad(x.data, pads), weight.data.astype(dtype, copy=False), b, dilation)
+    out = _correlate(x.data, weight.data.astype(dtype, copy=False), b, dilation, pads)
     if relu:
         np.fmax(out, 0.0, out=out)  # NaN -> 0
         out += 0.0  # -0 -> +0
@@ -245,19 +244,18 @@ def _conv(
             if nw.requires_grad:
                 CK = C * math.prod(kernel)
                 dw = np.zeros((CO, CK))
-                for items, rs, cols in _columns(_pad(xd, pads), kernel, dilation):
+                for items, rs, cols in _columns(xd, kernel, dilation, pads):
                     gb = g[items, :, rs].reshape(len(cols), CO, -1)
                     cols = cols.reshape(len(cols), CK, -1)
                     dw += np.matmul(gb, cols.transpose(0, 2, 1)).sum(axis=0)
                 _accum(nw, dw.reshape(wd.shape), fresh=True)
             return
-        back = tuple(dilation * (k - 1) - p for k, p in zip(kernel, pads))
         taps = tuple(range(2, 2 + len(kernel)))
         # [C, CO*K]: the flipped kernel with its channel axes swapped
         wt = np.flip(wd, taps).swapaxes(0, 1).reshape(C, -1)
         dx = np.empty(xd.shape) if nx.requires_grad else None
         dw = np.zeros(wt.shape[::-1]) if nw.requires_grad else None
-        for items, rs, cols in _columns(_pad(g, back), kernel, dilation):
+        for items, rs, cols in _columns(g, kernel, dilation, tuple(p[::-1] for p in pads)):
             cols = cols.reshape(len(cols), wt.shape[1], -1)
             if dx is not None:
                 np.matmul(wt, cols, out=dx[items, :, rs].reshape(len(cols), C, -1))
@@ -274,25 +272,19 @@ def _conv(
     return _track(out, parents, backward)
 
 
-def _check_step(name: str, value) -> None:
+def _check_step(name: str, value, error: type[Exception] = ShapeError) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ShapeError(f"{name} must be an integer >= 1, got {value!r}")
+        raise error(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    dilation: int = 1,
-    padding: str = "same",
-    relu: bool = False,
-) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1,
+           dilation: int = 1, padding: str = "same", relu: bool = False) -> Tensor:
     """2-D cross-correlation over [S, C, H, W], applied per slice, then ReLU if ``relu``.
 
     ``weight`` is [C_out, C_in, kh, kw]; zero padding keeps H, W under
     'same' padding with stride 1.  ``stride`` and ``dilation`` are integers
-    >= 1; a stride-s result is every s-th row and column of the stride-1 one.
+    >= 1.  The result is a narrow of the extent-keeping one: every
+    stride-th row and column, from the first whole window under 'valid'.
     """
     x = as_tensor(x)
     if x.ndim != 4 or weight.ndim != 4:
@@ -301,8 +293,16 @@ def conv2d(
         )
     _check_step("stride", stride)
     _check_step("dilation", dilation)
-    out = _conv(x, weight, bias, dilation, _pads(padding, weight.shape[2:], dilation), relu)
-    return out if stride == 1 else out[:, :, ::stride, ::stride]
+    kernel = weight.shape[2:]
+    _check_padding(padding, kernel)
+    keep = (slice(None, None, stride),) * 2
+    if padding == "valid":
+        pads = _margins(kernel, dilation)
+        if any(n <= lo + hi for n, (lo, hi) in zip(x.shape[2:], pads)):
+            raise ShapeError(f"convolution of input {x.shape} with kernel {tuple(kernel)} is empty")
+        keep = tuple(slice(lo, n - hi, stride) for n, (lo, hi) in zip(x.shape[2:], pads))
+    out = _conv(x, weight, bias, dilation, relu)
+    return out if padding == "same" and stride == 1 else out[(slice(None),) * 2 + keep]
 
 
 def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -316,7 +316,8 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(
             f"conv3d expects [B, C, S, H, W] and a 5-D kernel, got {x.shape} and {weight.shape}"
         )
-    return _conv(x, weight, bias, 1, _pads("same", weight.shape[2:], 1))
+    _check_padding("same", weight.shape[2:])
+    return _conv(x, weight, bias, 1)
 
 
 def fc(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -391,8 +392,7 @@ def _bilinear_matrix(n_in: int, factor: int) -> np.ndarray:
 
 def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
     """Bilinear upsampling of [S, C, H, W] by an integer factor (align-corners false)."""
-    if not isinstance(factor, int) or factor < 1:
-        raise UsageError(f"upsample factor must be an integer >= 1, got {factor}")
+    _check_step("upsample factor", factor, UsageError)
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"upsample_bilinear expects [S, C, H, W], got {x.shape}")
@@ -438,7 +438,7 @@ class Conv2d:
     def __init__(self, params: ModuleParams, name: str, in_channels: int, out_channels: int,
                  kernel: int, rng: np.random.Generator, dilation: int = 1, relu: bool = False):
         _check_step("dilation", dilation)
-        _pads("same", (kernel, kernel), dilation)
+        _check_padding("same", (kernel, kernel))
         scope = params.child(name)
         self.weight = scope.add(
             "weight",

@@ -11,9 +11,10 @@ each says in its docstring what it shares with the package.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from lfdepth import ops
 from lfdepth.errors import UsageError
-from lfdepth.ops import _columns, _correlate, _pad
 from lfdepth.tensor import _accum, _entry, _track, as_tensor
 
 
@@ -161,40 +162,79 @@ def cmfa_relation_pairs(slices, f1, gamma, w, b):
     return lam, f2
 
 
+def pad_reference(a, pads):
+    """``a`` [N, C, *spatial] zero-padded by the (low, high) pairs of ``pads``."""
+    padded = tuple(n + lo + hi for n, (lo, hi) in zip(a.shape[2:], pads))
+    out = np.zeros(a.shape[:2] + padded, a.dtype)
+    out[(slice(None),) * 2 + tuple(slice(lo, lo + n) for n, (lo, _) in zip(a.shape[2:], pads))] = a
+    return out
+
+
+def columns_reference(x, kernel, dilation, pads):
+    """The blocks of ``ops._columns``, each copied out of a sliding window over the padded input.
+
+    This was ``ops._columns`` before it copied contiguous runs of a flat copy,
+    and it shares none of that code: it pads ``x`` by ``pads`` and copies each
+    block row by row from a window view, into a C-contiguous array.  Only the
+    block plan is the package's, as it reads ``ops._BLOCK_BYTES``, so the new
+    walk must yield the same (items, rows) and the same bytes.
+    """
+    xp = pad_reference(x, pads)
+    N, C = xp.shape[:2]
+    D = len(kernel)
+    CK = C * math.prod(kernel)
+    win = sliding_window_view(
+        xp, tuple(dilation * (k - 1) + 1 for k in kernel), tuple(range(2, 2 + D))
+    )[(Ellipsis,) + (slice(None, None, dilation),) * D]
+    out_sp = win.shape[2 : 2 + D]
+    win = win.transpose((0, 1) + tuple(range(2 + D, 2 + 2 * D)) + tuple(range(2, 2 + D)))
+    rows, row_len = out_sp[0], math.prod(out_sp[1:])
+    block_rows = max(1, ops._BLOCK_BYTES // (xp.itemsize * CK * row_len))
+    per = max(1, min(N, block_rows // rows))
+    block_rows = min(block_rows, rows)
+    for n in range(0, N, per):
+        for r in range(0, rows, block_rows):
+            items, rs = slice(n, n + per), slice(r, r + block_rows)
+            yield items, rs, np.ascontiguousarray(win[(items,) + (slice(None),) * (1 + D) + (rs,)])
+
+
+def correlate_reference(x, w, dilation, pads):
+    """Cross-correlation of ``x`` padded by ``pads`` with ``w``: one GEMM per item of each
+    block of ``columns_reference``, as ``ops._correlate`` computes it."""
+    CO, _, *kernel = w.shape
+    w2 = w.reshape(CO, -1)
+    out_sp = tuple(n + lo + hi - dilation * (k - 1)
+                   for n, (lo, hi), k in zip(x.shape[2:], pads, kernel))
+    out = np.empty((x.shape[0], CO) + out_sp, x.dtype)
+    for items, rs, cols in columns_reference(x, kernel, dilation, pads):
+        dst = out[items, :, rs].reshape(len(cols), CO, -1)
+        np.matmul(w2, cols.reshape(len(cols), w2.shape[1], -1), out=dst)
+    return out
+
+
 def conv_backward_two_walks(x, w, g, dilation, pads):
-    """Input and weight gradients of ``ops._conv`` for output gradient ``g``, in two walks.
+    """Input and weight gradients of a convolution of ``x`` padded by ``pads``, for output ``g``.
 
     ``ops._conv`` had this backward before it took both gradients from one
     walk.  The weight gradient walks the columns of the padded input and sums
-    g @ cols^T; the input gradient is ``_correlate`` of the padded g with the
-    flipped, channel-swapped kernel.  It runs on the package's im2col walker
-    and GEMM, which that change left as they were, so the new input gradient
-    must agree bit for bit and the weight gradient up to summation order.
-    Returns (dx, dw).
+    g @ cols^T; the input gradient correlates g, padded by dilation*(k-1)
+    less each pad, with the flipped, channel-swapped kernel.  It runs on
+    ``columns_reference``, so the package's input gradient must agree bit for
+    bit and its weight gradient up to summation order.  Returns (dx, dw).
     """
     C = x.shape[1]
     CO, _, *kernel = w.shape
     CK = C * math.prod(kernel)
     dw = np.zeros((CO, CK))
-    for items, rs, cols in _columns(_pad(x, pads), kernel, dilation):
+    for items, rs, cols in columns_reference(x, kernel, dilation, pads):
         gb = g[items, :, rs].reshape(len(cols), CO, -1)
         dw += np.matmul(gb, cols.reshape(len(cols), CK, -1).transpose(0, 2, 1)).sum(axis=0)
 
-    back = tuple(dilation * (k - 1) - p for k, p in zip(kernel, pads))
+    reach = (dilation * (k - 1) for k in kernel)
+    back = tuple((r - lo, r - hi) for r, (lo, hi) in zip(reach, pads))
     flipped = np.flip(w, tuple(range(2, 2 + len(kernel)))).swapaxes(0, 1)
-    dx = _correlate(_pad(g, back), flipped, None, dilation)
+    dx = correlate_reference(g, flipped, dilation, back)
     return dx, dw.reshape(w.shape)
-
-
-def columns_copied(xp, kernel, dilation):
-    """``ops._columns`` with every block copied, as it was before 1x1 kernels yielded views.
-
-    The blocks and their plan are the package's; each is copied into a
-    C-contiguous array, the layout the reused buffer gave, so a convolution
-    run on this walker must agree with the package bit for bit.
-    """
-    for items, rs, cols in _columns(xp, kernel, dilation):
-        yield items, rs, np.ascontiguousarray(cols)
 
 
 def backward_keep_all(loss):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from lfdepth.ops import (
     sigmoid,
     upsample_bilinear,
 )
+from lfdepth.model import NetworkConfig, prediction_loss
 from lfdepth.params import ModuleParams
+from lfdepth.synthdata import GenSpec, generate_scene
 from lfdepth.tensor import Tensor, _Node, narrow, no_grad
+from lfdepth.train import _scene_tensors, init_state
 
 from oracles import (
     bilinear_direct,
-    columns_copied,
+    columns_reference,
     conv2d_direct,
     conv_backward_two_walks,
     conv3d_direct,
@@ -53,11 +57,21 @@ def block_sizes(channels, kernel, shape):
     return ops._BLOCK_BYTES, 2 * row * shape[2], 2 * row
 
 
-def spread(g, stride, shape):
-    """``g`` of a stride-``stride`` convolution, at every stride-th entry of the
-    stride-1 output ``shape`` and zero between: what ``narrow`` hands the core."""
+def kept(shape, kernel, stride, dilation, padding):
+    """The entries of the extent-keeping core's output ``shape`` that a convolution keeps:
+    every stride-th one, from the first whole window under 'valid'."""
+    if padding == "same":
+        return (slice(None),) * 2 + (slice(None, None, stride),) * len(kernel)
+    lows = ((dilation * (k - 1) // 2, dilation * (k - 1)) for k in kernel)
+    return (slice(None),) * 2 + tuple(slice(lo, lo + n - r, stride)
+                                      for n, (lo, r) in zip(shape[2:], lows))
+
+
+def spread(g, keep, shape):
+    """``g`` of a narrowed convolution at the ``keep`` entries of the core's output
+    ``shape`` and zero elsewhere: what ``narrow`` hands the core."""
     full = np.zeros(shape)
-    full[(slice(None),) * 2 + (slice(None, None, stride),) * (len(shape) - 2)] = g
+    full[keep] = g
     return full
 
 
@@ -115,6 +129,13 @@ def test_conv2d_dilated_delta_taps():
         ((1, 2, 9, 9), 2, (3, 3), 1, 2, "same"),
         ((3, 1, 5, 5), 2, (1, 1), 1, 1, "same"),
         ((1, 2, 7, 6), 2, (5, 3), 1, 1, "same"),
+        ((1, 2, 7, 6), 2, (2, 4), 1, 1, "valid"),
+        ((2, 3, 9, 8), 2, (4, 3), 2, 2, "valid"),
+        # the CRU stage-5 dilations, whose reach crosses the whole map
+        ((2, 3, 4, 4), 2, (3, 3), 1, 5, "same"),
+        ((2, 3, 4, 4), 2, (3, 3), 1, 7, "same"),
+        ((2, 3, 4, 5), 2, (3, 3), 1, 5, "same"),
+        ((2, 3, 4, 5), 2, (3, 3), 1, 7, "same"),
     ],
 )
 def test_conv2d_matches_direct_sum(shape, co, kernel, stride, dilation, padding, monkeypatch):
@@ -128,7 +149,8 @@ def test_conv2d_matches_direct_sum(shape, co, kernel, stride, dilation, padding,
     def conv(x, w, b):
         return conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding)
 
-    for block_bytes in block_sizes(shape[1], kernel, want.shape):
+    # the forward walks the input's extent, which a stride or 'valid' then narrows
+    for block_bytes in block_sizes(shape[1], kernel, shape):
         monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
         got = conv(Tensor(x), Tensor(w), Tensor(b))
         assert got.shape == want.shape
@@ -157,8 +179,7 @@ def test_conv2d_gradcheck(stride, dilation, padding, monkeypatch):
         return conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding).sum()
 
     want = fd_gradients(lambda: build().item(), [x, w, b])
-    out_shape = conv2d(x, w, stride=stride, dilation=dilation, padding=padding).shape
-    for block_bytes in block_sizes(2, (3, 3), out_shape):
+    for block_bytes in block_sizes(2, (3, 3), x.shape):
         monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
         for t in (x, w, b):
             t.zero_grad()
@@ -302,6 +323,12 @@ BACKWARD_CASES = [
     ((2, 2, 7, 6), 3, (5, 3), 2, 2, "same"),
     ((2, 2, 4, 5, 6), 3, (3, 3, 3), 1, 1, "same"),
     ((1, 3, 4, 6, 5), 2, (3, 3, 3), 1, 1, "valid"),
+    ((2, 2, 8, 7), 3, (4, 2), 1, 1, "valid"),
+    # the CRU stage-5 dilations, whose reach crosses the whole map
+    ((2, 4, 4, 4), 3, (3, 3), 1, 5, "same"),
+    ((2, 4, 4, 4), 3, (3, 3), 1, 7, "same"),
+    ((2, 4, 4, 5), 3, (3, 3), 1, 5, "same"),
+    ((2, 4, 4, 5), 3, (3, 3), 1, 7, "same"),
 ]
 
 
@@ -312,17 +339,16 @@ def test_conv_backward_matches_two_walk_oracle(
     rng = np.random.default_rng(hash((shape, co, stride, dilation)) % 2**32)
     x = rng.standard_normal(shape)
     w = rng.standard_normal((co, shape[1]) + kernel)
-    pads = ops._pads(padding, kernel, dilation)
-    # a stride-s case narrows the stride-1 core's output, as conv2d does
-    every = (slice(None),) * 2 + (slice(None, None, stride),) * len(kernel)
+    keep, pads = kept(shape, kernel, stride, dilation, padding), ops._margins(kernel, dilation)
     for block_bytes in block_sizes(co, kernel, shape):
         monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        core = ops._conv(xt, wt, None, dilation, pads)
-        out = core[every]
+        # a stride or 'valid' narrows the extent-keeping core's output, as conv2d does
+        core = ops._conv(xt, wt, None, dilation)
+        out = core[keep]
         g = rng.standard_normal(out.shape)
         (out * Tensor(g)).sum().backward()
-        dx, dw = conv_backward_two_walks(x, w, spread(g, stride, core.shape), dilation, pads)
+        dx, dw = conv_backward_two_walks(x, w, spread(g, keep, core.shape), dilation, pads)
         np.testing.assert_array_equal(xt.grad, dx)
         assert max_rel_err(wt.grad, dw) < 1e-13
 
@@ -356,9 +382,9 @@ def test_conv2d_one_sided_gradient(shape, co, kernel, stride, dilation, padding,
         assert wt.grad is None
     else:
         # with no input gradient the weight gradient walks the columns of x
-        pads = ops._pads(padding, kernel, dilation)
-        full = ops._conv(Tensor(x), Tensor(w), None, dilation, pads).shape
-        _, dw = conv_backward_two_walks(x, w, spread(g, stride, full), dilation, pads)
+        keep = kept(shape, kernel, stride, dilation, padding)
+        full = spread(g, keep, (shape[0], co) + shape[2:])
+        _, dw = conv_backward_two_walks(x, w, full, dilation, ops._margins(kernel, dilation))
         np.testing.assert_array_equal(wt.grad, dw)
         assert xt.grad is None
     gaps = adjoint_gaps(conv, x, w, b, g, needs)
@@ -373,13 +399,13 @@ def bitwise_equal(a, b):
 
 
 def plant_specials(monkeypatch):
-    """Make every convolution's pre-activation hold NaN, -0.0 and +0.0 at fixed entries,
-    on even rows and columns, which a stride-2 result keeps."""
+    """Make every convolution's pre-activation hold NaN, -0.0 and +0.0 in its first two rows
+    at both even and odd columns, so a stride-2 or 'valid' result keeps each of them."""
     correlate = ops._correlate
 
     def planted(*args):
         out = correlate(*args)
-        out[0, 0, 0, 0:5:2] = (np.nan, -0.0, 0.0)
+        out[0, 0, 0:2, 0:6] = (np.nan, -0.0, 0.0, np.nan, -0.0, 0.0)
         return out
 
     monkeypatch.setattr(ops, "_correlate", planted)
@@ -447,7 +473,11 @@ def test_fused_conv_closure_holds_only_its_inputs_and_output():
     for relu in (True, False):
         for kwargs in ({}, {"dilation": 2, "padding": "valid"}):
             out = conv2d(x, w, b, relu=relu, **kwargs)
-            cells = [c.cell_contents for c in out._backward_fn.__closure__]
+            if kwargs:  # 'valid' narrows the core's result: take the core's entry and output
+                node, out = out._node._parents[0], Tensor(out.data.base)
+            else:
+                node = out._node
+            cells = [c.cell_contents for c in node._backward_fn.__closure__]
             arrays = {id(v) for v in cells if isinstance(v, np.ndarray)}
             held = {id(v) for v in cells if isinstance(v, (Tensor, _Node))}
             # the inputs' tape entries (a leaf is its own), and no tensor with an entry
@@ -674,6 +704,17 @@ def test_upsample_bad_factor():
         upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2))), 1.5)
 
 
+def test_upsample_rejects_a_bool_factor():
+    with pytest.raises(UsageError, match="True"):
+        upsample_bilinear(Tensor(np.zeros((1, 1, 2, 2))), True)
+
+
+def test_upsample_takes_a_numpy_integer_factor():
+    x = Tensor(np.random.default_rng(24).standard_normal((1, 2, 3, 3)))
+    want = upsample_bilinear(x, 2).data
+    assert upsample_bilinear(x, np.int64(2)).data.tobytes() == want.tobytes()
+
+
 # -- layers ------------------------------------------------------------------------
 
 
@@ -787,11 +828,11 @@ def test_float32_conv_with_float64_weights_needs_no_grad():
 def test_columns_size_blocks_by_itemsize(monkeypatch):
     """A block of float32 columns holds twice the rows of a float64 one."""
     monkeypatch.setattr(ops, "_BLOCK_BYTES", 4 * 4 * 9 * 36)  # one item of float32 columns
-    # (first item, first row) of each block of a [2, 4, 8, 8] input's 6x6 output
+    # (first item, first row) of each block of a [2, 4, 6, 6] input's 6x6 output
     starts = {np.float32: [(0, 0), (1, 0)], np.float64: [(0, 0), (0, 3), (1, 0), (1, 3)]}
     for dtype, want in starts.items():
-        xp = np.zeros((2, 4, 8, 8), dtype)
-        blocks = list(ops._columns(xp, (3, 3), 1))
+        x = np.zeros((2, 4, 6, 6), dtype)
+        blocks = list(ops._columns(x, (3, 3), 1, ((1, 1), (1, 1))))
         assert [(items.start, rs.start) for items, rs, _ in blocks] == want
         assert all(cols.dtype == dtype for *_, cols in blocks)
 
@@ -803,13 +844,79 @@ def test_columns_of_a_1x1_kernel_are_views_of_the_input(dtype, monkeypatch):
     one = np.zeros((3, 1, 6, 5), dtype)  # a 3x3 kernel over one channel has C*K = 9 too
     for block_bytes in (ops._BLOCK_BYTES, 2 * 9 * 6 * 5 * x.itemsize, 2 * 9 * 5 * x.itemsize):
         monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
-        blocks = list(ops._columns(x, (1, 1), 1))
-        plan = [(items, rs) for items, rs, _ in ops._columns(ops._pad(one, (1, 1)), (3, 3), 1)]
+        blocks = list(ops._columns(x, (1, 1), 1, ((0, 0), (0, 0))))
+        plan = [(items, rs) for items, rs, _ in ops._columns(one, (3, 3), 1, ((1, 1), (1, 1)))]
         assert [(items, rs) for items, rs, _ in blocks] == plan
         for items, rs, cols in blocks:
             assert np.shares_memory(cols, x)
             assert cols.shape == (len(range(3)[items]), 9, 1, 1, len(range(6)[rs]), 5)
             assert cols[:, :, 0, 0].tobytes() == x[items, :, rs].tobytes()
+
+
+def assert_columns_match_the_reference(shape, kernel, dilation, pads, dtype):
+    """Every block of ``ops._columns`` has the reference's (items, rows) and its bytes."""
+    x = np.random.default_rng(hash((shape, kernel, dilation)) % 2**32).standard_normal(shape)
+    x = x.astype(dtype)  # no zeros, so an entry zeroed or left unzeroed by mistake shows
+    blocks = zip_longest(ops._columns(x, kernel, dilation, pads),
+                         columns_reference(x, kernel, dilation, pads), fillvalue=(None,) * 3)
+    for (items, rs, cols), (want_items, want_rs, want) in blocks:
+        assert (items, rs) == (want_items, want_rs), (shape, kernel, dilation)
+        assert cols.dtype == want.dtype and cols.shape == want.shape
+        assert cols.tobytes() == want.tobytes(), (shape, kernel, dilation, items, rs)
+
+
+@pytest.fixture(scope="module")
+def default_step_walks():
+    """(shape, kernel, dilation, pads) of each ``_columns`` walk of a default float64
+    train step: the forward's, then the backward's."""
+    walks, columns = [], ops._columns
+
+    def spy(x, kernel, dilation, pads):
+        walks.append((x.shape, tuple(kernel), dilation, pads))
+        return columns(x, kernel, dilation, pads)
+
+    state = init_state(NetworkConfig(), 0)
+    rgb, focal, gt = _scene_tensors(generate_scene(GenSpec(seed=5)))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ops, "_columns", spy)
+        pred = state.model(rgb, focal, mode="train", rng=np.random.default_rng(1))
+        loss = prediction_loss(pred, gt, state.config.loss_weights)
+        forward = len(walks)
+        loss.backward()
+    return walks[:forward], walks[forward:]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_columns_match_the_reference_on_every_walk_of_a_default_step(default_step_walks, dtype):
+    """The forward walk of every convolution of a default step, its input-gradient walk, and the
+    weight-only walks of the convolutions that read an image, in either dtype."""
+    forward, backward = default_step_walks
+    assert len(backward) == len(forward) > 100
+    # the two backbones' first convs read an image, whose gradient nobody takes
+    assert sum(walk[0][1] == 3 for walk in backward) == 2
+    for walk in sorted(set(forward + backward)):
+        assert_columns_match_the_reference(*walk, dtype)
+
+
+@pytest.mark.parametrize("shape,co,kernel,stride,dilation,padding", BACKWARD_CASES)
+def test_columns_match_the_reference_on_the_backward_cases(
+    shape, co, kernel, stride, dilation, padding, monkeypatch
+):
+    """The forward and input-gradient walks of each case, in blocks of items and of rows."""
+    pads = ops._margins(kernel, dilation)
+    mirrored = tuple(p[::-1] for p in pads)
+    walks = [(shape, shape[1], pads), ((shape[0], co) + shape[2:], co, mirrored)]
+    for walk_shape, channels, walk_pads in walks:
+        for block_bytes in block_sizes(channels, kernel, walk_shape):
+            monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+            for dtype in (np.float64, np.float32):
+                assert_columns_match_the_reference(walk_shape, kernel, dilation, walk_pads, dtype)
+
+
+def test_columns_reject_a_margin_that_would_read_past_the_copy():
+    x = np.ones((2, 3, 5, 6))
+    with pytest.raises(ValueError, match="size of buffer"):
+        next(ops._columns(x, (3, 3), 1, ((1, 1), (0, 1))))
 
 
 def test_1x1_conv_on_views_matches_the_copying_walker_bitwise(monkeypatch):
@@ -833,6 +940,6 @@ def test_1x1_conv_on_views_matches_the_copying_walker_bitwise(monkeypatch):
             for relu in (False, True):
                 got = run(data, strided, relu)
                 with monkeypatch.context() as m:
-                    m.setattr(ops, "_columns", columns_copied)
+                    m.setattr(ops, "_columns", columns_reference)
                     want = run(data, strided, relu)
                 assert got == want
