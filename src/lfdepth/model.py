@@ -242,7 +242,11 @@ class DepthNet:
 
     def __call__(self, rgb: Tensor | None, focal: Tensor | None,
                  mode: str = "eval", rng=None) -> Tensor:
-        """Depth map [1,1,H,W] with values in (0,1)."""
+        """Depth map [1,1,H,W] with values in (0,1); 'train' mode needs an rng for dropout."""
+        if mode not in ("train", "eval"):
+            raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
+        if mode == "train" and rng is None:
+            raise UsageError("train mode needs an rng for dropout")
         cc = self.config
         if cc.use_rgb_stream and rgb is None:
             raise UsageError("configuration uses the rgb stream but none was given")

@@ -253,12 +253,11 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int, relu: b
         taps = tuple(range(2, 2 + len(kernel)))
         # [C, CO*K]: the flipped kernel with its channel axes swapped
         wt = np.flip(wd, taps).swapaxes(0, 1).reshape(C, -1)
-        dx = np.empty(xd.shape) if nx.requires_grad else None
+        dx = np.empty(xd.shape)
         dw = np.zeros(wt.shape[::-1]) if nw.requires_grad else None
         for items, rs, cols in _columns(g, kernel, dilation, tuple(p[::-1] for p in pads)):
             cols = cols.reshape(len(cols), wt.shape[1], -1)
-            if dx is not None:
-                np.matmul(wt, cols, out=dx[items, :, rs].reshape(len(cols), C, -1))
+            np.matmul(wt, cols, out=dx[items, :, rs].reshape(len(cols), C, -1))
             if dw is not None:
                 xb = xd[items, :, rs].reshape(len(cols), C, -1)
                 dw += np.matmul(cols, xb.transpose(0, 2, 1)).sum(axis=0)
@@ -266,8 +265,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int, relu: b
             # [CO*K, C] -> [CO, C, *kernel], taps flipped back
             dw = np.moveaxis(dw.reshape((CO, *kernel, C)), -1, 1)
             _accum(nw, np.flip(dw, taps))
-        if dx is not None:
-            _accum(nx, dx, fresh=True)
+        _accum(nx, dx, fresh=True)
 
     return _track(out, parents, backward)
 

@@ -324,7 +324,6 @@ def _rotate_bilinear(img: np.ndarray, degrees: float) -> np.ndarray:
     x0 = np.floor(sx)
     fy, fx = sy - y0, sx - x0
     flat = img.reshape(-1, h, w)
-    out = np.empty_like(flat)
     corners = [
         (y0, x0, (1 - fy) * (1 - fx)),
         (y0, x0 + 1, (1 - fy) * fx),
@@ -336,8 +335,7 @@ def _rotate_bilinear(img: np.ndarray, degrees: float) -> np.ndarray:
         iy = reflect(cyi, h).astype(np.int64)
         ix = reflect(cxi, w).astype(np.int64)
         acc += wgt[None] * flat[:, iy, ix]
-    out[:] = acc
-    return out.reshape(*lead, h, w)
+    return acc.reshape(*lead, h, w)
 
 
 def _grayscale(img: np.ndarray) -> np.ndarray:

@@ -174,7 +174,6 @@ class TrainState:
     rng: np.random.Generator
     epoch: int            # epochs completed so far
     log: TrainLog
-    config: NetworkConfig
     # the settings train_model last ran with, which a resumed run reuses; None
     # when loaded from a sidecar written before they were stored
     augment: bool | None = True
@@ -189,10 +188,7 @@ def init_state(config: NetworkConfig, seed: int) -> TrainState:
     # separate stream for shuffling/augmentation/dropout so resumed runs
     # only need this one generator's state
     run_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    return TrainState(
-        model=model, optimizer=Adam(), rng=run_rng, epoch=0,
-        log=TrainLog(), config=config,
-    )
+    return TrainState(model=model, optimizer=Adam(), rng=run_rng, epoch=0, log=TrainLog())
 
 
 def _scene_tensors(scene: Scene) -> tuple[Tensor, Tensor, Tensor]:
@@ -261,23 +257,22 @@ def train_model(
     *,
     state: TrainState | None = None,
     until_epoch: int | None = None,
-    max_steps: int | None = None,
     eval_scenes: list[Scene] | None = None,
     eval_every: int = 1,
     augment_data: bool = True,
     verbose: bool = False,
 ) -> TrainState:
-    """Run the training loop, fresh or resumed.
+    """Run the training loop, fresh or resumed, in whole epochs.
 
     With ``state`` given, continues that run (``config``/``seed`` are then
-    taken from it); otherwise builds a new model from ``seed``.  Stops after
-    ``until_epoch`` epochs total (default: the config's epoch cap) or
-    ``max_steps`` optimizer steps, whichever comes first.  ``eval_every``
-    controls how often epoch metrics are computed (0 disables; negative is a
-    UsageError); when it is on, a malformed LFDEPTH_THREADS is a ConfigError
-    before the first step.  ``augment_data`` and ``eval_every`` are recorded
-    in the state, so its checkpoint resumes with them.  A non-finite loss
-    raises NumericalCheckError before its backward pass.
+    taken from it); otherwise builds a new model from ``seed``.  An epoch is
+    one step per scene, in the run generator's order, and the run stops after
+    ``until_epoch`` epochs total (default: the config's epoch cap).
+    ``eval_every`` controls how often epoch metrics are computed (0 disables;
+    negative is a UsageError); when it is on, a malformed LFDEPTH_THREADS is
+    a ConfigError before the first step.  ``augment_data`` and ``eval_every``
+    are recorded in the state, so its checkpoint resumes with them.  A
+    non-finite loss raises NumericalCheckError before its backward pass.
     """
     if not scenes:
         raise UsageError("training needs at least one scene")
@@ -289,23 +284,16 @@ def train_model(
         if config is None:
             raise UsageError("pass a config or a state to train from")
         state = init_state(config, seed)
-    config = state.config
+    config = state.model.config
     state.augment, state.eval_every = augment_data, eval_every
     if until_epoch is None:
         until_epoch = config.epochs
     held_out = eval_scenes if eval_scenes is not None else scenes
 
     while state.epoch < until_epoch:
-        if max_steps is not None and len(state.log.step_losses) >= max_steps:
-            break
-        epoch = state.epoch
-        lr = learning_rate_for(config, epoch)
-        order = state.rng.permutation(len(scenes))
-        epoch_loss_sum = 0.0
-        steps_this_epoch = 0
-        for idx in order:
-            if max_steps is not None and len(state.log.step_losses) >= max_steps:
-                break
+        lr = learning_rate_for(config, state.epoch)
+        epoch_loss_sum = 0.0  # summed in step order, not by sum(), which compensates
+        for idx in state.rng.permutation(len(scenes)):
             scene = scenes[int(idx)]
             if augment_data:
                 scene = augment(scene, state.rng)
@@ -322,11 +310,8 @@ def train_model(
             state.optimizer.step(state.model.params, lr)
             state.log.step_losses.append(value)
             epoch_loss_sum += value
-            steps_this_epoch += 1
-        if steps_this_epoch == 0:
-            break
         state.epoch += 1
-        state.log.epoch_losses.append(epoch_loss_sum / steps_this_epoch)
+        state.log.epoch_losses.append(epoch_loss_sum / len(scenes))
         if eval_every and (state.epoch % eval_every == 0 or state.epoch == until_epoch):
             _, mean = evaluate_model(state.model, held_out)
             state.log.epoch_metrics.append((state.epoch, mean))
@@ -397,7 +382,7 @@ def save_checkpoint(path, state: TrainState) -> None:
     entries.update(state.optimizer.state_entries())
     save_params(path, entries)
     sidecar = {
-        "config": config_to_dict(state.config),
+        "config": config_to_dict(state.model.config),
         "epoch": state.epoch,
         "rng_state": state.rng.bit_generator.state,
         "metrics": metrics_to_doc(state.log.epoch_metrics),
@@ -483,8 +468,7 @@ def load_checkpoint(path) -> TrainState:
         epoch_losses=[float(v) for v in sidecar["epoch_losses"]],
         epoch_metrics=epoch_metrics,
     )
-    return TrainState(model=model, optimizer=optimizer, rng=rng,
-                      epoch=sidecar["epoch"], log=log, config=config,
+    return TrainState(model=model, optimizer=optimizer, rng=rng, epoch=sidecar["epoch"], log=log,
                       augment=sidecar.get("augment"), eval_every=sidecar.get("eval_every"))
 
 
@@ -506,16 +490,15 @@ def ablation_run(
     seed: int = 0,
     *,
     eval_scenes: list[Scene] | None = None,
-    until_epoch: int | None = None,
-    eval_every: int = 0,
     augment_data: bool = True,
     verbose: bool = False,
 ) -> list[AblationResult]:
-    """Train each named variant with a shared seed and schedule.
+    """Train each named variant for its config's epochs with a shared seed,
+    then evaluate it once on ``eval_scenes`` (default: the training scenes).
 
     Every name and LFDEPTH_THREADS are checked before the first variant
-    trains, so an unknown name is a UsageError, and a malformed thread count a
-    ConfigError, without any training.
+    trains: an unknown name is a UsageError, a malformed thread count a
+    ConfigError, and neither trains anything.
     """
     configs = [ladder_config(base_config, name) for name in names]
     worker_count()
@@ -523,11 +506,8 @@ def ablation_run(
     for name, config in zip(names, configs):
         if verbose:
             print(f"== {name} ==")
-        state = train_model(
-            train_scenes, config, seed,
-            until_epoch=until_epoch, eval_scenes=eval_scenes,
-            eval_every=eval_every, augment_data=augment_data, verbose=verbose,
-        )
+        state = train_model(train_scenes, config, seed, eval_every=0,
+                            augment_data=augment_data, verbose=verbose)
         _, mean = evaluate_model(state.model, eval_scenes or train_scenes)
         results.append(
             AblationResult(

@@ -210,10 +210,8 @@ def test_criterion_6_overfit_sanity():
     seeded runs, inside a ten-minute budget."""
     scene = generate_scene(OVERFIT_SCENE)
     t0 = time.monotonic()
-    first = train_model([scene], OVERFIT_CONFIG, OVERFIT_SEED,
-                        max_steps=OVERFIT_STEPS, eval_every=0, augment_data=False)
-    second = train_model([scene], OVERFIT_CONFIG, OVERFIT_SEED,
-                         max_steps=OVERFIT_STEPS, eval_every=0, augment_data=False)
+    first = train_model([scene], OVERFIT_CONFIG, OVERFIT_SEED, eval_every=0, augment_data=False)
+    second = train_model([scene], OVERFIT_CONFIG, OVERFIT_SEED, eval_every=0, augment_data=False)
     elapsed = time.monotonic() - t0
 
     losses = first.log.step_losses

@@ -283,6 +283,23 @@ def test_train_mode_needs_rng():
     assert out.shape == (1, 1, 32, 32)
 
 
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_every_ladder_rung_checks_the_mode_before_the_forward(name, monkeypatch):
+    cfg = ladder_config(small_config(), name)
+    model = DepthNet(cfg, np.random.default_rng(0))
+    rgb, focal, _ = scene_inputs(cfg)
+    rgb, focal = (rgb if cfg.use_rgb_stream else None), (focal if cfg.use_focal_stream else None)
+
+    def forward(*args):
+        raise AssertionError("the forward pass ran")
+
+    monkeypatch.setattr(model, "_stream_features", forward)
+    for kwargs in ({"mode": "trian"}, {"mode": "trian", "rng": np.random.default_rng(4)},
+                   {"mode": "train"}):
+        with pytest.raises(UsageError, match="mode"):
+            model(rgb, focal, **kwargs)
+
+
 # -- stream / ladder variants -----------------------------------------------------
 
 

@@ -261,13 +261,6 @@ def test_train_is_deterministic():
     assert c.log.step_losses != a.log.step_losses
 
 
-def test_max_steps_stops_early():
-    scenes = [tiny_scene(0)]
-    state = train_model(scenes, tiny_config(epochs=50), max_steps=3, eval_every=0)
-    assert len(state.log.step_losses) == 3
-    assert state.epoch == 3
-
-
 def test_epoch_bookkeeping_and_metrics():
     scenes = [tiny_scene(0), tiny_scene(1)]
     state = train_model(scenes, tiny_config(), until_epoch=2, eval_every=1)
@@ -323,7 +316,7 @@ def test_bad_thread_env_is_a_config_error_before_the_first_step(monkeypatch, thr
 
     monkeypatch.setattr(train_module, "train_model", train_model_stub)
     with pytest.raises(ConfigError, match="LFDEPTH_THREADS"):
-        ablation_run([tiny_scene()], ["Baseline"], tiny_config(), until_epoch=1)
+        ablation_run([tiny_scene()], ["Baseline"], tiny_config(epochs=1))
 
 
 def test_epoch_metrics_and_ablation_do_not_depend_on_the_thread_count(monkeypatch):
@@ -336,10 +329,9 @@ def test_epoch_metrics_and_ablation_do_not_depend_on_the_thread_count(monkeypatc
         else:
             monkeypatch.setenv("LFDEPTH_THREADS", threads)
         state = train_model(scenes, tiny_config(), until_epoch=2, eval_scenes=held_out)
-        results = ablation_run(scenes, ["Baseline", "+CRU+CMFA(Ours)"], tiny_config(),
-                               until_epoch=1, eval_scenes=held_out, eval_every=1)
-        runs.append((state.log.epoch_metrics,
-                     [(r.name, r.metrics, r.log.epoch_metrics) for r in results]))
+        results = ablation_run(scenes, ["Baseline", "+CRU+CMFA(Ours)"], tiny_config(epochs=1),
+                               eval_scenes=held_out)
+        runs.append((state.log.epoch_metrics, [(r.name, r.metrics) for r in results]))
     assert len(runs[0][0]) == 2
     assert runs[0] == runs[1]
 
@@ -356,7 +348,7 @@ def default_loss(state, scene):
     """The loss of one training step of the default network, before its backward."""
     rgb, focal, gt = scene
     pred = state.model(rgb, focal, mode="train", rng=np.random.default_rng(1))
-    return prediction_loss(pred, gt, state.config.loss_weights)
+    return prediction_loss(pred, gt, state.model.config.loss_weights)
 
 
 def test_freeing_backward_matches_the_keep_all_walk_bitwise(default_scene):
@@ -545,7 +537,7 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     back = load_checkpoint(path)
 
     assert back.epoch == state.epoch
-    assert back.config == state.config
+    assert back.model.config == state.model.config
     assert back.rng.bit_generator.state == state.rng.bit_generator.state
     assert back.log.step_losses == state.log.step_losses
     assert back.log.epoch_losses == state.log.epoch_losses
@@ -584,7 +576,6 @@ def test_checkpoint_rejects_colliding_parameter_paths(tmp_path):
         rng=np.random.default_rng(0),
         epoch=0,
         log=None,
-        config=tiny_config(),
     )
     with pytest.raises(UsageError):
         save_checkpoint(tmp_path / "bad.lfdp", fake)
@@ -689,15 +680,6 @@ def test_sidecar_epoch_must_count_its_epoch_losses(tmp_path, one_epoch_checkpoin
         load_checkpoint(path)
 
 
-def test_checkpoint_stopped_mid_epoch_loads(tmp_path):
-    state = train_model([tiny_scene(0), tiny_scene(1)], tiny_config(), max_steps=3,
-                        eval_every=0)
-    assert (state.epoch, len(state.log.epoch_losses)) == (2, 2)
-    path = tmp_path / "ckpt.lfdp"
-    save_checkpoint(path, state)
-    assert load_checkpoint(path).epoch == 2
-
-
 def test_load_checkpoint_draws_no_init_values(tmp_path, monkeypatch):
     path = tmp_path / "ckpt.lfdp"
     save_checkpoint(path, init_state(tiny_config(), 0))
@@ -719,7 +701,7 @@ def test_load_checkpoint_peak_memory_stays_near_the_container_size(tmp_path):
     path = tmp_path / "ckpt.lfdp"
     # one step, so the container holds the Adam moments as well as the parameters
     save_checkpoint(path, train_model([generate_scene(GenSpec())], NetworkConfig(),
-                                      max_steps=1, eval_every=0))
+                                      until_epoch=1, eval_every=0))
     tracemalloc.start()
     try:
         state = load_checkpoint(path)
@@ -735,7 +717,7 @@ def test_load_checkpoint_peaks_near_the_parameters_it_keeps(tmp_path):
     third of the container and the small buffer that checks the moments."""
     path = tmp_path / "ckpt.lfdp"
     save_checkpoint(path, train_model([generate_scene(GenSpec())], NetworkConfig(),
-                                      max_steps=1, eval_every=0))
+                                      until_epoch=1, eval_every=0))
     tracemalloc.start()
     try:
         load_checkpoint(path)
@@ -762,7 +744,7 @@ def test_loaded_arrays_are_writable_and_unshared(tmp_path, one_epoch_checkpoint)
 def test_load_checkpoint_leaves_the_optimizer_moments_on_disk(tmp_path):
     path = tmp_path / "ckpt.lfdp"
     save_checkpoint(path, train_model([generate_scene(GenSpec())], NetworkConfig(),
-                                      max_steps=1, eval_every=0))
+                                      until_epoch=1, eval_every=0))
     tracemalloc.start()
     try:
         state = load_checkpoint(path)
@@ -883,7 +865,7 @@ def test_sidecar_with_retired_keys_resumes_bitwise(tmp_path):
 
     add_to_sidecar(path, **RETIRED_KEYS)
     loaded = load_checkpoint(path)
-    assert loaded.config == half.config
+    assert loaded.model.config == half.model.config
     older = train_model(scenes, state=loaded, until_epoch=4, eval_every=0)
 
     assert older.log.step_losses == current.log.step_losses
@@ -1025,8 +1007,8 @@ def test_config_dict_round_trip():
 def test_ablation_run_covers_names():
     scenes = [tiny_scene(0), tiny_scene(1)]
     results = ablation_run(
-        scenes, ["Baseline", "+CRU+CMFA(Ours)"], tiny_config(),
-        seed=0, until_epoch=1, augment_data=False,
+        scenes, ["Baseline", "+CRU+CMFA(Ours)"], tiny_config(epochs=1),
+        seed=0, augment_data=False,
     )
     assert [r.name for r in results] == ["Baseline", "+CRU+CMFA(Ours)"]
     for r in results:
@@ -1041,7 +1023,7 @@ def test_ablation_run_checks_every_name_before_training(monkeypatch):
 
     monkeypatch.setattr(train_module, "train_model", train_model)
     with pytest.raises(UsageError) as err:
-        ablation_run([tiny_scene(0)], ["Baseline", "Extra"], tiny_config(), until_epoch=1)
+        ablation_run([tiny_scene(0)], ["Baseline", "Extra"], tiny_config(epochs=1))
     assert "Extra" in str(err.value)
 
 
