@@ -23,8 +23,9 @@ F_f2 = [sum_j gamma_j lambda_j f_j / sum_j gamma_j lambda_j, F_f1].
 
 Both normalized sums are convex combinations, so every element of F_f1 and
 F_f2 stays inside the elementwise min/max envelope of its inputs; zeroing the
-attention heads turns both into plain means.  In training mode both heads
-drop pooled features at ops.DROPOUT_RATE (0.5).
+attention heads turns both into plain means.  A block called with an rng is
+in training mode: both heads drop pooled features at ops.DROPOUT_RATE (0.5),
+drawing from that rng.  Without one it is in eval mode and deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, ShapeError
 from .ops import (
     Conv2d,
     Linear,
@@ -108,41 +109,36 @@ class Cmfa:
 
     # -- step two: attention over the slice bundle -----------------------------
 
-    def _head(self, linear, pooled: Tensor, mode: str, rng) -> Tensor:
-        """Per-slice weights in (0, 1) from pooled features [N, K]."""
-        if mode == "train":
-            if rng is None:
-                raise UsageError("train mode needs an rng for dropout")
+    def _head(self, linear, pooled: Tensor, rng) -> Tensor:
+        """Per-slice weights in (0, 1) from pooled features [N, K]; dropout when given an rng."""
+        if rng is not None:
             pooled = dropout(pooled, rng)
-        elif mode != "eval":
-            raise UsageError(f"mode must be 'train' or 'eval', got {mode!r}")
         return reshape(sigmoid(linear(pooled)), (pooled.shape[0],))
 
-    def self_attention_weights(self, slices: Tensor, mode: str = "eval", rng=None) -> Tensor:
-        return self._head(self.gamma_head, global_avg_pool(slices), mode, rng)
+    def self_attention_weights(self, slices: Tensor, rng=None) -> Tensor:
+        return self._head(self.gamma_head, global_avg_pool(slices), rng)
 
     def global_aggregate(self, slices: Tensor, gamma: Tensor) -> Tensor:
         n = slices.shape[0]
         g = reshape(gamma, (n, 1, 1, 1))
         return reduce(slices * g, 0, "sum", keepdims=True) / gamma.sum()
 
-    def relation_attention_weights(self, slices: Tensor, f1: Tensor,
-                                   mode: str = "eval", rng=None) -> Tensor:
+    def relation_attention_weights(self, slices: Tensor, f1: Tensor, rng=None) -> Tensor:
         n, c = slices.shape[:2]
         pooled = concat([global_avg_pool(slices), broadcast_to(global_avg_pool(f1), (n, c))],
                         axis=1)
-        return self._head(self.lambda_head, pooled, mode, rng)
+        return self._head(self.lambda_head, pooled, rng)
 
     def relation_aggregate(self, slices: Tensor, f1: Tensor,
                            gamma: Tensor, lam: Tensor) -> Tensor:
         return concat([self.global_aggregate(slices, gamma * lam), f1], axis=1)
 
-    def __call__(self, f_focal: Tensor, f_rgb: Tensor,
-                 mode: str = "eval", rng=None) -> Tensor:
+    def __call__(self, f_focal: Tensor, f_rgb: Tensor, rng=None) -> Tensor:
+        """The fused [1,C1,H,W] map; given an rng, both attention heads drop out."""
         focal2, rgb2 = self.enhance(f_focal, f_rgb)
         slices = concat([focal2, rgb2], axis=0)
-        gamma = self.self_attention_weights(slices, mode, rng)
+        gamma = self.self_attention_weights(slices, rng)
         f1 = self.global_aggregate(slices, gamma)
-        lam = self.relation_attention_weights(slices, f1, mode, rng)
+        lam = self.relation_attention_weights(slices, f1, rng)
         f2 = self.relation_aggregate(slices, f1, gamma, lam)
         return self.fuse(f2)

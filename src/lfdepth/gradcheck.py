@@ -32,7 +32,7 @@ from .ops import (
     upsample_bilinear,
 )
 from .params import ModuleParams
-from .tensor import Tensor, concat_tensors, matmul
+from .tensor import Tensor, concat, matmul
 
 SCOPES = ("ops", "cru", "cmfa", "model")
 SAMPLES = 3             # entries checked per tensor
@@ -188,7 +188,7 @@ def _scope_ops(seed: int) -> list[GroupReport]:
     check(
         "matmul_concat",
         lambda: _weighted_mean(
-            concat_tensors([matmul(xa, xb), xc], axis=2),
+            concat([matmul(xa, xb), xc], axis=2),
             np.random.default_rng(seed + 7),
         ),
         [("a", xa), ("b", xb), ("c", xc)],
@@ -226,9 +226,7 @@ def _scope_cmfa(seed: int) -> list[GroupReport]:
     _shift_biases(params, rng)
     focal = Tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=False)
     rgbf = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=False)
-    forward = lambda: _weighted_mean(
-        block(focal, rgbf, mode="eval"), np.random.default_rng(seed + 1)
-    )
+    forward = lambda: _weighted_mean(block(focal, rgbf), np.random.default_rng(seed + 1))
     return _check_tensors(forward, params.tensors(), rng)
 
 

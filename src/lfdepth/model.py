@@ -16,6 +16,12 @@ decoder produces the one depth map:
     P3 = relu(conv(concat(up2(P4), F3)))
     depth = upsample(sigmoid(conv1x1(P3)), 4)
 
+Every stage fusion is called as ``fuse(focal, rgb, rng)``, and a block called
+with an rng is in training mode (CMFA's attention heads drop out).  Only
+``DepthNet`` reads the 'train'/'eval' mode: it hands each fusion its rng in
+'train' mode and None in 'eval' mode.  With the rgb stream alone a stage has
+no fusion and its rgb features pass through.
+
 The loss combines an L1 term, a forward-difference gradient term, and a
 surface-normal cosine term, all computed in normalized [0,1] depth space.
 Training runs one scene per step; there is no batching and no
@@ -34,7 +40,7 @@ from .cru import Cru, zero_fuse
 from .errors import ConfigError, ShapeError, UsageError
 from .ops import Conv2d, concat, max_pool2, sigmoid, upsample_bilinear
 from .params import ModuleParams
-from .tensor import Tensor, narrow, reshape, sqrt
+from .tensor import Tensor, reshape, sqrt
 
 SIDE_STAGES = (2, 3, 4)          # stage indices (0-based) that emit side outputs
 SIDE_STRIDES = (4, 8, 16)
@@ -135,22 +141,17 @@ class PlainStack:
 
 
 class FlattenFusion:
-    """Slice-flattened concatenation of both streams plus a fusion conv."""
+    """Slice-flattened focal stack, with the rgb map when given, into a fusion conv (no dropout)."""
 
     def __init__(self, params: ModuleParams, name: str, channels: int, slices: int,
                  with_rgb: bool, rng):
         total = channels * (slices + (1 if with_rgb else 0))
-        self.with_rgb = with_rgb
         self.conv = Conv2d(params.child(name), "fuse", total, channels, 3, rng)
 
-    def __call__(self, focal: Tensor | None, rgb: Tensor | None) -> Tensor:
-        parts = []
-        if focal is not None:
-            s, c, h, w = focal.shape
-            parts.append(reshape(focal, (1, s * c, h, w)))
-        if self.with_rgb:
-            parts.append(rgb)
-        return self.conv(parts[0] if len(parts) == 1 else concat(parts, axis=1))
+    def __call__(self, focal: Tensor, rgb: Tensor | None, rng=None) -> Tensor:
+        s, c, h, w = focal.shape
+        flat = reshape(focal, (1, s * c, h, w))
+        return self.conv(flat if rgb is None else concat([flat, rgb], axis=1))
 
 
 class DepthNet:
@@ -174,56 +175,13 @@ class DepthNet:
             Backbone(backbones, "focal", cc.stage_channels, rng) if cc.use_focal_stream else None
         )
 
-        self.context: dict[str, list] = {"rgb": [], "focal": []}
-        for stream in ("rgb", "focal"):
-            if (stream == "rgb" and not cc.use_rgb_stream) or (
-                stream == "focal" and not cc.use_focal_stream
-            ):
-                continue
-            for stage in SIDE_STAGES:
-                channels = cc.stage_channels[stage]
-                name = f"stage{stage + 1}"
-                if cc.use_cru:
-                    block = Cru(
-                        self.params.child("cru").child(stream),
-                        name,
-                        channels,
-                        cc.stage_size(stage),
-                        rng,
-                        dilated=cc.use_cru_md,
-                        graph=cc.use_cru_mg,
-                    )
-                    # start as identity: the graph branch multiplies activation
-                    # matrices and is orders of magnitude too hot at random
-                    # init, which would park the prediction head's sigmoid in
-                    # saturation; the fusion conv un-zeroes after one step.
-                    # A blank model's placeholders are zero and read-only.
-                    if rng is not None:
-                        zero_fuse(block)
-                else:
-                    block = PlainStack(
-                        self.params.child("plain").child(stream),
-                        name,
-                        channels,
-                        rng,
-                    )
-                self.context[stream].append(block)
+        self.context = {
+            stream: [self._context_block(stream, stage, rng) for stage in SIDE_STAGES]
+            for stream, on in (("rgb", cc.use_rgb_stream), ("focal", cc.use_focal_stream))
+            if on
+        }
 
-        self.fusion: list = []
-        both = cc.use_rgb_stream and cc.use_focal_stream
-        for stage in SIDE_STAGES:
-            channels = cc.stage_channels[stage]
-            name = f"stage{stage + 1}"
-            if both and cc.use_cmfa:
-                self.fusion.append(Cmfa(self.params.child("cmfa"), name, channels, rng))
-            elif cc.use_focal_stream:
-                self.fusion.append(
-                    FlattenFusion(
-                        self.params.child("fusion"), name, channels, cc.slices, both, rng
-                    )
-                )
-            else:
-                self.fusion.append(None)  # rgb only: stage features pass through
+        self.fusion = [self._fusion_block(stage, rng) for stage in SIDE_STAGES]
 
         dec = self.params.child("decoder")
         d = cc.decoder_channels
@@ -232,6 +190,34 @@ class DepthNet:
         self.p4_conv = Conv2d(dec, "p4", d + c4, d, 3, rng, relu=True)
         self.p3_conv = Conv2d(dec, "p3", d + c3, d, 3, rng, relu=True)
         self.head = Conv2d(dec, "head", d, 1, 1, rng)
+
+    def _context_block(self, stream: str, stage: int, rng):
+        cc = self.config
+        channels = cc.stage_channels[stage]
+        name = f"stage{stage + 1}"
+        if not cc.use_cru:
+            return PlainStack(self.params.child("plain").child(stream), name, channels, rng)
+        block = Cru(self.params.child("cru").child(stream), name, channels,
+                    cc.stage_size(stage), rng, dilated=cc.use_cru_md, graph=cc.use_cru_mg)
+        # start as identity: the graph branch multiplies activation matrices
+        # and is orders of magnitude too hot at random init, which would park
+        # the prediction head's sigmoid in saturation; the fusion conv
+        # un-zeroes after one step.  A blank model's placeholders are zero and
+        # read-only.
+        if rng is not None:
+            zero_fuse(block)
+        return block
+
+    def _fusion_block(self, stage: int, rng):
+        cc = self.config
+        channels = cc.stage_channels[stage]
+        name = f"stage{stage + 1}"
+        both = cc.use_rgb_stream and cc.use_focal_stream
+        if both and cc.use_cmfa:
+            return Cmfa(self.params.child("cmfa"), name, channels, rng)
+        if cc.use_focal_stream:
+            return FlattenFusion(self.params.child("fusion"), name, channels, cc.slices, both, rng)
+        return None  # rgb only: the stage's rgb features pass through
 
     # -- forward -----------------------------------------------------------
 
@@ -259,21 +245,14 @@ class DepthNet:
             raise ShapeError(f"focal stack has shape {focal.shape} (slices, 3, H, W), "
                              f"the model takes {cc.slices} slices of 3x{cc.height}x{cc.width}")
 
-        rgb_feats = self._stream_features("rgb", rgb) if cc.use_rgb_stream else None
-        focal_feats = self._stream_features("focal", focal) if cc.use_focal_stream else None
-
-        fused = []
-        for k in range(len(SIDE_STAGES)):
-            fuser = self.fusion[k]
-            if isinstance(fuser, Cmfa):
-                fused.append(fuser(focal_feats[k], rgb_feats[k], mode, rng))
-            elif isinstance(fuser, FlattenFusion):
-                fused.append(
-                    fuser(focal_feats[k], rgb_feats[k] if rgb_feats else None)
-                )
-            else:
-                fused.append(rgb_feats[k])
-        f3, f4, f5 = fused
+        absent = [None] * len(SIDE_STAGES)
+        rgb_feats = self._stream_features("rgb", rgb) if cc.use_rgb_stream else absent
+        focal_feats = self._stream_features("focal", focal) if cc.use_focal_stream else absent
+        dropout_rng = rng if mode == "train" else None
+        f3, f4, f5 = (
+            fuse(f, r, dropout_rng) if fuse else r
+            for fuse, f, r in zip(self.fusion, focal_feats, rgb_feats)
+        )
 
         p5 = self.p5_conv(f5)
         p4 = self.p4_conv(concat([upsample_bilinear(p5, 2), f4], axis=1))
@@ -284,23 +263,11 @@ class DepthNet:
 # -- loss --------------------------------------------------------------------
 
 
-def _dx(t: Tensor) -> Tensor:
-    return narrow(t, (slice(None), slice(None), slice(None), slice(1, None))) - narrow(
-        t, (slice(None), slice(None), slice(None), slice(0, -1))
-    )
-
-
-def _dy(t: Tensor) -> Tensor:
-    return narrow(t, (slice(None), slice(None), slice(1, None), slice(None))) - narrow(
-        t, (slice(None), slice(None), slice(0, -1), slice(None))
-    )
-
-
-def _crop_common(dx: Tensor, dy: Tensor) -> tuple[Tensor, Tensor]:
-    # dx is [*,H,W-1], dy is [*,H-1,W]; both crop to [*,H-1,W-1]
-    dx = narrow(dx, (slice(None), slice(None), slice(0, -1), slice(None)))
-    dy = narrow(dy, (slice(None), slice(None), slice(None), slice(0, -1)))
-    return dx, dy
+def _differences(t: Tensor) -> tuple[Tensor, Tensor]:
+    """Forward differences along W and H of [*,*,H,W], both cropped to [*,*,H-1,W-1]."""
+    dx = t[:, :, :, 1:] - t[:, :, :, :-1]
+    dy = t[:, :, 1:, :] - t[:, :, :-1, :]
+    return dx[:, :, :-1, :], dy[:, :, :, :-1]
 
 
 def loss_terms(pred: Tensor, gt: Tensor) -> tuple[Tensor, Tensor, Tensor]:
@@ -312,8 +279,8 @@ def loss_terms(pred: Tensor, gt: Tensor) -> tuple[Tensor, Tensor, Tensor]:
 
     l1 = (pred - gt).abs().mean()
 
-    dxp, dyp = _crop_common(_dx(pred), _dy(pred))
-    dxg, dyg = _crop_common(_dx(gt), _dy(gt))
+    dxp, dyp = _differences(pred)
+    dxg, dyg = _differences(gt)
     grad = ((dxp - dxg).abs() + (dyp - dyg).abs()).mean()
 
     # normals n = (-dx, -dy, 1); cosine via the dot product of unnormalized

@@ -63,8 +63,7 @@ import numpy as np
 
 from .errors import ShapeError, UsageError
 from .params import ModuleParams
-from .tensor import (Tensor, _accum, _entry, _track, as_tensor, concat_tensors, matmul, reduce,
-                     reshape)
+from .tensor import Tensor, _accum, _entry, _track, as_tensor, concat, matmul, reduce, reshape
 
 
 # -- activations ---------------------------------------------------------------
@@ -398,9 +397,6 @@ def upsample_bilinear(x: Tensor, factor: int) -> Tensor:
         return x
     H, W = x.shape[2:]
     return matmul(matmul(_bilinear_matrix(H, factor), x), _bilinear_matrix(W, factor).T)
-
-
-concat = concat_tensors
 
 
 # -- parameterized layers -----------------------------------------------------

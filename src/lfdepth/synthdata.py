@@ -408,6 +408,8 @@ def read_scene(dirpath) -> Scene:
     except FormatError as err:
         raise FormatError(f"{meta_path}: {err}") from None
     slices = meta["slices"]
+    if slices < 1:
+        raise FormatError(f"{meta_path}: a scene needs at least one focal slice, got {slices}")
     ds = np.asarray(meta["focus_depths"], dtype=np.float64)
     if len(ds) != slices or np.any(np.diff(ds) <= 0):
         raise FormatError(f"{meta_path}: focus depths must be strictly increasing, one per slice")

@@ -523,7 +523,7 @@ def narrow(x: Tensor, key) -> Tensor:
     return _track(x.data[key], (x,), backward)
 
 
-def concat_tensors(xs: Sequence[Tensor], axis: int) -> Tensor:
+def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
     """Concatenate along ``axis``; the gradient splits at the seams."""
     xs = [as_tensor(t) for t in xs]
     if not xs:

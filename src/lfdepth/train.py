@@ -268,14 +268,20 @@ def train_model(
     taken from it); otherwise builds a new model from ``seed``.  An epoch is
     one step per scene, in the run generator's order, and the run stops after
     ``until_epoch`` epochs total (default: the config's epoch cap).
-    ``eval_every`` controls how often epoch metrics are computed (0 disables;
-    negative is a UsageError); when it is on, a malformed LFDEPTH_THREADS is
-    a ConfigError before the first step.  ``augment_data`` and ``eval_every``
+    ``eval_every`` controls how often epoch metrics are computed on
+    ``eval_scenes`` (0 disables; negative is a UsageError); when it is on, a
+    malformed LFDEPTH_THREADS is a ConfigError before the first step.
+    ``eval_scenes`` None means the training scenes; an empty list is a
+    UsageError before the first step.  ``augment_data`` and ``eval_every``
     are recorded in the state, so its checkpoint resumes with them.  A
     non-finite loss raises NumericalCheckError before its backward pass.
     """
     if not scenes:
         raise UsageError("training needs at least one scene")
+    if eval_scenes is None:
+        eval_scenes = scenes
+    elif not eval_scenes:
+        raise UsageError("eval_scenes is empty; pass None to evaluate on the training scenes")
     if eval_every < 0:
         raise UsageError(f"eval_every must be >= 0, got {eval_every}")
     if eval_every:
@@ -288,7 +294,6 @@ def train_model(
     state.augment, state.eval_every = augment_data, eval_every
     if until_epoch is None:
         until_epoch = config.epochs
-    held_out = eval_scenes if eval_scenes is not None else scenes
 
     while state.epoch < until_epoch:
         lr = learning_rate_for(config, state.epoch)
@@ -313,7 +318,7 @@ def train_model(
         state.epoch += 1
         state.log.epoch_losses.append(epoch_loss_sum / len(scenes))
         if eval_every and (state.epoch % eval_every == 0 or state.epoch == until_epoch):
-            _, mean = evaluate_model(state.model, held_out)
+            _, mean = evaluate_model(state.model, eval_scenes)
             state.log.epoch_metrics.append((state.epoch, mean))
             if verbose:
                 print(
@@ -496,11 +501,16 @@ def ablation_run(
     """Train each named variant for its config's epochs with a shared seed,
     then evaluate it once on ``eval_scenes`` (default: the training scenes).
 
-    Every name and LFDEPTH_THREADS are checked before the first variant
-    trains: an unknown name is a UsageError, a malformed thread count a
-    ConfigError, and neither trains anything.
+    Every name, ``eval_scenes`` and LFDEPTH_THREADS are checked before the
+    first variant trains: an unknown name or an empty ``eval_scenes`` is a
+    UsageError, a malformed thread count a ConfigError, and none of them
+    trains anything.
     """
     configs = [ladder_config(base_config, name) for name in names]
+    if eval_scenes is None:
+        eval_scenes = train_scenes
+    elif not eval_scenes:
+        raise UsageError("eval_scenes is empty; pass None to evaluate on the training scenes")
     worker_count()
     results = []
     for name, config in zip(names, configs):
@@ -508,7 +518,7 @@ def ablation_run(
             print(f"== {name} ==")
         state = train_model(train_scenes, config, seed, eval_every=0,
                             augment_data=augment_data, verbose=verbose)
-        _, mean = evaluate_model(state.model, eval_scenes or train_scenes)
+        _, mean = evaluate_model(state.model, eval_scenes)
         results.append(
             AblationResult(
                 name=name, metrics=mean,

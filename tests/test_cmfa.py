@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lfdepth.cmfa import Cmfa
-from lfdepth.errors import ConfigError, ShapeError, UsageError
+from lfdepth.errors import ConfigError, ShapeError
 from lfdepth.ops import conv2d, kaiming_normal
 from lfdepth.params import ModuleParams
 from lfdepth.tensor import Tensor
@@ -142,22 +142,13 @@ def test_lambda_zero_head_and_symmetry():
     np.testing.assert_allclose(block.relation_attention_weights(slices, f1).data, 0.5)
 
 
-def test_train_mode_needs_rng_and_validates_mode():
-    params, block = make_block()
-    slices = Tensor(np.zeros((3, 4, 5, 5)))
-    with pytest.raises(UsageError):
-        block.self_attention_weights(slices, mode="train")
-    with pytest.raises(UsageError):
-        block.self_attention_weights(slices, mode="test")
-
-
 def test_train_mode_dropout_changes_weights():
     params, block = make_block(seed=9)
     slices = Tensor(np.random.default_rng(10).standard_normal((6, 4, 5, 5)))
-    ref = block.self_attention_weights(slices, mode="eval").data
+    ref = block.self_attention_weights(slices).data
     seen_diff = False
     for seed in range(5):
-        got = block.self_attention_weights(slices, "train", np.random.default_rng(seed)).data
+        got = block.self_attention_weights(slices, np.random.default_rng(seed)).data
         if not np.allclose(got, ref):
             seen_diff = True
     assert seen_diff

@@ -300,6 +300,17 @@ def test_every_ladder_rung_checks_the_mode_before_the_forward(name, monkeypatch)
             model(rgb, focal, **kwargs)
 
 
+@pytest.mark.parametrize("name", sorted(n for n in LADDER if LADDER[n]["use_cmfa"]))
+def test_eval_mode_gives_the_cmfa_rungs_no_rng(name):
+    cfg = ladder_config(small_config(), name)
+    model = DepthNet(cfg, np.random.default_rng(0))
+    rgb, focal, _ = scene_inputs(cfg)
+    rng = np.random.default_rng(4)
+    with_rng = model(rgb, focal, mode="eval", rng=rng).data
+    assert with_rng.tobytes() == model(rgb, focal, mode="eval").data.tobytes()
+    assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
+
 # -- stream / ladder variants -----------------------------------------------------
 
 

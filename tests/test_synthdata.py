@@ -515,6 +515,10 @@ def test_read_scene_rejects_bad_metadata(tmp_path):
     with pytest.raises(FormatError):
         read_scene(tmp_path / "scene")
 
+    meta.write_text(json.dumps({"slices": 0, "focus_depths": []}))
+    with pytest.raises(FormatError, match="meta.json"):
+        read_scene(tmp_path / "scene")
+
     os.remove(meta)
     with pytest.raises(FormatError):
         read_scene(tmp_path / "scene")

@@ -10,7 +10,7 @@ from lfdepth.tensor import (
     as_tensor,
     absolute,
     broadcast_to,
-    concat_tensors,
+    concat,
     matmul,
     narrow,
     no_grad,
@@ -159,7 +159,7 @@ def test_reshape_transpose_narrow_concat_grads():
     b = leaf(rng, 2, 1, 4)
 
     def build():
-        c = concat_tensors([a, b], axis=1)          # [2,4,4]
+        c = concat([a, b], axis=1)          # [2,4,4]
         t = transpose(c, (1, 0, 2))                 # [4,2,4]
         r = reshape(t, (4, 8))
         return (narrow(r, (slice(1, 3), slice(None))) * narrow(r, (slice(0, 2), slice(None)))).sum()
@@ -207,9 +207,9 @@ def test_narrow_rejects_more_indices_than_axes():
 
 def test_concat_mismatch_raises():
     with pytest.raises(ShapeError):
-        concat_tensors([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=0)
+        concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=0)
     with pytest.raises(UsageError):
-        concat_tensors([], axis=0)
+        concat([], axis=0)
 
 
 def test_broadcast_to_grad_sums():
@@ -390,7 +390,7 @@ def _tensor_ops(x, p):
         "matmul": matmul(x, transpose(p, (1, 0))), "rmatmul": matmul(p, transpose(x, (1, 0))),
         "sum": reduce(x, 0, "sum"), "mean": x.mean(), "reshape": reshape(x, (3, 2)),
         "transpose": transpose(x, (1, 0)), "broadcast_to": broadcast_to(x, (4, 2, 3)),
-        "narrow": narrow(x, (slice(None), 1)), "concat": concat_tensors([x, p, x], axis=0),
+        "narrow": narrow(x, (slice(None), 1)), "concat": concat([x, p, x], axis=0),
     }
 
 

@@ -319,6 +319,20 @@ def test_bad_thread_env_is_a_config_error_before_the_first_step(monkeypatch, thr
         ablation_run([tiny_scene()], ["Baseline"], tiny_config(epochs=1))
 
 
+def test_an_empty_held_out_list_fails_before_the_first_step(monkeypatch):
+    state = init_state(tiny_config(), 0)
+    with pytest.raises(UsageError, match="eval_scenes"):
+        train_model([tiny_scene()], state=state, eval_scenes=[], eval_every=1)
+    assert state.log.step_losses == [] and state.optimizer.step_count == 0
+
+    def train_model_stub(*args, **kwargs):
+        raise AssertionError("a rung trained before eval_scenes was checked")
+
+    monkeypatch.setattr(train_module, "train_model", train_model_stub)
+    with pytest.raises(UsageError, match="eval_scenes"):
+        ablation_run([tiny_scene()], ["Baseline"], tiny_config(epochs=1), eval_scenes=[])
+
+
 def test_epoch_metrics_and_ablation_do_not_depend_on_the_thread_count(monkeypatch):
     scenes = [tiny_scene(0), tiny_scene(1)]
     held_out = [tiny_scene(2), tiny_scene(3), tiny_scene(4)]
