@@ -8,7 +8,6 @@ or configuration, 2 IO or format, 3 numerical-check failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -22,8 +21,7 @@ from .errors import (
     UsageError,
 )
 from .gradcheck import SCOPES, assert_all_pass, check_scope
-from .jsonio import read_fields, read_json
-from .metrics import COLUMN_NAMES
+from .jsonio import read_fields, read_json, write_json
 from .model import NetworkConfig
 from .pnm import write_pgm16
 from .synthdata import GenSpec, generate_dataset, load_split, read_scene, split_names
@@ -32,7 +30,6 @@ from .train import (
     ablation_run,
     config_from_dict,
     evaluate_model,
-    format_metric,
     format_table,
     load_checkpoint,
     metrics_to_doc,
@@ -84,11 +81,14 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_scenes(root, split):
-    try:
-        return load_split(root, split)
-    except OSError as err:
-        raise FormatError(f"{root}: {err}") from None
+def _check_out_dir(path) -> None:
+    """FormatError (exit 2) unless ``path``, or if it does not exist its nearest
+    existing ancestor, is a writable directory; nothing is created here."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing) or not os.access(existing, os.W_OK | os.X_OK):
+        raise FormatError(f"--out {path}: {existing} is not a writable directory")
 
 
 def _write_train_outputs(out_dir, state) -> None:
@@ -100,8 +100,7 @@ def _write_train_outputs(out_dir, state) -> None:
         "epoch_losses": state.log.epoch_losses,
         "epoch_metrics": metrics_to_doc(state.log.epoch_metrics),
     }
-    with open(os.path.join(out_dir, "train_log.json"), "w") as fh:
-        json.dump(log_doc, fh, indent=1)
+    write_json(os.path.join(out_dir, "train_log.json"), log_doc)
     print(f"checkpoint: {ckpt}")
 
 
@@ -109,8 +108,9 @@ def cmd_train(args) -> int:
     if bool(args.config) == bool(args.resume):
         raise UsageError("train takes one of --config and --resume; a resumed run keeps "
                          "the settings in its checkpoint")
-    train_scenes = _load_scenes(args.data, "train")
-    test_scenes = _load_scenes(args.data, "test")
+    _check_out_dir(args.out)
+    train_scenes = load_split(args.data, "train")
+    test_scenes = load_split(args.data, "test")
     if args.resume:
         state = load_checkpoint(args.resume)
         for key in ("augment", "eval_every"):
@@ -137,20 +137,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     state = load_checkpoint(args.ckpt)
-    scenes = _load_scenes(args.data, args.split)
+    scenes = load_split(args.data, args.split)
     per_scene, mean = evaluate_model(state.model, scenes)
 
     names = split_names(args.data, args.split)
-    width = max(len(n) for n in names + ["aggregate"])
-
-    def line(label, cells):
-        return "  ".join([f"{label:<{width}}", *(f"{c:>7}" for c in cells)])
-
-    print(line("scene", COLUMN_NAMES))
-    for name, m in zip(names, per_scene):
-        print(line(name, map(format_metric, m.row())))
-    print(line("aggregate", map(format_metric, mean.row())))
-
+    print(format_table("scene", [*zip(names, per_scene), ("aggregate", mean)]))
     if args.json:
         doc = {
             "split": args.split,
@@ -158,8 +149,7 @@ def cmd_eval(args) -> int:
             "scenes": {n: m.as_dict() for n, m in zip(names, per_scene)},
             "aggregate": mean.as_dict(),
         }
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=1)
+        write_json(args.json, doc)
     return 0
 
 
@@ -176,17 +166,19 @@ def cmd_ablate(args) -> int:
     names = [n.strip() for n in args.ladder.split(",") if n.strip()]
     if not names:
         raise UsageError("--ladder needs at least one configuration name")
-    train_scenes = _load_scenes(args.data, "train")
+    if args.out:
+        _check_out_dir(args.out)
+    train_scenes = load_split(args.data, "train")
     if not train_scenes:
         raise UsageError(f"{args.data}: the train split is empty")
-    test_scenes = _load_scenes(args.data, "test")
+    test_scenes = load_split(args.data, "test")
     slices, _, height, width = train_scenes[0].focal.shape
     base = NetworkConfig(height=height, width=width, slices=slices, epochs=args.epochs)
     results = ablation_run(
         train_scenes, names, base, args.seed,
         eval_scenes=test_scenes or None, verbose=not args.quiet,
     )
-    table = format_table(results)
+    table = format_table("model", [(r.name, r.metrics) for r in results])
     print(table)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -197,8 +189,7 @@ def cmd_ablate(args) -> int:
              "metrics": r.metrics.as_dict(), "epoch_losses": r.log.epoch_losses}
             for r in results
         ]
-        with open(os.path.join(args.out, "results.json"), "w") as fh:
-            json.dump(doc, fh, indent=1)
+        write_json(os.path.join(args.out, "results.json"), doc)
     return 0
 
 
@@ -288,10 +279,7 @@ def main(argv=None) -> int:
     except NumericalCheckError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except FormatError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (FormatError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except LfdepthError as err:

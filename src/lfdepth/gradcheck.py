@@ -271,7 +271,7 @@ def _scope_model(seed: int) -> list[GroupReport]:
     )
     gt = Tensor(rng.uniform(0.1, 0.9, (1, 1, cfg.height, cfg.width)), requires_grad=False)
 
-    forward = lambda: prediction_loss(model(rgb, focal, mode="eval"), gt, cfg.loss_weights)
+    forward = lambda: prediction_loss(model(rgb, focal, mode="eval"), gt)
     return _check_tensors(forward, model.params.tensors(), rng)
 
 

@@ -1,7 +1,8 @@
-"""Reading run configs, checkpoint sidecars, scene metadata and manifests.
+"""Reading and writing JSON: run configs, checkpoint sidecars, training logs,
+metrics, ablation results, scene metadata and manifests.
 
 A file that cannot be read, or whose fields have the wrong JSON types, is a
-FormatError.
+FormatError.  ``write_json`` writes every JSON file the package makes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ def read_json(path):
         raise FormatError(f"{path}: bad JSON ({err})") from None
 
 
-def _fits(value, kind) -> bool:
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as UTF-8 JSON indented by one space."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+
+
+def fits(value, kind) -> bool:
     """Whether the JSON ``value`` has type ``kind``.
 
     An int is not a bool, a float may be an int but not a bool, and a tuple
@@ -31,7 +38,7 @@ def _fits(value, kind) -> bool:
     """
     if typing.get_origin(kind) is tuple:
         elem = typing.get_args(kind)[0]
-        return isinstance(value, (list, tuple)) and all(_fits(v, elem) for v in value)
+        return isinstance(value, (list, tuple)) and all(fits(v, elem) for v in value)
     if kind is bool or isinstance(value, bool):
         return kind is bool and isinstance(value, bool)
     if kind is float:
@@ -51,6 +58,6 @@ def read_fields(doc, kinds: dict, defaults: dict) -> dict:
     for name, kind in kinds.items():
         if name not in doc:
             raise FormatError(f"missing field {name!r}")
-        if not _fits(doc[name], kind):
+        if not fits(doc[name], kind):
             raise FormatError(f"field {name!r} has the wrong type: {doc[name]!r}")
     return doc

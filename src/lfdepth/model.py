@@ -60,7 +60,6 @@ class NetworkConfig:
     use_cru_md: bool = True      # branch switches, meaningful when use_cru
     use_cru_mg: bool = True
     use_cmfa: bool = True
-    loss_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     learning_rate: float = 1e-4
     lr_drop: float = 3e-5
     lr_drop_epoch: int = 40
@@ -79,11 +78,6 @@ class NetworkConfig:
             raise ConfigError(f"need five positive stage channels, got {self.stage_channels}")
         if self.decoder_channels < 1:
             raise ConfigError(f"decoder channels must be >= 1, got {self.decoder_channels}")
-        # chained comparisons: NaN fails both, and a huge JSON int needs no float conversion
-        if len(self.loss_weights) != 3 or not all(0 <= w < math.inf for w in self.loss_weights):
-            raise ConfigError(
-                f"loss_weights must be three finite values >= 0, got {self.loss_weights}"
-            )
         if self.use_cru and not (self.use_cru_md or self.use_cru_mg):
             raise ConfigError("use_cru needs at least one of use_cru_md / use_cru_mg")
         side = [self.stage_channels[s] for s in SIDE_STAGES]
@@ -293,11 +287,10 @@ def loss_terms(pred: Tensor, gt: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     return l1, grad, normal
 
 
-def prediction_loss(pred: Tensor, gt: Tensor,
-                    weights: tuple[float, float, float] = (1.0, 1.0, 1.0)) -> Tensor:
-    """Weighted sum of the three loss terms."""
+def prediction_loss(pred: Tensor, gt: Tensor) -> Tensor:
+    """The sum of the three loss terms, each weighted 1."""
     l1, grad, normal = loss_terms(pred, gt)
-    return weights[0] * l1 + weights[1] * grad + weights[2] * normal
+    return l1 + grad + normal
 
 
 # -- ablation ladder -----------------------------------------------------------

@@ -28,7 +28,6 @@ focal slice or the depth map differs in size from rgb.ppm.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -36,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, FormatError, UsageError
-from .jsonio import read_fields, read_json
+from .jsonio import read_fields, read_json, write_json
 from .pnm import read_pgm16, read_ppm, write_pgm16, write_ppm
 
 DEPTH_STYLES = ("planes", "slanted", "blobs")
@@ -396,8 +395,7 @@ def write_scene(scene: Scene, dirpath) -> None:
         "slices": int(scene.focal.shape[0]),
         "focus_depths": [float(d) for d in scene.focus_depths],
     }
-    with open(os.path.join(dirpath, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=1)
+    write_json(os.path.join(dirpath, "meta.json"), meta)
 
 
 def read_scene(dirpath) -> Scene:
@@ -466,8 +464,7 @@ def generate_dataset(root, count: int, base: GenSpec) -> dict:
     cut = max(1, int(round(count * TRAIN_FRACTION)))
     cut = min(cut, count - 1)
     manifest = {"train": names[:cut], "test": names[cut:]}
-    with open(os.path.join(root, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    write_json(os.path.join(root, "manifest.json"), manifest)
     return manifest
 
 

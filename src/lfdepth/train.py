@@ -13,15 +13,15 @@ first needs them, so evaluation and inference hold only the weights.
 Training and checkpoints are float64; ``predict_scene`` runs the network in
 float32 (INFERENCE_DTYPE).
 
-``evaluate_model`` is the one evaluation path (``lfdepth eval``, epoch metrics,
-ablation); it predicts on a pool of LFDEPTH_THREADS threads (one: the calling
-thread), and training steps always run in order on the calling thread.
+``evaluate_model`` is the one evaluation path (``lfdepth eval`` and the epoch
+metrics, which also score the ablation rungs); it predicts on a pool of
+LFDEPTH_THREADS threads (one: the calling thread), and training steps always
+run in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, FormatError, NumericalCheckError, UsageError
-from .jsonio import read_fields, read_json
+from .jsonio import fits, read_fields, read_json, write_json
 from .metrics import COLUMN_NAMES, DepthMetrics, aggregate, evaluate
 from .model import PLAIN_STACK_DEPTH, DepthNet, NetworkConfig, ladder_config, prediction_loss
 from .ops import DROPOUT_RATE
@@ -306,7 +306,7 @@ def train_model(
             # freed before the forward, so the last step's gradients do not live through it
             state.model.params.zero_grad()
             pred = state.model(rgb, focal, mode="train", rng=state.rng)
-            loss = prediction_loss(pred, gt, config.loss_weights)
+            loss = prediction_loss(pred, gt)
             value = float(loss.data)
             if not np.isfinite(value):
                 step = len(state.log.step_losses) + 1
@@ -337,13 +337,14 @@ def config_to_dict(config: NetworkConfig) -> dict:
     return dataclasses.asdict(config)
 
 
-# Keys that configs written by earlier versions carry, each at the one value
-# the network runs at; they load at that value and are dropped.
+# Keys that configs written by earlier versions carry, each with its JSON type
+# and the one value the network runs at; they load at that value and are dropped.
 _RETIRED_KEYS = {
-    "batch_size": 1,
-    "deep_supervision": False,
-    "plain_stack_depth": PLAIN_STACK_DEPTH,
-    "dropout_rate": DROPOUT_RATE,
+    "batch_size": (int, 1),
+    "deep_supervision": (bool, False),
+    "plain_stack_depth": (int, PLAIN_STACK_DEPTH),
+    "dropout_rate": (float, DROPOUT_RATE),
+    "loss_weights": (tuple[float, ...], [1.0, 1.0, 1.0]),
 }
 
 
@@ -351,10 +352,10 @@ def config_from_dict(doc) -> NetworkConfig:
     """NetworkConfig from its JSON object; a malformed document is a FormatError."""
     kinds = typing.get_type_hints(NetworkConfig)
     doc = read_fields(doc, kinds, config_to_dict(NetworkConfig()))
-    for name, fixed in _RETIRED_KEYS.items():
+    for name, (kind, fixed) in _RETIRED_KEYS.items():
         if name in doc:
             value = doc.pop(name)
-            if type(value) is not type(fixed) or value != fixed:
+            if not fits(value, kind) or value != fixed:
                 raise FormatError(
                     f"config key {name!r} is retired and only accepts {fixed!r}, got {value!r}"
                 )
@@ -395,8 +396,7 @@ def save_checkpoint(path, state: TrainState) -> None:
         "epoch_losses": state.log.epoch_losses,
         **{key: getattr(state, key) for key in _RUN_SETTINGS if getattr(state, key) is not None},
     }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh)
+    write_json(str(path) + ".json", sidecar)
 
 
 _SIDECAR_KINDS = {"config": dict, "epoch": int, "rng_state": dict, "metrics": list,
@@ -498,30 +498,23 @@ def ablation_run(
     augment_data: bool = True,
     verbose: bool = False,
 ) -> list[AblationResult]:
-    """Train each named variant for its config's epochs with a shared seed,
-    then evaluate it once on ``eval_scenes`` (default: the training scenes).
+    """Train each named variant for its config's epochs with a shared seed, as one
+    ``train_model`` run that evaluates once, after its last epoch, on ``eval_scenes``
+    (default: the training scenes); that epoch-metrics entry is its ``metrics``.
 
-    Every name, ``eval_scenes`` and LFDEPTH_THREADS are checked before the
-    first variant trains: an unknown name or an empty ``eval_scenes`` is a
-    UsageError, a malformed thread count a ConfigError, and none of them
-    trains anything.
+    An unknown name is a UsageError before the first variant trains, and
+    ``train_model`` checks ``eval_scenes`` and LFDEPTH_THREADS before its first step.
     """
     configs = [ladder_config(base_config, name) for name in names]
-    if eval_scenes is None:
-        eval_scenes = train_scenes
-    elif not eval_scenes:
-        raise UsageError("eval_scenes is empty; pass None to evaluate on the training scenes")
-    worker_count()
     results = []
     for name, config in zip(names, configs):
         if verbose:
             print(f"== {name} ==")
-        state = train_model(train_scenes, config, seed, eval_every=0,
-                            augment_data=augment_data, verbose=verbose)
-        _, mean = evaluate_model(state.model, eval_scenes)
+        state = train_model(train_scenes, config, seed, eval_scenes=eval_scenes,
+                            eval_every=config.epochs, augment_data=augment_data, verbose=verbose)
         results.append(
             AblationResult(
-                name=name, metrics=mean,
+                name=name, metrics=state.log.epoch_metrics[-1][1],
                 param_count=state.model.params.count(), log=state.log,
             )
         )
@@ -538,18 +531,14 @@ def format_metric(value: float) -> str:
     return text
 
 
-def format_table(results: list[AblationResult]) -> str:
-    header = ["model", *COLUMN_NAMES]
-    rows = [
-        [r.name] + [format_metric(v) for v in r.metrics.row()]
-        for r in results
+def format_table(label: str, rows) -> str:
+    """``(name, DepthMetrics)`` pairs as the table of ``eval`` and ``ablate``: names
+    left-aligned under ``label``, a rule line, and every column as wide as its widest cell."""
+    table = [[label, *COLUMN_NAMES]] + [[name, *map(format_metric, m.row())] for name, m in rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = [
+        "  ".join([row[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(row[1:], widths[1:])])
+        for row in table
     ]
-    widths = [max(len(row[i]) for row in [header] + rows) for i in range(len(header))]
-    lines = []
-    for row in [header] + rows:
-        cells = [row[0].ljust(widths[0])] + [
-            c.rjust(widths[i + 1]) for i, c in enumerate(row[1:])
-        ]
-        lines.append("  ".join(cells))
     lines.insert(1, "-" * len(lines[0]))
     return "\n".join(lines)

@@ -255,7 +255,7 @@ def test_criterion_7_ablation_signal(tmp_path):
             f"{result.name}: smoothed loss not monotone: {ma}"
         )
 
-    table = format_table(results)
+    table = format_table("model", [(r.name, r.metrics) for r in results])
     print("\n" + table)
     lines = table.splitlines()
     assert lines[0].split() == ["model", "rms", "abs", "rel", "sq", "rel", "d1", "d2", "d3"]

@@ -127,13 +127,14 @@ def test_eval_header_labels_end_at_their_columns(tmp_path, capsys):
                  "--out", str(out), "--quiet"]) == 0
     capsys.readouterr()
     assert main(["eval", "--data", str(data), "--ckpt", str(out / "checkpoint.lfdp")]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+    header, rule, *rows = capsys.readouterr().out.splitlines()
 
     def right_edges(line):
         # cells are separated by two or more spaces; "abs rel" is one cell
         return [m.end() for m in re.finditer(r"\S+(?: \S+)*", line)]
 
     assert header.startswith("scene")
+    assert rule == "-" * len(header)
     assert len(rows) == 2                      # one test scene plus the aggregate
     for row in rows:
         assert right_edges(row)[1:] == right_edges(header)[1:]
@@ -407,7 +408,8 @@ def test_train_accepts_retired_network_keys_at_their_values(tmp_path):
     data = tmp_path / "ds"
     make_dataset(data)
     config = write_network_keys(write_run_config(tmp_path / "run.json"), batch_size=1,
-                                deep_supervision=False, plain_stack_depth=6, dropout_rate=0.5)
+                                deep_supervision=False, plain_stack_depth=6, dropout_rate=0.5,
+                                loss_weights=[1.0, 1.0, 1.0])
     assert main(["train", "--data", str(data), "--config", str(config),
                  "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
@@ -417,6 +419,7 @@ def test_train_accepts_retired_network_keys_at_their_values(tmp_path):
     ("deep_supervision", True),
     ("plain_stack_depth", 5),
     ("dropout_rate", 0.3),
+    ("loss_weights", [2, 1, 1]),
 ])
 def test_train_rejects_retired_network_key_at_another_value(tmp_path, capsys, key, value):
     data = tmp_path / "ds"
@@ -521,6 +524,30 @@ def test_infer_slice_mismatch(tmp_path, capsys):
                  "--out", str(tmp_path / "d.pgm")])
     assert code == 1
     assert "slices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("under_the_file", [False, True], ids=["file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2_before_reading_the_data(
+        tmp_path, monkeypatch, capsys, command, under_the_file):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json")
+    before = config.read_bytes()
+    out = config / "run" if under_the_file else config
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("load_split", "train_model", "ablation_run"):
+        monkeypatch.setattr(cli, name, never)
+    args = (["--config", str(config)] if command == "train"
+            else ["--ladder", "Baseline", "--epochs", "1"])
+    code = main([command, "--data", str(data), *args, "--out", str(out), "--quiet"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and "checkpoint:" not in captured.out
+    assert config.read_bytes() == before
 
 
 # -- ablate -----------------------------------------------------------------------

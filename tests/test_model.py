@@ -68,8 +68,6 @@ NON_FINITE_SETTINGS = [
     ("learning_rate", 0.0),
     ("lr_drop", math.nan),
     ("lr_drop", -math.inf),
-    ("loss_weights", (1.0, math.nan, 1.0)),
-    ("loss_weights", (math.inf, 1.0, 1.0)),
 ]
 
 
@@ -109,8 +107,6 @@ def test_config_rejects_bad_channels_and_weights():
         small_config(stage_channels=(4, 8, 8))
     with pytest.raises(ConfigError):
         small_config(stage_channels=(4, 8, 8, 8, 0))
-    with pytest.raises(ConfigError):
-        small_config(loss_weights=(1.0, -0.5, 1.0))
     with pytest.raises(ConfigError):
         small_config(slices=0)
 
@@ -404,13 +400,12 @@ def test_loss_hand_oracle_2x2():
     np.testing.assert_allclose(normal.data, want, rtol=1e-12)
 
 
-def test_loss_weights_are_linear():
+def test_prediction_loss_is_the_sum_of_its_terms():
     rng = np.random.default_rng(2)
     p = Tensor(rng.uniform(0, 1, (1, 1, 4, 4)))
     g = Tensor(rng.uniform(0, 1, (1, 1, 4, 4)))
     l1, grad, normal = loss_terms(p, g)
-    got = prediction_loss(p, g, (2.0, 3.0, 5.0)).data
-    np.testing.assert_allclose(got, 2 * l1.data + 3 * grad.data + 5 * normal.data, rtol=1e-12)
+    assert prediction_loss(p, g).data == l1.data + grad.data + normal.data
 
 
 def test_loss_terms_nonnegative():
@@ -437,7 +432,7 @@ def test_model_loss_backward_runs():
     model = DepthNet(cfg, np.random.default_rng(0))
     rgb, focal, gt = scene_inputs(cfg)
     out = model(rgb, focal)
-    loss = prediction_loss(out, gt, cfg.loss_weights)
+    loss = prediction_loss(out, gt)
     model.params.zero_grad()
     loss.backward()
     missing = [k for k, t in model.params.tensors() if t.grad is None]

@@ -880,7 +880,7 @@ def default_step_walks():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ops, "_columns", spy)
         pred = state.model(rgb, focal, mode="train", rng=np.random.default_rng(1))
-        loss = prediction_loss(pred, gt, state.model.config.loss_weights)
+        loss = prediction_loss(pred, gt)
         forward = len(walks)
         loss.backward()
     return walks[:forward], walks[forward:]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lfdepth.errors import ConfigError, FormatError, NumericalCheckError, UsageError
 from lfdepth.gradcheck import DEFAULT_TOLERANCE
+from lfdepth.jsonio import write_json
 from lfdepth.metrics import DepthMetrics, evaluate
 from lfdepth.model import NetworkConfig, prediction_loss
 from lfdepth.ops import kaiming_normal
@@ -23,7 +24,6 @@ import lfdepth.ops as ops_module
 import lfdepth.tensor as tensor_module
 import lfdepth.train as train_module
 from lfdepth.train import (
-    AblationResult,
     Adam,
     _metrics_from_doc,
     ablation_run,
@@ -311,10 +311,10 @@ def test_bad_thread_env_is_a_config_error_before_the_first_step(monkeypatch, thr
     # with epoch metrics off there is no evaluation, so the variable is not read
     train_model([tiny_scene()], state=state, until_epoch=1, eval_every=0)
 
-    def train_model_stub(*args, **kwargs):
-        raise AssertionError("a rung trained before LFDEPTH_THREADS was checked")
+    def init_state_stub(*args, **kwargs):
+        raise AssertionError("a rung was built before LFDEPTH_THREADS was checked")
 
-    monkeypatch.setattr(train_module, "train_model", train_model_stub)
+    monkeypatch.setattr(train_module, "init_state", init_state_stub)
     with pytest.raises(ConfigError, match="LFDEPTH_THREADS"):
         ablation_run([tiny_scene()], ["Baseline"], tiny_config(epochs=1))
 
@@ -325,10 +325,10 @@ def test_an_empty_held_out_list_fails_before_the_first_step(monkeypatch):
         train_model([tiny_scene()], state=state, eval_scenes=[], eval_every=1)
     assert state.log.step_losses == [] and state.optimizer.step_count == 0
 
-    def train_model_stub(*args, **kwargs):
-        raise AssertionError("a rung trained before eval_scenes was checked")
+    def init_state_stub(*args, **kwargs):
+        raise AssertionError("a rung was built before eval_scenes was checked")
 
-    monkeypatch.setattr(train_module, "train_model", train_model_stub)
+    monkeypatch.setattr(train_module, "init_state", init_state_stub)
     with pytest.raises(UsageError, match="eval_scenes"):
         ablation_run([tiny_scene()], ["Baseline"], tiny_config(epochs=1), eval_scenes=[])
 
@@ -362,7 +362,7 @@ def default_loss(state, scene):
     """The loss of one training step of the default network, before its backward."""
     rgb, focal, gt = scene
     pred = state.model(rgb, focal, mode="train", rng=np.random.default_rng(1))
-    return prediction_loss(pred, gt, state.model.config.loss_weights)
+    return prediction_loss(pred, gt)
 
 
 def test_freeing_backward_matches_the_keep_all_walk_bitwise(default_scene):
@@ -683,7 +683,7 @@ def copy_with_sidecar(src, dst_dir, edit):
     path.write_bytes(src.read_bytes())
     doc = json.loads((src.parent / (src.name + ".json")).read_text())
     edit(doc)
-    (dst_dir / "ckpt.lfdp.json").write_text(json.dumps(doc))
+    write_json(dst_dir / "ckpt.lfdp.json", doc)
     return path
 
 
@@ -858,7 +858,7 @@ def test_negative_seed_is_a_config_error_before_training(monkeypatch):
 # Configs written before these settings became constants carry them at
 # the one value the network runs at.
 RETIRED_KEYS = {"batch_size": 1, "deep_supervision": False,
-                "plain_stack_depth": 6, "dropout_rate": 0.5}
+                "plain_stack_depth": 6, "dropout_rate": 0.5, "loss_weights": [1.0, 1.0, 1.0]}
 
 
 def add_to_sidecar(path, **keys):
@@ -897,6 +897,8 @@ def test_sidecar_with_retired_keys_resumes_bitwise(tmp_path):
     ("batch_size", True),
     ("deep_supervision", 0),
     ("plain_stack_depth", 6.0),
+    ("loss_weights", [2, 1, 1]),
+    ("loss_weights", [True, 1, 1]),
 ])
 def test_sidecar_with_retired_key_at_another_value_is_a_format_error(tmp_path, key, value):
     path = tmp_path / "ckpt.lfdp"
@@ -905,6 +907,14 @@ def test_sidecar_with_retired_key_at_another_value_is_a_format_error(tmp_path, k
     with pytest.raises(FormatError) as err:
         load_checkpoint(path)
     assert key in str(err.value)
+
+
+@pytest.mark.parametrize("weights", [[1, 1, 1], [1.0, 1, 1]])
+def test_sidecar_with_int_unit_loss_weights_loads(tmp_path, weights):
+    path = tmp_path / "ckpt.lfdp"
+    save_checkpoint(path, init_state(tiny_config(), 0))
+    add_to_sidecar(path, loss_weights=weights)
+    assert load_checkpoint(path).model.config == tiny_config()
 
 
 # (path into the sidecar, bad value); the empty path replaces the whole document
@@ -1006,7 +1016,7 @@ def test_config_with_non_finite_rate_or_weight_is_a_format_error(tmp_path, key, 
 
 
 def test_config_dict_round_trip():
-    cfg = tiny_config(loss_weights=(2.0, 0.5, 1.0))
+    cfg = tiny_config(stage_channels=(2, 4, 6, 8, 10), use_cmfa=False)
     doc = config_to_dict(cfg)
     assert config_from_dict(doc) == cfg
     assert config_from_dict(json.loads(json.dumps(doc))) == cfg
@@ -1031,6 +1041,17 @@ def test_ablation_run_covers_names():
         assert np.isfinite(r.metrics.rms)
 
 
+def test_each_rung_is_scored_once_by_its_training_run():
+    scenes = [tiny_scene(0), tiny_scene(1)]
+    held_out = [tiny_scene(2), tiny_scene(3)]
+    config = tiny_config(epochs=2)
+    (result,) = ablation_run(scenes, ["+CRU+CMFA(Ours)"], config, seed=4, eval_scenes=held_out)
+    assert result.log.epoch_metrics == [(2, result.metrics)]
+    straight = train_model(scenes, config, 4, eval_every=0)
+    assert result.log.step_losses == straight.log.step_losses
+    assert result.metrics == evaluate_model(straight.model, held_out)[1]
+
+
 def test_ablation_run_checks_every_name_before_training(monkeypatch):
     def train_model(*args, **kwargs):
         raise AssertionError("a rung trained before every name was checked")
@@ -1050,13 +1071,11 @@ def test_format_metric_drops_leading_zero():
 
 
 def test_format_table_layout():
-    results = [
-        AblationResult("Baseline", DepthMetrics(0.4182, 0.21, 0.09, 0.55, 0.8, 0.93),
-                       10, None),
-        AblationResult("+CRU+CMFA(Ours)", DepthMetrics(0.2561, 0.18, 0.07, 0.62, 0.85, 0.95),
-                       12, None),
+    rows = [
+        ("Baseline", DepthMetrics(0.4182, 0.21, 0.09, 0.55, 0.8, 0.93)),
+        ("+CRU+CMFA(Ours)", DepthMetrics(0.2561, 0.18, 0.07, 0.62, 0.85, 0.95)),
     ]
-    table = format_table(results)
+    table = format_table("model", rows)
     lines = table.splitlines()
     assert lines[0].split() == ["model", "rms", "abs", "rel", "sq", "rel", "d1", "d2", "d3"]
     assert set(lines[1]) == {"-"}
