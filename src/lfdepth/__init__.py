@@ -35,7 +35,7 @@ from .synthdata import (
     read_scene,
     write_scene,
 )
-from .tensor import Tensor, as_tensor, no_grad
+from .tensor import Tensor, as_tensor
 from .train import (
     Adam,
     TrainState,

@@ -70,10 +70,7 @@ def cmd_generate(args) -> int:
         height=args.size[0], width=args.size[1], slices=args.slices,
         blur_gain=args.blur_gain, seed=args.seed,
     )
-    try:
-        manifest = generate_dataset(args.out, args.scenes, spec)
-    except OSError as err:
-        raise FormatError(f"cannot write dataset: {err}") from None
+    manifest = generate_dataset(args.out, args.scenes, spec)
     print(
         f"wrote {args.scenes} scenes to {args.out} "
         f"({len(manifest['train'])} train / {len(manifest['test'])} test)"
@@ -82,8 +79,11 @@ def cmd_generate(args) -> int:
 
 
 def _check_out_dir(path) -> None:
-    """FormatError (exit 2) unless ``path``, or if it does not exist its nearest
-    existing ancestor, is a writable directory; nothing is created here."""
+    """FormatError (exit 2) unless ``path`` is not empty and it, or if it does
+    not exist its nearest existing ancestor, is a writable directory; nothing
+    is created here."""
+    if not path:
+        raise FormatError("--out is empty: name a directory")
     existing = os.path.abspath(path)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -166,7 +166,7 @@ def cmd_ablate(args) -> int:
     names = [n.strip() for n in args.ladder.split(",") if n.strip()]
     if not names:
         raise UsageError("--ladder needs at least one configuration name")
-    if args.out:
+    if args.out is not None:
         _check_out_dir(args.out)
     train_scenes = load_split(args.data, "train")
     if not train_scenes:
@@ -180,7 +180,7 @@ def cmd_ablate(args) -> int:
     )
     table = format_table("model", [(r.name, r.metrics) for r in results])
     print(table)
-    if args.out:
+    if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "table.txt"), "w") as fh:
             fh.write(table + "\n")

@@ -99,13 +99,17 @@ class Cmfa:
         ks = self.comp_weight.shape[2]
         r = ks // 2
         lo, hi = max(0, r - s + 1), min(ks, r + s)
+        weight, bias = self.comp_weight, self.comp_bias
+        if f_focal.dtype != weight.dtype:
+            # fold float32 copies: reshaping the float64 parameters would put entries on the tape
+            weight, bias = (Tensor(p.data.astype(f_focal.dtype)) for p in (weight, bias))
         sums = [
             reduce(f_focal[max(0, j - r) : min(s, s + j - r)], 0, "sum", keepdims=True)
             for j in range(lo, hi)
         ]
-        weight = transpose(self.comp_weight, (0, 2, 1, 3, 4))[:, lo:hi]
+        weight = transpose(weight, (0, 2, 1, 3, 4))[:, lo:hi]
         weight = reshape(weight, (c, (hi - lo) * c) + weight.shape[3:])
-        return conv2d(concat(sums, axis=1), weight) / s + reshape(self.comp_bias, (1, c, 1, 1))
+        return conv2d(concat(sums, axis=1), weight) / s + reshape(bias, (1, c, 1, 1))
 
     # -- step two: attention over the slice bundle -----------------------------
 

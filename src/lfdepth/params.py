@@ -39,11 +39,10 @@ class ModuleParams:
         self._children: dict[str, ModuleParams] = {}
 
     def add(self, name: str, data) -> Tensor:
-        """Register a trainable leaf tensor under ``name`` and return it."""
+        """Register a new trainable leaf tensor made from ``data`` under ``name``
+        and return it; a float32 ``data`` is a UsageError."""
         self._check_name(name)
-        t = data if isinstance(data, Tensor) else Tensor(data)
-        t.requires_grad = True
-        self._entries[name] = t
+        t = self._entries[name] = Tensor(data, requires_grad=True)
         return t
 
     def child(self, name: str) -> "ModuleParams":
@@ -69,15 +68,8 @@ class ModuleParams:
             yield from sub.named(prefix + name + ".")
 
     def tensors(self) -> list[tuple[str, Tensor]]:
-        """All (path, tensor) pairs, verifying no tensor is aliased twice."""
-        out = []
-        seen: dict[int, str] = {}
-        for path, t in self.named():
-            if id(t) in seen:
-                raise UsageError(f"tensor aliased at {seen[id(t)]!r} and {path!r}")
-            seen[id(t)] = path
-            out.append((path, t))
-        return out
+        """All (path, tensor) pairs; each ``add`` made its own tensor, so none sits at two paths."""
+        return list(self.named())
 
     def get(self, path: str) -> Tensor:
         node = self

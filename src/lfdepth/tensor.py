@@ -15,39 +15,25 @@ differentiated once; a second ``backward()`` through it is a UsageError.
 
 An op computes in its input's dtype.  A float32 operand casts the other
 operand of a binary op to float32, so float64 parameters and Python scalars
-join a float32 forward pass without being changed.  The tape is float64
-only: recording a float32 result raises UsageError, so float32 runs under
-``no_grad``.
+join a float32 forward pass without being changed.  The dtype decides what
+the tape records: a result is recorded only when it is float64 and some input
+requires grad, and only a float64 tensor may require grad (UsageError
+otherwise).  So a float32 forward records nothing, even through trainable
+parameters, and its result cannot be differentiated.
 
 The tape is rebuilt on every forward pass (shapes downstream depend on the
-data, e.g. graph node counts follow the spatial size), is single-threaded,
-and tensors with tracking disabled are immutable by convention and safe to
-share across threads.  ``no_grad`` acts on the calling thread only.
+data, e.g. graph node counts follow the spatial size) and is single-threaded.
+Untracked tensors are immutable by convention and safe to share across
+threads, so float32 forwards may run on many threads at once.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ShapeError, UsageError
-
-# Open no_grad contexts in the current thread; the tape records only at depth
-# 0.  A count lets overlapping contexts exit in any order.
-_NO_GRAD_DEPTH: ContextVar[int] = ContextVar("lfdepth_no_grad_depth", default=0)
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording inside the context (inference / metrics)."""
-    _NO_GRAD_DEPTH.set(_NO_GRAD_DEPTH.get() + 1)
-    try:
-        yield
-    finally:
-        _NO_GRAD_DEPTH.set(_NO_GRAD_DEPTH.get() - 1)
 
 
 def _as_array(data) -> np.ndarray:
@@ -75,7 +61,7 @@ class _Node:
 
 
 class Tensor:
-    """A dense float64 or float32 array, optionally tracked for differentiation.
+    """A dense float64 or float32 array; a float64 one may be tracked for differentiation.
 
     A tracked result holds its tape entry in ``_node``; ``_parents`` and
     ``_backward_fn`` read (and ``_backward_fn`` also sets) that entry.  A
@@ -87,6 +73,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
+        if requires_grad and self.data.dtype != np.float64:
+            raise UsageError(f"only a float64 tensor may require grad, got {self.data.dtype}")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._node: _Node | None = None
@@ -197,7 +185,10 @@ class Tensor:
         if self.size != 1:
             raise UsageError(f"backward() needs a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
-            raise UsageError("backward() on a tensor that does not require grad")
+            raise UsageError(
+                f"backward() on a {self.dtype} tensor that does not require grad: "
+                "float32 results are never recorded"
+            )
 
         # Iterative postorder so deep tapes cannot hit the recursion limit.
         root = _entry(self)
@@ -242,17 +233,14 @@ def _entry(t: Tensor):
 
 
 def _track(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Wrap ``data``; record an entry with the parents' entries when any parent is tracked.
+    """Wrap ``data``; record an entry with the parents' entries when it is
+    float64 and any parent is tracked.
 
     ``backward_fn`` should hold its inputs' entries (``_entry``), not the
     input tensors, and only the arrays it reads.
     """
     out = Tensor(data)
-    if _NO_GRAD_DEPTH.get() == 0 and any(p.requires_grad for p in parents):
-        if out.data.dtype != np.float64:
-            raise UsageError(
-                f"the tape records float64 only, got {out.data.dtype}: run float32 under no_grad"
-            )
+    if out.data.dtype == np.float64 and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._node = _Node(tuple(_entry(p) for p in parents), backward_fn,
                           out.data.shape, out.data.dtype)
@@ -487,6 +475,8 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 def broadcast_to(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
     shape = tuple(shape)
+    if len(shape) < x.ndim:
+        raise ShapeError(f"cannot broadcast shape {x.shape} to fewer axes {shape}")
     _check_broadcast(x.shape, shape)
 
     nx = _entry(x)
@@ -529,7 +519,9 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
     if not xs:
         raise UsageError("concat of an empty list")
     ref = xs[0].shape
-    axis = axis % xs[0].ndim
+    if not -len(ref) <= axis < len(ref):
+        raise ShapeError(f"concat axis {axis} is out of range for rank {len(ref)}")
+    axis = axis % len(ref)
     for t in xs[1:]:
         if t.ndim != len(ref) or any(
             i != axis and n != ref[i] for i, n in enumerate(t.shape)

@@ -11,7 +11,7 @@ model keeps, and builds the model without drawing init values.  The
 optimizer moments are checked and stay in the file until the optimizer
 first needs them, so evaluation and inference hold only the weights.
 Training and checkpoints are float64; ``predict_scene`` runs the network in
-float32 (INFERENCE_DTYPE).
+float32 (INFERENCE_DTYPE), which the tape never records.
 
 ``evaluate_model`` is the one evaluation path (``lfdepth eval`` and the epoch
 metrics, which also score the ablation rungs); it predicts on a pool of
@@ -36,7 +36,7 @@ from .model import PLAIN_STACK_DEPTH, DepthNet, NetworkConfig, ladder_config, pr
 from .ops import DROPOUT_RATE
 from .params import DiskEntry, load_params, read_entries, save_params
 from .synthdata import Scene, augment
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -210,15 +210,15 @@ INFERENCE_DTYPE = np.dtype(np.float32)
 
 
 def predict_scene(model: DepthNet, scene: Scene) -> np.ndarray:
-    """Depth map [1,1,H,W] for one scene as float64, computed in INFERENCE_DTYPE with no tape.
+    """Depth map [1,1,H,W] for one scene as float64, computed in INFERENCE_DTYPE.
 
     Each float64 parameter is cast where an op reads it, so the model is never
-    changed and threads may share it.
+    changed and threads may share it; float32 results are never recorded, so
+    the forward builds no tape.
     """
     rgb, focal, _ = _scene_tensors(scene)
-    with no_grad():
-        depth = model(Tensor(rgb.data.astype(INFERENCE_DTYPE)),
-                      Tensor(focal.data.astype(INFERENCE_DTYPE)), mode="eval")
+    depth = model(Tensor(rgb.data.astype(INFERENCE_DTYPE)),
+                  Tensor(focal.data.astype(INFERENCE_DTYPE)), mode="eval")
     return depth.data.astype(np.float64)
 
 

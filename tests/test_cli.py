@@ -550,6 +550,28 @@ def test_out_that_cannot_be_a_directory_exits_2_before_reading_the_data(
     assert config.read_bytes() == before
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_empty_out_exits_2_before_reading_the_data(tmp_path, monkeypatch, capsys, command):
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("load_split", "train_model", "ablation_run"):
+        monkeypatch.setattr(cli, name, never)
+    args = (["--config", str(config)] if command == "train"
+            else ["--ladder", "Baseline", "--epochs", "1"])
+    code = main([command, "--data", str(data), *args, "--out", "", "--quiet"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and "checkpoint:" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 # -- ablate -----------------------------------------------------------------------
 
 

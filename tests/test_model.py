@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lfdepth import ops
+from lfdepth import ops, tensor
 from lfdepth.errors import ConfigError, ShapeError, UsageError
 from lfdepth.model import (
     LADDER,
@@ -247,6 +247,26 @@ def test_model_built_without_init_draws_holds_no_parameter_bytes():
         weight.data -= 1.0
     with pytest.raises(ValueError, match="read-only"):
         weight.data[...] = 1.0
+
+
+def test_float32_forward_records_no_tape_entry(monkeypatch):
+    cfg = NetworkConfig()
+    model = DepthNet(cfg, np.random.default_rng(0))
+    made = []
+
+    class CountedNode(tensor._Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tensor, "_Node", CountedNode)
+    rgb, focal, _ = scene_inputs(cfg)
+    out = model(Tensor(rgb.data.astype(np.float32)), Tensor(focal.data.astype(np.float32)))
+    assert out.data.dtype == np.float32 and not out.requires_grad and made == []
+    assert all(t.grad is None for _, t in model.params.tensors())
+    assert model(rgb, focal).requires_grad and made  # the float64 forward is recorded
 
 
 def test_forward_rejects_wrong_shapes():

@@ -24,7 +24,7 @@ from lfdepth.ops import (
 from lfdepth.model import NetworkConfig, prediction_loss
 from lfdepth.params import ModuleParams
 from lfdepth.synthdata import GenSpec, generate_scene
-from lfdepth.tensor import Tensor, _Node, narrow, no_grad
+from lfdepth.tensor import Tensor, _Node, narrow
 from lfdepth.train import _scene_tensors, init_state
 
 from oracles import (
@@ -459,9 +459,8 @@ def test_fused_relu_float32_forward_matches_oracle_bitwise(monkeypatch):
     plant_specials(monkeypatch)
     layer = Conv2d(ModuleParams(), "c", 3, 4, 3, np.random.default_rng(21), relu=True)
     x = Tensor(np.random.default_rng(22).standard_normal((2, 3, 8, 8)).astype(np.float32))
-    with no_grad():
-        got = layer(x).data
-        want = oracle_relu(conv2d(x, layer.weight, layer.bias)).data
+    got = layer(x).data
+    want = oracle_relu(conv2d(x, layer.weight, layer.bias)).data
     assert got.dtype == np.float32
     assert bitwise_equal(got, want)
 
@@ -792,16 +791,15 @@ def test_float32_input_stays_float32_in_every_op(monkeypatch):
     layers = _float64_layers()
     before = [t.data.copy() for t in layers[3:]]
     x64 = np.random.default_rng(61).standard_normal((2, 4, 6, 6))
-    with no_grad():
-        reference = _module_ops(Tensor(x64), layers)
-        # float32 blocks of two rows, then of one item, of the 3x3 conv2d; then the default
-        for block_bytes in (4 * 4 * 9 * 6 * 2, 4 * 4 * 9 * 36, ops._BLOCK_BYTES):
-            monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
-            outs = _module_ops(Tensor(x64.astype(np.float32)), layers)
-            for name, out in outs.items():
-                assert out.data.dtype == np.float32, name
-                np.testing.assert_allclose(out.data, reference[name].data, rtol=1e-5, atol=1e-5,
-                                           err_msg=name)
+    reference = _module_ops(Tensor(x64), layers)
+    # float32 blocks of two rows, then of one item, of the 3x3 conv2d; then the default
+    for block_bytes in (4 * 4 * 9 * 6 * 2, 4 * 4 * 9 * 36, ops._BLOCK_BYTES):
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
+        outs = _module_ops(Tensor(x64.astype(np.float32)), layers)
+        for name, out in outs.items():
+            assert out.data.dtype == np.float32, name
+            np.testing.assert_allclose(out.data, reference[name].data, rtol=1e-5, atol=1e-5,
+                                       err_msg=name)
     for t, b in zip(layers[3:], before):
         assert t.data.dtype == np.float64 and np.array_equal(t.data, b)
 
@@ -819,10 +817,14 @@ def test_float32_sigmoid_stays_in_the_open_interval():
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
-def test_float32_conv_with_float64_weights_needs_no_grad():
+def test_float32_conv_with_float64_weights_is_not_recorded():
     layer = _float64_layers()[0]
-    with pytest.raises(UsageError, match="no_grad"):
-        layer(Tensor(np.ones((1, 4, 6, 6), np.float32)))
+    loss = layer(Tensor(np.ones((1, 4, 6, 6), np.float32))).sum()
+    assert loss.data.dtype == np.float32
+    assert not loss.requires_grad and loss._node is None
+    with pytest.raises(UsageError, match="float32 results are never recorded"):
+        loss.backward()
+    assert layer.weight.grad is None and layer.bias.grad is None
 
 
 def test_columns_size_blocks_by_itemsize(monkeypatch):

@@ -19,7 +19,7 @@ from lfdepth.model import NetworkConfig, prediction_loss
 from lfdepth.ops import kaiming_normal
 from lfdepth.params import DiskEntry, ModuleParams, load_params, read_entries, save_params
 from lfdepth.synthdata import GenSpec, generate_scene
-from lfdepth.tensor import Tensor, no_grad
+from lfdepth.tensor import Tensor
 import lfdepth.ops as ops_module
 import lfdepth.tensor as tensor_module
 import lfdepth.train as train_module
@@ -83,8 +83,7 @@ def adam_reference(g, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
 def test_adam_matches_reference_updates():
     params = ModuleParams()
     g = np.array([0.5, -2.0, 0.01, 3.0])
-    t = Tensor(np.zeros(4))
-    params.add("w", t)
+    t = params.add("w", np.zeros(4))
     opt = Adam()
     for _ in range(3):
         t.grad = g.copy()
@@ -95,10 +94,8 @@ def test_adam_matches_reference_updates():
 
 def test_adam_skips_missing_gradients():
     params = ModuleParams()
-    a = Tensor(np.ones(3))
-    b = Tensor(np.ones(3))
-    params.add("a", a)
-    params.add("b", b)
+    a = params.add("a", np.ones(3))
+    b = params.add("b", np.ones(3))
     opt = Adam()
     a.grad = np.ones(3)
     b.grad = None
@@ -215,8 +212,7 @@ def test_non_finite_scene_stops_before_the_forward_pass(field, monkeypatch):
 
 def test_adam_state_round_trip():
     params = ModuleParams()
-    t = Tensor(np.zeros(2))
-    params.add("w", t)
+    t = params.add("w", np.zeros(2))
     opt = Adam()
     t.grad = np.array([1.0, -1.0])
     opt.step(params, 0.01)
@@ -484,8 +480,7 @@ def test_predict_scene_matches_the_float64_forward(monkeypatch):
     scenes = [tiny_scene(seed) for seed in range(3)]
     state = train_model(scenes[:2], tiny_config(), seed=2, until_epoch=1, eval_every=0)
     before = {p: t.data.copy() for p, t in state.model.params.tensors()}
-    with no_grad():
-        wants = [state.model(Tensor(sc.rgb[None]), Tensor(sc.focal)).data for sc in scenes]
+    wants = [state.model(Tensor(sc.rgb[None]), Tensor(sc.focal)).data for sc in scenes]
     net, seen = type(state.model), []
     forward = net.__call__
 
@@ -583,7 +578,7 @@ def test_resume_from_disk_replays_bitwise(tmp_path):
 
 def test_checkpoint_rejects_colliding_parameter_paths(tmp_path):
     params = ModuleParams()
-    params.child("adam").add("step", Tensor(np.zeros(1)))
+    params.child("adam").add("step", np.zeros(1))
     fake = SimpleNamespace(
         model=SimpleNamespace(params=params),
         optimizer=Adam(),
