@@ -23,8 +23,8 @@ parameters, and its result cannot be differentiated.
 
 The tape is rebuilt on every forward pass (shapes downstream depend on the
 data, e.g. graph node counts follow the spatial size) and is single-threaded.
-Untracked tensors are immutable by convention and safe to share across
-threads, so float32 forwards may run on many threads at once.
+A float32 forward reads the float64 parameters' data without recording or
+writing anything, so float32 forwards on many threads may share one model.
 """
 
 from __future__ import annotations

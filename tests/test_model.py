@@ -249,8 +249,9 @@ def test_model_built_without_init_draws_holds_no_parameter_bytes():
         weight.data[...] = 1.0
 
 
-def test_float32_forward_records_no_tape_entry(monkeypatch):
-    cfg = NetworkConfig()
+@pytest.mark.parametrize("name", ["default"] + sorted(LADDER))
+def test_float32_forward_records_no_tape_entry(name, monkeypatch):
+    cfg = NetworkConfig() if name == "default" else ladder_config(small_config(), name)
     model = DepthNet(cfg, np.random.default_rng(0))
     made = []
 
@@ -263,7 +264,9 @@ def test_float32_forward_records_no_tape_entry(monkeypatch):
 
     monkeypatch.setattr(tensor, "_Node", CountedNode)
     rgb, focal, _ = scene_inputs(cfg)
-    out = model(Tensor(rgb.data.astype(np.float32)), Tensor(focal.data.astype(np.float32)))
+    rgb, focal = (rgb if cfg.use_rgb_stream else None), (focal if cfg.use_focal_stream else None)
+    as32 = [None if t is None else Tensor(t.data.astype(np.float32)) for t in (rgb, focal)]
+    out = model(*as32)
     assert out.data.dtype == np.float32 and not out.requires_grad and made == []
     assert all(t.grad is None for _, t in model.params.tensors())
     assert model(rgb, focal).requires_grad and made  # the float64 forward is recorded
