@@ -40,7 +40,7 @@ have C_out*K.
 in place on the convolution's output, and its backward recovers the ReLU
 mask from that output, so the tape keeps no pre-activation.  The model
 applies every ReLU this way.  Each backward closure holds its inputs' tape
-entries (``tensor._entry``), never the input tensors, and only the arrays
+entries (``x._node``), never the input tensors, and only the arrays
 it reads: a convolution keeps its input and weight, and its output only
 with the fused ReLU.  Backward passes hand the gradients they allocate to
 ``tensor._accum`` as ``fresh``, which takes them without a copy.
@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import ShapeError, UsageError
 from .params import ModuleParams
-from .tensor import Tensor, _accum, _entry, _track, as_tensor, concat, matmul, reduce, reshape
+from .tensor import Tensor, _accum, _track, as_tensor, concat, matmul, reduce, reshape
 
 
 # -- activations ---------------------------------------------------------------
@@ -76,7 +76,7 @@ def relu(x: Tensor) -> Tensor:
     """
     x = as_tensor(x)
     mask = x.data > 0
-    nx = _entry(x)
+    nx = x._node
 
     def backward(g):
         _accum(nx, g * mask, fresh=True)
@@ -94,7 +94,7 @@ def sigmoid(x: Tensor) -> Tensor:
     # one is the smallest normal number, so that upsampling the map cannot underflow to 0
     info = np.finfo(s.dtype)
     s = np.clip(s, info.tiny, 1 - info.epsneg)
-    nx = _entry(x)
+    nx = x._node
 
     def backward(g):
         _accum(nx, g * s * (1.0 - s), fresh=True)
@@ -229,7 +229,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int, relu: b
         np.fmax(out, 0.0, out=out)  # NaN -> 0
         out += 0.0  # -0 -> +0
     parents = (x, weight) if bias is None else (x, weight, bias)
-    nx, nw, nb = _entry(x), _entry(weight), None if bias is None else _entry(bias)
+    nx, nw, nb = x._node, weight._node, None if bias is None else bias._node
     xd, wd, kept = x.data, weight.data, out if relu else None
 
     # the closure holds the inputs' tape entries, x's and the weight's data,
@@ -239,8 +239,8 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int, relu: b
             g *= kept > 0  # g is this entry's own gradient buffer (see tensor._accum)
         if nb is not None:
             _accum(nb, g.sum(axis=(0,) + tuple(range(2, g.ndim))), fresh=True)
-        if not nx.requires_grad:
-            if nw.requires_grad:
+        if nx is None:
+            if nw is not None:
                 CK = C * math.prod(kernel)
                 dw = np.zeros((CO, CK))
                 for items, rs, cols in _columns(xd, kernel, dilation, pads):
@@ -253,7 +253,7 @@ def _conv(x: Tensor, weight: Tensor, bias: Tensor | None, dilation: int, relu: b
         # [C, CO*K]: the flipped kernel with its channel axes swapped
         wt = np.flip(wd, taps).swapaxes(0, 1).reshape(C, -1)
         dx = np.empty(xd.shape)
-        dw = np.zeros(wt.shape[::-1]) if nw.requires_grad else None
+        dw = np.zeros(wt.shape[::-1]) if nw is not None else None
         for items, rs, cols in _columns(g, kernel, dilation, tuple(p[::-1] for p in pads)):
             cols = cols.reshape(len(cols), wt.shape[1], -1)
             np.matmul(wt, cols, out=dx[items, :, rs].reshape(len(cols), C, -1))
@@ -357,7 +357,7 @@ def max_pool2(x: Tensor) -> Tensor:
     offsets = [(i, j) for i in (0, 1) for j in (0, 1)]
     views = [x.data[:, :, i::2, j::2] for i, j in offsets]
     out = np.maximum(np.maximum(views[3], views[2]), np.maximum(views[1], views[0]))
-    nx = _entry(x)
+    nx = x._node
 
     def backward(g):
         dx = np.zeros((S, C, H, W))

@@ -1,10 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every tensor wraps a row-major numpy array: float64 for training, float32
-for inference.  Operations build a dynamic tape of entries (``_Node``), kept
-apart from the tensors: a tracked result's entry holds its parents' entries,
-a closure that routes the incoming gradient back to them, its gradient, shape
-and dtype, and no data.  A leaf is its own entry.  Each closure keeps only
+for inference.  Every tracked tensor, leaf or result, owns one tape entry
+(``_Node``) and no other, kept apart from its data: a gradient, a shape, the
+entries of its tracked parents and a closure that routes the incoming
+gradient back to them (a leaf's entry has neither).  Each closure keeps only
 the arrays its backward reads (a product keeps both operands, a sum keeps
 none), so an activation that no backward reads is freed as soon as the
 forward code drops its tensor.  ``Tensor.backward()`` walks the entries once
@@ -47,41 +47,47 @@ def _as_array(data) -> np.ndarray:
 
 
 class _Node:
-    """The tape entry of a tracked result: its gradient and edges, and no data."""
+    """The tape entry of a tracked tensor: its gradient and edges, and no data."""
 
-    __slots__ = ("grad", "requires_grad", "_parents", "_backward_fn", "shape", "dtype")
+    __slots__ = ("grad", "_parents", "_backward_fn", "shape")
 
-    def __init__(self, parents: tuple, backward_fn, shape: tuple[int, ...], dtype):
+    def __init__(self, parents: tuple, backward_fn, shape: tuple[int, ...]):
         self.grad: np.ndarray | None = None
-        self.requires_grad = True
         self._parents = parents
         self._backward_fn = backward_fn
         self.shape = shape
-        self.dtype = dtype
 
 
 class Tensor:
     """A dense float64 or float32 array; a float64 one may be tracked for differentiation.
 
-    A tracked result holds its tape entry in ``_node``; ``_parents`` and
-    ``_backward_fn`` read (and ``_backward_fn`` also sets) that entry.  A
-    leaf has no entry of its own: it is its own entry, with no parents and
-    no closure, and its ``grad`` is where backward accumulates.
+    A tracked tensor holds its tape entry in ``_node``, and an untracked one
+    None: ``requires_grad`` is whether it has an entry, and ``grad`` reads
+    and sets the entry's gradient.  ``_backward_fn`` reads and sets the
+    entry's closure.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         if requires_grad and self.data.dtype != np.float64:
             raise UsageError(f"only a float64 tensor may require grad, got {self.data.dtype}")
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._node: _Node | None = None
+        self._node = _Node((), None, self.data.shape) if requires_grad else None
 
     @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node._parents
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        if self._node is None:
+            raise UsageError("cannot set grad on a tensor that does not require grad")
+        self._node.grad = g
 
     @property
     def _backward_fn(self):
@@ -113,9 +119,6 @@ class Tensor:
         if self.size != 1:
             raise UsageError(f"item() needs a one-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
@@ -191,15 +194,15 @@ class Tensor:
             )
 
         # Iterative postorder so deep tapes cannot hit the recursion limit.
-        root = _entry(self)
-        topo: list = []
-        visited = {id(root)}
-        stack: list[tuple[object, Iterable]] = [(root, iter(root._parents))]
+        root = self._node
+        topo: list[_Node] = []
+        visited = {root}
+        stack: list[tuple[_Node, Iterable]] = [(root, iter(root._parents))]
         while stack:
             node, parents = stack[-1]
             for p in parents:
-                if p.requires_grad and id(p) not in visited:
-                    visited.add(id(p))
+                if p not in visited:
+                    visited.add(p)
                     stack.append((p, iter(p._parents)))
                     break
             else:
@@ -211,7 +214,7 @@ class Tensor:
                 topo.append(node)
                 stack.pop()
 
-        root.grad = np.ones(root.shape, root.dtype)
+        root.grad = np.ones(root.shape)
         while topo:
             node = topo.pop()
             if node._backward_fn is not None:
@@ -227,51 +230,46 @@ class Tensor:
 _CONSUMED = object()
 
 
-def _entry(t: Tensor):
-    """The tape entry of ``t``: its ``_node`` when it is a tracked result, else ``t`` itself."""
-    return t if t._node is None else t._node
-
-
 def _track(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Wrap ``data``; record an entry with the parents' entries when it is
-    float64 and any parent is tracked.
+    """Wrap ``data``; when it is float64, record an entry whose edges are the
+    tracked parents' entries, if there are any.
 
-    ``backward_fn`` should hold its inputs' entries (``_entry``), not the
+    ``backward_fn`` should hold its inputs' entries (``x._node``), not the
     input tensors, and only the arrays it reads.
     """
     out = Tensor(data)
-    if out.data.dtype == np.float64 and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._node = _Node(tuple(_entry(p) for p in parents), backward_fn,
-                          out.data.shape, out.data.dtype)
+    if out.data.dtype == np.float64:
+        edges = tuple(p._node for p in parents if p._node is not None)
+        if edges:
+            out._node = _Node(edges, backward_fn, out.data.shape)
     return out
 
 
-def _accum(t, g: np.ndarray, fresh: bool = False) -> None:
-    """Add ``g`` into the gradient of ``t``, a tape entry or a tensor.
+def _accum(node: _Node | None, g: np.ndarray, fresh: bool = False) -> None:
+    """Sum ``g`` down to the shape of ``node``, the one place that undoes
+    broadcasting, and add it into that entry's gradient.
 
-    A tracked tensor's gradient goes to its entry, so a closure that holds
-    the tensor itself cannot lose it.  Every gradient is a buffer no other
-    entry holds, C-contiguous in the entry's shape and dtype: the first one
-    is copied into such a buffer.  A ``fresh`` ``g`` is an array the calling
-    backward allocated itself and keeps no reference to, never handed to
-    another parent: it becomes the gradient without a copy when it already
-    is such a buffer, whatever the layout of the tensor's ``data``.  A ``g``
-    that flows through an op unchanged, or a view of one, is never fresh.
-    Since a gradient is owned, a backward closure may overwrite the ``g`` it
-    receives.
+    A None ``node`` (an untracked input's) takes nothing.  Every gradient is
+    a float64 buffer no other entry holds, C-contiguous in the entry's shape:
+    the first one is copied into such a buffer, and a ``g`` of a shape
+    broadcasting cannot produce fails there or in the addition.  A ``fresh``
+    ``g`` is an array the calling backward allocated itself and keeps no
+    reference to, never handed to another parent: it becomes the gradient
+    without a copy when it already is such a buffer, whatever the layout of
+    the tensor's ``data``.  A ``g`` that flows through an op unchanged, or a
+    view of one, is never fresh.  Since a gradient is owned, a backward
+    closure may overwrite the ``g`` it receives.
     """
-    if isinstance(t, Tensor):
-        t = _entry(t)
-    if not t.requires_grad:
+    if node is None:
         return
-    if t.grad is not None:
-        t.grad += g
-    elif fresh and g.flags.c_contiguous and g.shape == t.shape and g.dtype == t.dtype:
-        t.grad = g
+    g = _unbroadcast(g, node.shape)
+    if node.grad is not None:
+        node.grad += g
+    elif fresh and g.flags.c_contiguous and g.shape == node.shape and g.dtype == np.float64:
+        node.grad = g
     else:
-        t.grad = np.empty(t.shape, t.dtype)
-        np.copyto(t.grad, g)
+        node.grad = np.empty(node.shape)
+        np.copyto(node.grad, g)
 
 
 def as_tensor(value) -> Tensor:
@@ -311,11 +309,11 @@ def _common(a: Tensor, b: Tensor) -> tuple[np.ndarray, np.ndarray]:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.shape, b.shape)
-    na, nb = _entry(a), _entry(b)
+    na, nb = a._node, b._node
 
     def backward(g):
-        _accum(na, _unbroadcast(g, na.shape))
-        _accum(nb, _unbroadcast(g, nb.shape))
+        _accum(na, g)
+        _accum(nb, g)
 
     return _track(np.add(*_common(a, b)), (a, b), backward)
 
@@ -323,11 +321,11 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.shape, b.shape)
-    na, nb = _entry(a), _entry(b)
+    na, nb = a._node, b._node
 
     def backward(g):
-        _accum(na, _unbroadcast(g, na.shape))
-        _accum(nb, _unbroadcast(-g, nb.shape), fresh=True)
+        _accum(na, g)
+        _accum(nb, -g, fresh=True)
 
     return _track(np.subtract(*_common(a, b)), (a, b), backward)
 
@@ -335,11 +333,11 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_broadcast(a.shape, b.shape)
-    na, nb, ad, bd = _entry(a), _entry(b), a.data, b.data
+    na, nb, ad, bd = a._node, b._node, a.data, b.data
 
     def backward(g):
-        _accum(na, _unbroadcast(g * bd, na.shape), fresh=True)
-        _accum(nb, _unbroadcast(g * ad, nb.shape), fresh=True)
+        _accum(na, g * bd, fresh=True)
+        _accum(nb, g * ad, fresh=True)
 
     return _track(np.multiply(*_common(a, b)), (a, b), backward)
 
@@ -350,18 +348,18 @@ def div(a, b) -> Tensor:
     if np.any(b.data == 0.0):
         raise DomainError("division by exact zero")
 
-    na, nb, ad, bd = _entry(a), _entry(b), a.data, b.data
+    na, nb, ad, bd = a._node, b._node, a.data, b.data
 
     def backward(g):
-        _accum(na, _unbroadcast(g / bd, na.shape), fresh=True)
-        _accum(nb, _unbroadcast(-g * ad / (bd * bd), nb.shape), fresh=True)
+        _accum(na, g / bd, fresh=True)
+        _accum(nb, -g * ad / (bd * bd), fresh=True)
 
     return _track(np.divide(*_common(a, b)), (a, b), backward)
 
 
 def absolute(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    na, ad = _entry(a), a.data
+    na, ad = a._node, a.data
 
     def backward(g):
         _accum(na, g * np.sign(ad), fresh=True)
@@ -374,7 +372,7 @@ def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data < 0.0):
         raise DomainError("sqrt of a negative value")
     root = np.sqrt(a.data)
-    na = _entry(a)
+    na = a._node
 
     def backward(g):
         _accum(na, g / (2.0 * root), fresh=True)
@@ -393,11 +391,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     _check_broadcast(a.shape[:-2], b.shape[:-2])
-    na, nb, ad, bd = _entry(a), _entry(b), a.data, b.data
+    na, nb, ad, bd = a._node, b._node, a.data, b.data
 
     def backward(g):
-        _accum(na, _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), na.shape), fresh=True)
-        _accum(nb, _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), nb.shape), fresh=True)
+        _accum(na, np.matmul(g, np.swapaxes(bd, -1, -2)), fresh=True)
+        _accum(nb, np.matmul(np.swapaxes(ad, -1, -2), g), fresh=True)
 
     return _track(np.matmul(*_common(a, b)), (a, b), backward)
 
@@ -429,7 +427,7 @@ def reduce(x: Tensor, axes, op: str, keepdims: bool = False) -> Tensor:
     if op == "mean":
         data = data / count
 
-    nx = _entry(x)
+    nx = x._node
 
     def backward(g):
         gk = g.reshape(kept)
@@ -449,7 +447,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     if min(shape, default=1) < 1 or int(np.prod(shape)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
 
-    nx = _entry(x)
+    nx = x._node
 
     def backward(g):
         _accum(nx, g.reshape(nx.shape))
@@ -464,7 +462,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
         raise ShapeError(f"invalid permutation {axes} for rank {x.ndim}")
     inverse = np.argsort(axes)
 
-    nx = _entry(x)
+    nx = x._node
 
     def backward(g):
         _accum(nx, g.transpose(inverse))
@@ -479,10 +477,10 @@ def broadcast_to(x: Tensor, shape) -> Tensor:
         raise ShapeError(f"cannot broadcast shape {x.shape} to fewer axes {shape}")
     _check_broadcast(x.shape, shape)
 
-    nx = _entry(x)
+    nx = x._node
 
     def backward(g):
-        _accum(nx, _unbroadcast(g, nx.shape))
+        _accum(nx, g)
 
     return _track(np.broadcast_to(x.data, shape).copy(), (x,), backward)
 
@@ -503,10 +501,10 @@ def narrow(x: Tensor, key) -> Tensor:
         if not isinstance(k, (slice, int)):
             raise UsageError("only basic slice/int indexing is supported")
 
-    nx = _entry(x)
+    nx = x._node
 
     def backward(g):
-        full = np.zeros(nx.shape, nx.dtype)
+        full = np.zeros(nx.shape)
         full[key] = g
         _accum(nx, full, fresh=True)
 
@@ -530,12 +528,12 @@ def concat(xs: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [t.shape[axis] for t in xs]
     offsets = np.cumsum([0] + sizes)
 
-    entries = [_entry(t) for t in xs]
+    nodes = [t._node for t in xs]
 
     def backward(g):
-        for t, lo, hi in zip(entries, offsets[:-1], offsets[1:]):
-            sel = tuple(slice(lo, hi) if i == axis else slice(None) for i in range(len(t.shape)))
-            _accum(t, g[sel])
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            sel = tuple(slice(lo, hi) if i == axis else slice(None) for i in range(g.ndim))
+            _accum(node, g[sel])
 
     dtype = np.float32 if any(t.data.dtype == np.float32 for t in xs) else np.float64
     return _track(

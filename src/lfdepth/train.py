@@ -214,11 +214,14 @@ def predict_scene(model: DepthNet, scene: Scene) -> np.ndarray:
 
     Each float64 parameter is cast where an op reads it, so the model is never
     changed and threads may share it; float32 results are never recorded, so
-    the forward builds no tape.
+    the forward builds no tape.  A non-finite prediction is a NumericalCheckError:
+    a finite float64 parameter beyond float32's range casts to inf.
     """
     rgb, focal, _ = _scene_tensors(scene)
     depth = model(Tensor(rgb.data.astype(INFERENCE_DTYPE)),
                   Tensor(focal.data.astype(INFERENCE_DTYPE)), mode="eval")
+    if not np.all(np.isfinite(depth.data)):
+        raise NumericalCheckError(f"the {INFERENCE_DTYPE} depth prediction holds non-finite values")
     return depth.data.astype(np.float64)
 
 
@@ -333,10 +336,6 @@ def train_model(
 # -- checkpoints --------------------------------------------------------------
 
 
-def config_to_dict(config: NetworkConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 # Keys that configs written by earlier versions carry, each with its JSON type
 # and the one value the network runs at; they load at that value and are dropped.
 _RETIRED_KEYS = {
@@ -351,7 +350,7 @@ _RETIRED_KEYS = {
 def config_from_dict(doc) -> NetworkConfig:
     """NetworkConfig from its JSON object; a malformed document is a FormatError."""
     kinds = typing.get_type_hints(NetworkConfig)
-    doc = read_fields(doc, kinds, config_to_dict(NetworkConfig()))
+    doc = read_fields(doc, kinds, dataclasses.asdict(NetworkConfig()))
     for name, (kind, fixed) in _RETIRED_KEYS.items():
         if name in doc:
             value = doc.pop(name)
@@ -388,7 +387,7 @@ def save_checkpoint(path, state: TrainState) -> None:
     entries.update(state.optimizer.state_entries())
     save_params(path, entries)
     sidecar = {
-        "config": config_to_dict(state.model.config),
+        "config": dataclasses.asdict(state.model.config),
         "epoch": state.epoch,
         "rng_state": state.rng.bit_generator.state,
         "metrics": metrics_to_doc(state.log.epoch_metrics),

@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from lfdepth import ops
 from lfdepth.errors import UsageError
-from lfdepth.tensor import _accum, _entry, _track, as_tensor
+from lfdepth.tensor import _accum, _track, as_tensor
 
 
 def fd_gradients(loss_fn, tensors, step=1e-5):
@@ -246,21 +246,21 @@ def backward_keep_all(loss):
     array the tape holds to the end.  It calls the package's backward
     closures, so gradients must agree with ``loss.backward()`` bit for bit.
     """
-    root = _entry(loss)
+    root = loss._node
     topo = []
-    visited = {id(root)}
+    visited = {root}
     stack = [(root, iter(root._parents))]
     while stack:
         node, parents = stack[-1]
         for p in parents:
-            if p.requires_grad and id(p) not in visited:
-                visited.add(id(p))
+            if p not in visited:
+                visited.add(p)
                 stack.append((p, iter(p._parents)))
                 break
         else:
             topo.append(node)
             stack.pop()
-    root.grad = np.ones(root.shape, root.dtype)
+    root.grad = np.ones(root.shape)
     ran = []
     for node in reversed(topo):
         if node._backward_fn is not None:
@@ -281,10 +281,10 @@ def relu(x):
     tape (``_track``) and copies its gradient in through ``_accum``.
     """
     x = as_tensor(x)
-    mask = x.data > 0
+    mask, nx = x.data > 0, x._node
 
     def backward(g):
-        _accum(x, g * mask)
+        _accum(nx, g * mask)
 
     return _track(np.where(mask, x.data, 0.0), (x,), backward)
 

@@ -12,7 +12,7 @@ from lfdepth.gradcheck import GroupReport
 from lfdepth.params import load_params, save_params
 from lfdepth.pnm import read_pgm16, write_ppm
 from lfdepth.synthdata import GenSpec, generate_dataset
-from lfdepth.train import worker_count
+from lfdepth.train import load_checkpoint, save_checkpoint, worker_count
 
 
 def make_dataset(root, scenes=3, size=16, slices=2):
@@ -508,6 +508,31 @@ def test_eval_non_finite_scene_exits_3(tmp_path, monkeypatch, capsys):
     code = main(["eval", "--data", str(data), "--ckpt", str(out / "checkpoint.lfdp")])
     assert code == 3
     assert "scene rgb holds non-finite values" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_eval_and_infer_of_a_non_finite_prediction_exit_3_without_output(tmp_path, capsys):
+    """A head weight of +-1e300 is finite in the float64 checkpoint and +-inf
+    in the float32 forward, so the prediction is NaN."""
+    data = tmp_path / "ds"
+    make_dataset(data)
+    config = write_run_config(tmp_path / "run.json")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out", str(out), "--quiet"]) == 0
+    state = load_checkpoint(out / "checkpoint.lfdp")
+    weight = state.model.params.get("decoder.head.weight")
+    weight.data = np.where(np.arange(weight.size) % 2, 1e300, -1e300).reshape(weight.shape)
+    ckpt = tmp_path / "far.lfdp"
+    save_checkpoint(ckpt, state)
+    capsys.readouterr()
+    metrics_json, depth_out = tmp_path / "metrics.json", tmp_path / "depth.pgm"
+    assert main(["eval", "--data", str(data), "--ckpt", str(ckpt), "--json", str(metrics_json)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert main(["infer", "--scene", str(data / "scene_0002"), "--ckpt", str(ckpt),
+                 "--out", str(depth_out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not metrics_json.exists() and not depth_out.exists()
 
 
 def test_infer_slice_mismatch(tmp_path, capsys):

@@ -182,7 +182,7 @@ def test_conv2d_gradcheck(stride, dilation, padding, monkeypatch):
     for block_bytes in block_sizes(2, (3, 3), x.shape):
         monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
         for t in (x, w, b):
-            t.zero_grad()
+            t.grad = None
         build().backward()
         for t, g in zip([x, w, b], want):
             assert max_rel_err(t.grad, g) < TOL
@@ -286,7 +286,7 @@ def test_conv3d_gradcheck(monkeypatch):
     for block_bytes in block_sizes(2, (3, 3, 3), conv3d(x, w).shape):
         monkeypatch.setattr(ops, "_BLOCK_BYTES", block_bytes)
         for t in (x, w, b):
-            t.zero_grad()
+            t.grad = None
         build().backward()
         for t, g in zip([x, w, b], want):
             assert max_rel_err(t.grad, g) < TOL
@@ -468,7 +468,7 @@ def test_fused_relu_float32_forward_matches_oracle_bitwise(monkeypatch):
 def test_fused_conv_closure_holds_only_its_inputs_and_output():
     rng = np.random.default_rng(23)
     base, w, b = leaf(rng, 2, 3, 9, 9), leaf(rng, 4, 3, 3, 3), leaf(rng, 4)
-    x = base * 1.0  # a tracked result, whose entry is not the tensor
+    x = base * 1.0  # a tracked result; w and b are leaves
     for relu in (True, False):
         for kwargs in ({}, {"dilation": 2, "padding": "valid"}):
             out = conv2d(x, w, b, relu=relu, **kwargs)
@@ -479,9 +479,8 @@ def test_fused_conv_closure_holds_only_its_inputs_and_output():
             cells = [c.cell_contents for c in node._backward_fn.__closure__]
             arrays = {id(v) for v in cells if isinstance(v, np.ndarray)}
             held = {id(v) for v in cells if isinstance(v, (Tensor, _Node))}
-            # the inputs' tape entries (a leaf is its own), and no tensor with an entry
-            assert held == {id(x._node), id(w), id(b)}
-            assert not any(isinstance(v, Tensor) and v._node is not None for v in cells)
+            # the inputs' tape entries, and no tensor
+            assert held == {id(x._node), id(w._node), id(b._node)}
             # the output only when backward recovers the ReLU mask from it
             assert arrays == {id(x.data), id(w.data)} | ({id(out.data)} if relu else set())
             assert not any(isinstance(v, (list, tuple, dict)) and any(

@@ -4,12 +4,15 @@ import pytest
 from lfdepth.errors import DomainError, ShapeError, UsageError
 from lfdepth.tensor import (
     Tensor,
+    _accum,
     add,
     as_tensor,
     absolute,
     broadcast_to,
     concat,
+    div,
     matmul,
+    mul,
     narrow,
     reduce,
     reshape,
@@ -65,11 +68,37 @@ def test_arithmetic_grads(seed):
 
 
 @pytest.mark.parametrize("shapes", [((3, 1), (4,)), ((2, 3, 4), (3, 4)), ((5, 1, 2), (1, 6, 2))])
-def test_broadcast_grads(shapes):
+@pytest.mark.parametrize("op", [add, sub, mul, div], ids=lambda op: op.__name__)
+def test_broadcast_grads(op, shapes):
     rng = np.random.default_rng(hash(shapes) % 2**32)
     a = leaf(rng, *shapes[0])
     b = leaf(rng, *shapes[1])
-    check_grads(lambda: (a * b).sum(), [a, b])
+    check_grads(lambda: op(a, b).sum(), [a, b])
+    # the broadcast operand as an untracked constant: a's gradient is the same
+    want, a.grad = a.grad, None
+    c = Tensor(b.data)
+    op(a, c).sum().backward()
+    assert a.grad.tobytes() == want.tobytes() and c.grad is None
+
+
+def test_a_leaf_owns_its_node_and_a_constant_is_no_edge():
+    x = Tensor(np.ones(3), requires_grad=True)
+    c = Tensor(np.arange(3.0))
+    y = x * c
+    assert y._node._parents == (x._node,)
+    y.sum().backward()
+    assert x.grad is x._node.grad
+    assert x.grad.tobytes() == c.data.tobytes()
+    with pytest.raises(UsageError, match="does not require grad"):
+        c.grad = np.ones(3)
+    with pytest.raises(AttributeError):
+        c.requires_grad = True
+    # a gradient no broadcast of the entry's shape gives fails in the addition, then in the copy
+    with pytest.raises(ValueError):
+        _accum(x._node, np.ones(4))
+    x.grad = None
+    with pytest.raises(ValueError):
+        _accum(x._node, np.ones(4))
 
 
 def test_broadcast_shape_error():
@@ -180,7 +209,7 @@ def test_narrow_is_a_view_and_its_gradient_scatters():
     keys = ((slice(None), slice(1, 3), slice(0, -1)),
             (slice(None), slice(None, 2), slice(1, None)))
     for key in keys:
-        a.zero_grad()
+        a.grad = None
         out = narrow(a, key)
         assert np.shares_memory(out.data, a.data)
         assert out.data.tobytes() == a.data[key].tobytes()
@@ -308,7 +337,7 @@ def test_zero_grad_and_repeat_backward():
     x = Tensor(np.array(4.0), requires_grad=True)
     (x * x).backward()
     first = x.grad.item()
-    x.zero_grad()
+    x.grad = None
     assert x.grad is None
     (x * x).backward()
     assert x.grad.item() == first
@@ -318,7 +347,7 @@ def test_backward_through_a_consumed_graph_is_a_usage_error():
     x = Tensor(np.array(3.0), requires_grad=True)
     y = x * x
     y.backward()
-    x.zero_grad()
+    x.grad = None
     with pytest.raises(UsageError, match="already run"):
         y.backward()
     assert x.grad is None

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -28,7 +29,6 @@ from lfdepth.train import (
     _metrics_from_doc,
     ablation_run,
     config_from_dict,
-    config_to_dict,
     evaluate_model,
     format_metric,
     format_table,
@@ -452,11 +452,11 @@ def test_accum_takes_every_fresh_gradient_without_a_copy(default_scene, monkeypa
         loss = default_loss(state, default_scene)
         firsts, copied = [], []  # bytes of each first fresh gradient, and of each copied one
 
-        def spy(t, g, fresh=False):
-            node = tensor_module._entry(t) if isinstance(t, Tensor) else t
-            first = fresh and node.requires_grad and node.grad is None
-            accum(t, g, fresh and take)
-            if first:
+        def spy(node, g, fresh=False):
+            first = fresh and node is not None and node.grad is None
+            accum(node, g, fresh and take)
+            # a g that _accum sums down to the entry's shape is a new array, not a copy
+            if first and g.shape == node.shape:
                 firsts.append(g.nbytes)
                 if node.grad is not g:
                     copied.append(g.nbytes)
@@ -533,6 +533,18 @@ def test_predict_scene_stays_inside_the_open_interval_when_saturated(bias):
     state.model.head.bias.data[...] = bias
     pred = predict_scene(state.model, tiny_scene())
     assert pred.min() > 0.0 and pred.max() < 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_a_non_finite_prediction_is_a_numerical_check_error():
+    """A head weight of +-1e300 is finite in float64 and +-inf in the float32 forward."""
+    state = init_state(tiny_config(), 0)
+    weight = state.model.params.get("decoder.head.weight")
+    weight.data[...] = np.where(np.arange(weight.size) % 2, 1e300, -1e300).reshape(weight.shape)
+    with pytest.raises(NumericalCheckError, match="non-finite"):
+        predict_scene(state.model, tiny_scene())
+    with pytest.raises(NumericalCheckError, match="non-finite"):
+        evaluate_model(state.model, [tiny_scene(1), tiny_scene(2)])
 
 
 # -- checkpoints ----------------------------------------------------------------------
@@ -962,7 +974,7 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=12,
 )
-network_keys = st.sampled_from(sorted(config_to_dict(NetworkConfig())) + sorted(RETIRED_KEYS))
+network_keys = st.sampled_from(sorted(dataclasses.asdict(NetworkConfig())) + sorted(RETIRED_KEYS))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -977,7 +989,7 @@ def test_any_json_config_is_valid_or_a_format_error(doc):
 
 @pytest.mark.parametrize("key, value", [("height", 0), ("width", -16), ("decoder_channels", 0)])
 def test_config_with_non_positive_extent_is_a_format_error(tmp_path, key, value):
-    doc = {**config_to_dict(tiny_config()), key: value}
+    doc = {**dataclasses.asdict(tiny_config()), key: value}
     with pytest.raises(FormatError, match=str(value)):
         config_from_dict(doc)
     path = tmp_path / "ckpt.lfdp"
@@ -997,7 +1009,7 @@ def test_config_with_non_positive_extent_is_a_format_error(tmp_path, key, value)
     ("loss_weights", [1.0, 1.0, -float("inf")]),
 ])
 def test_config_with_non_finite_rate_or_weight_is_a_format_error(tmp_path, key, value):
-    doc = {**config_to_dict(tiny_config()), key: value}
+    doc = {**dataclasses.asdict(tiny_config()), key: value}
     with pytest.raises(FormatError, match=key):
         config_from_dict(doc)
     path = tmp_path / "ckpt.lfdp"
@@ -1012,7 +1024,7 @@ def test_config_with_non_finite_rate_or_weight_is_a_format_error(tmp_path, key, 
 
 def test_config_dict_round_trip():
     cfg = tiny_config(stage_channels=(2, 4, 6, 8, 10), use_cmfa=False)
-    doc = config_to_dict(cfg)
+    doc = dataclasses.asdict(cfg)
     assert config_from_dict(doc) == cfg
     assert config_from_dict(json.loads(json.dumps(doc))) == cfg
     with pytest.raises(FormatError) as err:
